@@ -22,7 +22,6 @@ from .operators import (
     abc_derivative,
     ml_kernel_antiderivative,
     rl_integral,
-    rl_weights,
 )
 from .solver import (
     ConditionReport,
@@ -73,7 +72,6 @@ __all__ = [
     "abc_derivative",
     "ml_kernel_antiderivative",
     "rl_integral",
-    "rl_weights",
     "ConditionReport",
     "ProblemSpec",
     "SolutionTrace",

@@ -24,10 +24,10 @@ from .errors import (
     LexError,
     MaxSweepsExceeded,
     NonConvergence,
-    OrderingViolation,
     ParseError,
     ValidationError,
 )
+from .expression import Expression, takes_arrays
 from .extremal import bracket_maximal, bracket_minimal
 from .mittag_leffler import ml_one, ml_prabhakar, ml_two
 from .operators import Grid
@@ -238,16 +238,14 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec, _ = _load(args.problem)
-    from .expression import Expression
-
     v_expr = Expression(args.lower, {"tau"})
     w_expr = Expression(args.upper, {"tau"})
     grid = Grid(spec.T, args.n)
     mode = Strictness.NONSTRICT if args.nonstrict else Strictness.STRICT
     report = verify_comparison(
         spec,
-        lambda t: v_expr(tau=t),
-        lambda t: w_expr(tau=t),
+        takes_arrays(lambda t: v_expr(tau=t)),
+        takes_arrays(lambda t: w_expr(tau=t)),
         grid,
         mode=mode,
     )
@@ -390,9 +388,6 @@ def main(argv=None) -> int:
     except MaxSweepsExceeded as exc:
         print(f"E_MAXSWEEPS: {exc}", file=sys.stderr)
         return EXIT_MAX_SWEEPS
-    except OrderingViolation as exc:
-        print(f"E_ORDERING: {exc}", file=sys.stderr)
-        return EXIT_ORDERING
     except NonConvergence as exc:
         print(f"E_NONCONVERGENCE: {exc}", file=sys.stderr)
         return EXIT_MAX_SWEEPS

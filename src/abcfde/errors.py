@@ -55,14 +55,6 @@ class MaxSweepsExceeded(AbcfdeError):
         self.trace = trace
 
 
-class OrderingViolation(AbcfdeError):
-    """Perturbed traces are not monotone across epsilon levels."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
-
 class EnclosureViolation(AbcfdeError):
     """A solution escapes the [minimal, maximal] bracket."""
 

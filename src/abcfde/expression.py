@@ -11,16 +11,23 @@ Grammar (loosest to tightest binding):
 ``^`` is real exponentiation; ``0^0`` evaluates to 1.  Builtins cover the
 usual elementary functions plus the Mittag-Leffler family ``mlf1``,
 ``mlf2`` and ``mlf3``.
+
+Variables may be bound to floats or to numpy arrays: one tree walk
+evaluates a whole array of samples, and a domain error names the first
+bad sample.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from . import mittag_leffler as ml
-from .errors import ArityError, EvalError, LexError, NonConvergence, ParseError
+from .errors import ArityError, EvalError, LexError, ParseError
 
 # ---------------------------------------------------------------------------
 # AST
@@ -58,44 +65,17 @@ class Call:
 Node = Num | Var | Unary | Binary | Call
 
 
-def _safe_log(x):
-    if x <= 0.0:
-        raise EvalError(f"log of nonpositive value {x}")
-    return math.log(x)
-
-
-def _safe_sqrt(x):
-    if x < 0.0:
-        raise EvalError(f"sqrt of negative value {x}")
-    return math.sqrt(x)
-
-
-def _safe_gamma(x):
-    try:
-        return math.gamma(x)
-    except ValueError as exc:
-        raise EvalError(f"gamma pole at {x}") from exc
-
-
-def _real_pow(base, expo):
-    if base == 0.0 and expo == 0.0:
-        return 1.0
-    try:
-        return math.pow(base, expo)
-    except (ValueError, OverflowError) as exc:
-        raise EvalError(f"pow({base}, {expo}) is not a real number") from exc
-
-
-#: name -> (arity, implementation)
+#: name -> (arity, implementation).  The numpy ufuncs take whole sample
+#: arrays; :func:`sample` calls the scalar-only rest once per sample.
 BUILTINS: dict[str, tuple[int, Callable]] = {
-    "sin": (1, math.sin),
-    "cos": (1, math.cos),
-    "exp": (1, math.exp),
-    "log": (1, _safe_log),
-    "sqrt": (1, _safe_sqrt),
-    "abs": (1, abs),
-    "pow": (2, _real_pow),
-    "gamma": (1, _safe_gamma),
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
+    "exp": (1, np.exp),
+    "log": (1, np.log),
+    "sqrt": (1, np.sqrt),
+    "abs": (1, np.abs),
+    "pow": (2, np.power),
+    "gamma": (1, math.gamma),
     "mlf1": (2, ml.ml_one),
     "mlf2": (3, ml.ml_two),
     "mlf3": (4, ml.ml_prabhakar),
@@ -276,43 +256,95 @@ def parse(source_or_tokens) -> Node:
 # Evaluation and printing
 
 
-def evaluate(node: Node, bindings: Mapping[str, float]) -> float:
-    """Evaluate an AST under the given variable bindings."""
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
+}
+
+
+def _first_bad(problem: str, bad, name: str, args) -> EvalError:
+    """EvalError naming the first sample where the mask bad holds."""
+    shape = np.broadcast(bad, *args).shape
+    i = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
+    values = ", ".join(repr(float(np.broadcast_to(a, shape)[i])) for a in args)
+    where = f" at sample {int(i[0]) if len(i) == 1 else tuple(map(int, i))}" if i else ""
+    return EvalError(f"{problem}: {name}({values}){where}")
+
+
+def sample(fn: Callable, *args):
+    """fn at the broadcast samples args: a float array of their shape, or
+    a float when every arg is a scalar.
+
+    numpy ufuncs and callables marked by :func:`takes_arrays` get the
+    arrays whole.  Any other fn is taken as scalar-only and called once
+    per sample with Python floats: this is the one per-point loop, which
+    the builtins gamma and mlf1..3 and user callables given as f, g, v or
+    w go through.  A ValueError, OverflowError or ZeroDivisionError it
+    raises becomes an EvalError naming the sample.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    shape = arrays[0].shape
+    if isinstance(fn, np.ufunc) or getattr(fn, "takes_arrays", False):
+        return np.broadcast_to(fn(*args), shape).astype(float)[()]
+    columns = [a.ravel().tolist() for a in arrays]
+    out = np.empty(arrays[0].size)
+    try:
+        for k, xs in enumerate(zip(*columns)):
+            out[k] = fn(*xs)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        bad = np.arange(out.size).reshape(shape) == k
+        raise _first_bad(str(exc), bad, getattr(fn, "__name__", "fn"), arrays) from exc
+    return out.reshape(shape)[()]
+
+
+def takes_arrays(fn: Callable) -> Callable:
+    """Mark fn as taking whole sample arrays in :func:`sample`; returns fn."""
+    fn.takes_arrays = True
+    return fn
+
+
+@np.errstate(all="ignore")
+def evaluate(node: Node, bindings: Mapping[str, float | np.ndarray]):
+    """Evaluate an AST under the given variable bindings.
+
+    Bindings are floats or numpy arrays that broadcast together; the
+    result is a float or an array of the broadcast shape of the variables
+    it uses.  A division by zero, and any operation that makes NaN from
+    non-NaN inputs or an infinity from finite inputs (log of a nonpositive
+    value, sqrt of a negative one, ``(-2)^0.5``, ``0^-1``, overflow, a
+    gamma pole), raise :class:`EvalError` naming the first bad sample.
+    """
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         try:
-            return float(bindings[node.name])
+            value = bindings[node.name]
         except KeyError:
             raise EvalError(f"unbound variable {node.name!r}") from None
+        return value if isinstance(value, np.ndarray) else float(value)
     if isinstance(node, Unary):
         return -evaluate(node.operand, bindings)
     if isinstance(node, Binary):
-        a = evaluate(node.left, bindings)
-        b = evaluate(node.right, bindings)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero")
-            return a / b
-        return _real_pow(a, b)
-    if isinstance(node, Call):
-        fn = BUILTINS[node.func][1]
+        args = a, b = evaluate(node.left, bindings), evaluate(node.right, bindings)
+        if node.op == "/" and np.any(b == 0.0):
+            raise _first_bad("division by zero", b == 0.0, "/", args)
+        out, name = _BINARY[node.op](a, b), node.op
+    elif isinstance(node, Call):
         args = [evaluate(arg, bindings) for arg in node.args]
-        try:
-            return fn(*args)
-        except EvalError:
-            raise
-        except NonConvergence:
-            raise
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise EvalError(f"{node.func}{tuple(args)}: {exc}") from exc
-    raise TypeError(f"not an AST node: {node!r}")
+        out, name = sample(BUILTINS[node.func][1], *args), node.func
+    else:
+        raise TypeError(f"not an AST node: {node!r}")
+    if np.isfinite(out).all():
+        return out
+    nan_in = np.any(np.broadcast_arrays(*map(np.isnan, args)), axis=0)
+    finite_in = np.all(np.broadcast_arrays(*map(np.isfinite, args)), axis=0)
+    bad = (np.isnan(out) & ~nan_in) | (np.isinf(out) & finite_in)
+    if bad.any():
+        raise _first_bad("not a real number", bad, name, args)
+    return out
 
 
 def variables(node: Node) -> set[str]:
@@ -346,11 +378,6 @@ def to_source(node: Node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def compile_expression(source: str, allowed: set[str]) -> "Expression":
-    """Parse and variable-check an expression in one step."""
-    return Expression(source, allowed)
-
-
 class Expression:
     """A parsed expression restricted to a declared variable set."""
 
@@ -363,7 +390,8 @@ class Expression:
                 f"undeclared variable(s) {sorted(extra)}; allowed: {sorted(allowed)}"
             )
 
-    def __call__(self, **bindings: float) -> float:
+    def __call__(self, **bindings):
+        """Value at float or numpy-array bindings; see :func:`evaluate`."""
         return evaluate(self.ast, bindings)
 
     def __repr__(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,26 +90,6 @@ def _check_samples(samples, grid: Grid) -> np.ndarray:
             f"expected {grid.N + 1} samples, got shape {arr.shape}"
         )
     return arr
-
-
-def rl_weights(grid: Grid, alpha: float) -> np.ndarray:
-    """Product-trapezoidal weights for the Riemann-Liouville integral.
-
-    Row n holds weights w_{n,j} such that
-    (I^alpha omega)(tau_n) ~= sum_j w_{n,j} omega_j, exact for piecewise
-    linear omega.  All weights are strictly positive for 0 < alpha < 1.
-    """
-    N = grid.N
-    coef = grid.h**alpha / math.gamma(alpha + 2.0)
-    kp = np.arange(N + 2, dtype=float) ** (alpha + 1.0)
-    w = np.zeros((N + 1, N + 1))
-    for n in range(1, N + 1):
-        w[n, 0] = coef * (kp[n - 1] - kp[n] + (alpha + 1.0) * float(n) ** alpha)
-        if n >= 2:
-            m = np.arange(1, n)  # m = n - j for interior j = 1 .. n-1
-            w[n, 1:n] = coef * (kp[m + 1] - 2.0 * kp[m] + kp[m - 1])[::-1]
-        w[n, n] = coef
-    return w
 
 
 def rl_integral(samples, grid: Grid, alpha: float) -> np.ndarray:

@@ -18,13 +18,13 @@ convention or alpha/(B (1-alpha)) under PAPER_HYBRID.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import MaxSweepsExceeded, ValidationError
-from .expression import Expression
+from .expression import Expression, sample, takes_arrays
 from .operators import (
     BConvention,
     Grid,
@@ -44,6 +44,12 @@ class ProblemSpec:
 
     f and g are callables of (tau, omega); expression-backed problems
     keep their sources in f_src / g_src so they can be re-emitted.
+
+    f_samples and g_samples call f and g on whole arrays when they are
+    marked by :func:`~abcfde.expression.takes_arrays`, as the expression
+    callables of :func:`load_problem` and :func:`perturbed`'s shifts of
+    them are; any other callable (a ``math.sin`` lambda, say) is called
+    once per sample by :func:`~abcfde.expression.sample`.
     """
 
     T: float
@@ -71,11 +77,13 @@ class ProblemSpec:
                 "g", f"g(0, omega0) = {g00}, must vanish (tol {g0_tol})"
             )
 
-    def f_samples(self, taus: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-        return np.array([self.f(t, w) for t, w in zip(taus, omegas)])
+    def f_samples(self, taus, omegas) -> np.ndarray:
+        """f at the broadcast (tau, omega) samples."""
+        return sample(self.f, taus, omegas)
 
-    def g_samples(self, taus: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-        return np.array([self.g(t, w) for t, w in zip(taus, omegas)])
+    def g_samples(self, taus, omegas) -> np.ndarray:
+        """g at the broadcast (tau, omega) samples."""
+        return sample(self.g, taus, omegas)
 
 
 @dataclass
@@ -178,8 +186,8 @@ def load_problem(text: str) -> ProblemSpec:
     spec = ProblemSpec(
         T=T,
         omega0=omega0,
-        f=lambda tau, omega: f_expr(tau=tau, omega=omega),
-        g=lambda tau, omega: g_expr(tau=tau, omega=omega),
+        f=takes_arrays(lambda tau, omega: f_expr(tau=tau, omega=omega)),
+        g=takes_arrays(lambda tau, omega: g_expr(tau=tau, omega=omega)),
         cfg=OperatorConfig(alpha, b_conv, k_conv),
         f_src=f_expr.source,
         g_src=g_expr.source,
@@ -198,25 +206,23 @@ def check_monotone_quotient(
     """Sample omega -> omega/f(tau, omega) and report the minimal slope.
 
     The map must be increasing for the integral-equation equivalence to
-    hold; a nonpositive slope anywhere on the lattice fails the check.
+    hold; a nonpositive slope anywhere on the lattice fails the check, and
+    so does an undefined one (NaN, from 0/0 where f and omega vanish).
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    lo, hi = omega_box
-    taus = np.linspace(0.0, spec.T, n_tau)
-    omegas = np.linspace(lo, hi, samples)
-    best = math.inf
-    at = (0.0, lo)
-    for t in taus:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.array([w / spec.f(t, w) for w in omegas])
-            slopes = np.diff(q) / np.diff(omegas)
-        i = int(np.argmin(slopes))
-        if slopes[i] < best:
-            best = float(slopes[i])
-            at = (float(t), float(omegas[i]))
+    taus, omegas = _lattice(spec, omega_box, n_tau, samples)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = omegas / spec.f_samples(taus, omegas)
+        slopes = np.diff(q, axis=1) / np.diff(omegas)
+    # the first least slope; argmin puts a NaN (0/0 where f vanishes) first
+    r, c = np.unravel_index(np.argmin(slopes), slopes.shape)
+    best = float(slopes[r, c])
     return QuotientReport(
-        min_slope=best, passed=best > 0.0, tau_at_min=at[0], omega_at_min=at[1]
+        min_slope=best,
+        passed=best > 0.0,
+        tau_at_min=float(taus[r, 0]),
+        omega_at_min=float(omegas[c]),
     )
 
 
@@ -294,8 +300,8 @@ def existence_condition(
     lhs = L_f * inner
     satisfied = lhs < 1.0
     taus = np.linspace(0.0, spec.T, 1001)
-    M_f = float(max(abs(spec.f(t, 0.0)) for t in taus))
-    if satisfied and lhs < 1.0:
+    M_f = float(np.max(np.abs(spec.f_samples(taus, 0.0))))
+    if satisfied:
         R = M_f * lhs / (1.0 - lhs)
         R_alt = M_f * inner / (1.0 - lhs)
     else:
@@ -314,8 +320,9 @@ def existence_condition(
 
 
 def _lattice(spec: ProblemSpec, omega_box, n_tau, n_omega):
+    """A column of taus on [0, T] and a row of omegas across the box."""
     lo, hi = omega_box
-    return np.linspace(0.0, spec.T, n_tau), np.linspace(lo, hi, n_omega)
+    return np.linspace(0.0, spec.T, n_tau)[:, None], np.linspace(lo, hi, n_omega)
 
 
 def estimate_lipschitz_f(
@@ -328,12 +335,12 @@ def estimate_lipschitz_f(
     if n_tau < 2 or n_omega < 2:
         raise ValueError("lattice needs at least 2 points per axis")
     taus, omegas = _lattice(spec, omega_box, n_tau, n_omega)
+    dw = np.abs(omegas[:, None] - omegas[None, :])
+    mask = dw > 0
     best = 0.0
-    for t in taus:
-        vals = np.array([spec.f(t, w) for w in omegas])
+    # one tau row at a time keeps the pair table at n_omega^2
+    for vals in spec.f_samples(taus, omegas):
         dv = np.abs(vals[:, None] - vals[None, :])
-        dw = np.abs(omegas[:, None] - omegas[None, :])
-        mask = dw > 0
         best = max(best, float(np.max(dv[mask] / dw[mask])))
     return best
 
@@ -348,7 +355,7 @@ def estimate_h_norm(
     if n_tau < 2 or n_omega < 2:
         raise ValueError("lattice needs at least 2 points per axis")
     taus, omegas = _lattice(spec, omega_box, n_tau, n_omega)
-    return float(max(abs(spec.g(t, w)) for t in taus for w in omegas))
+    return float(np.max(np.abs(spec.g_samples(taus, omegas))))
 
 
 def solve_majorant(
@@ -370,7 +377,7 @@ def solve_majorant(
     spec = ProblemSpec(
         T=grid.T,
         omega0=0.0,
-        f=lambda tau, omega: 1.0,
+        f=takes_arrays(lambda tau, omega: 1.0),
         g=G,
         cfg=cfg,
     )
@@ -389,9 +396,9 @@ def perturbed(spec: ProblemSpec, eps: float, sign: int) -> ProblemSpec:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     g = spec.g
-    return replace(
-        spec,
-        omega0=spec.omega0 + sign * eps,
-        g=lambda tau, omega: g(tau, omega) + sign * eps,
-        g_src=None,
-    )
+
+    def shifted(tau, omega):
+        return g(tau, omega) + sign * eps
+
+    shifted.takes_arrays = getattr(g, "takes_arrays", False)
+    return replace(spec, omega0=spec.omega0 + sign * eps, g=shifted, g_src=None)

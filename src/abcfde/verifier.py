@@ -15,9 +15,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateF, HypothesisViolation, MonotonicityViolation
+from .expression import sample
 from .mittag_leffler import ml_prabhakar
 from .operators import Grid, OperatorConfig, abc_derivative, ab_integral
-from .solver import ProblemSpec, check_monotone_quotient
+from .solver import ProblemSpec, _lattice, check_monotone_quotient
 
 
 class Strictness(enum.Enum):
@@ -144,8 +145,8 @@ def verify_comparison(
     """
     cfg = spec.cfg
     t = grid.nodes
-    v_vals = np.array([v(tt) for tt in t])
-    w_vals = np.array([w(tt) for tt in t])
+    v_vals = sample(v, t)
+    w_vals = sample(w, t)
     fv = spec.f_samples(t, v_vals)
     fw = spec.f_samples(t, w_vals)
     if np.any(fv == 0.0) or np.any(fw == 0.0):
@@ -214,22 +215,20 @@ def estimate_g_onesided_lipschitz(
             f"quotient map slope {quotient.min_slope} <= 0 at "
             f"(tau, omega) = ({quotient.tau_at_min}, {quotient.omega_at_min})"
         )
-    taus = np.linspace(0.0, spec.T, n_tau)
-    omegas = np.linspace(omega_box[0], omega_box[1], n_omega)
+    taus, omegas = _lattice(spec, omega_box, n_tau, n_omega)
+    g = spec.g_samples(taus, omegas)
+    q = omegas / spec.f_samples(taus, omegas)
+    i, j = np.tril_indices(n_omega, -1)  # omegas[i] > omegas[j]
     best = 0.0
-    for t in taus:
-        g = np.array([spec.g(t, w) for w in omegas])
-        q = np.array([w / spec.f(t, w) for w in omegas])
-        for i in range(n_omega):
-            dg = g[i] - g[:i]  # omegas[i] > omegas[j] for j < i
-            dq = q[i] - q[:i]
-            if np.any(dq <= 0.0):
-                raise MonotonicityViolation(
-                    f"nonincreasing quotient between samples at tau = {t}"
-                )
-            if dg.size:
-                best = max(best, float(np.max(dg / dq)))
-    return max(best, 0.0)
+    # one tau row at a time keeps the pair table at n_omega^2
+    for t, g_row, q_row in zip(taus[:, 0], g, q):
+        dq = q_row[i] - q_row[j]
+        if np.any(dq <= 0.0):
+            raise MonotonicityViolation(
+                f"nonincreasing quotient between samples at tau = {t}"
+            )
+        best = max(best, float(np.max((g_row[i] - g_row[j]) / dq)))
+    return best
 
 
 def extremum_sign_check(

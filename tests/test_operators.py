@@ -16,9 +16,28 @@ from abcfde import (
     ml_one,
     ml_two,
     rl_integral,
-    rl_weights,
 )
 from abcfde.errors import DimensionMismatch
+
+
+def rl_weights(grid: Grid, alpha: float) -> np.ndarray:
+    """Dense product-trapezoidal weights for the Riemann-Liouville integral.
+
+    Row n holds weights w_{n,j} such that
+    (I^alpha omega)(tau_n) ~= sum_j w_{n,j} omega_j, exact for piecewise
+    linear omega: the O(N^2) oracle that rl_integral is checked against.
+    """
+    N = grid.N
+    coef = grid.h**alpha / math.gamma(alpha + 2.0)
+    kp = np.arange(N + 2, dtype=float) ** (alpha + 1.0)
+    w = np.zeros((N + 1, N + 1))
+    for n in range(1, N + 1):
+        w[n, 0] = coef * (kp[n - 1] - kp[n] + (alpha + 1.0) * float(n) ** alpha)
+        if n >= 2:
+            m = np.arange(1, n)  # m = n - j for interior j = 1 .. n-1
+            w[n, 1:n] = coef * (kp[m + 1] - 2.0 * kp[m] + kp[m - 1])[::-1]
+        w[n, n] = coef
+    return w
 
 
 class TestGrid:

@@ -145,6 +145,13 @@ class TestMonotoneQuotient:
         )
         assert check_monotone_quotient(s, (-0.5, 0.5), samples=201).passed
 
+    def test_undefined_quotient_fails(self):
+        # f = omega makes q = omega/f constant 1, and 0/0 at the sample
+        # omega = 0; that NaN once dropped every row and passed the check
+        s = load_problem("alpha=0.5\nT=1\nomega0=1\nf=omega\ng=0\n")
+        rep = check_monotone_quotient(s, (-1.0, 1.0))
+        assert math.isnan(rep.min_slope) and not rep.passed
+
     def test_bad_samples(self):
         with pytest.raises(ValueError):
             check_monotone_quotient(constant_forcing_spec(), (0.0, 1.0), samples=1)
@@ -372,3 +379,48 @@ class TestPerturbed:
             trace = picard_solve(perturbed(s, 0.125, sign), grid)
             exact = perturbed_closed_form(grid, s.cfg, 1.0, 0.125, sign)
             assert np.allclose(trace.omega, exact, atol=1e-9)
+
+
+class TestScalarOnlyCallables:
+    """Callables that take floats only (math.* lambdas) are sampled point
+    by point; a problem file's expressions are sampled on whole arrays.
+    Both must give the same answers."""
+
+    TEXT = (
+        "alpha = 0.6\nT = 2\nomega0 = 1\n"
+        "f = 1 + 0.1*sin(omega)\ng = tau*cos(omega) + 0.5*omega*tau\n"
+    )
+
+    @pytest.fixture
+    def pair(self):
+        from_file = load_problem(self.TEXT)
+        by_hand = ProblemSpec(
+            T=2.0,
+            omega0=1.0,
+            f=lambda t, w: 1.0 + 0.1 * math.sin(w),
+            g=lambda t, w: t * math.cos(w) + 0.5 * w * t,
+            cfg=OperatorConfig(0.6),
+        )
+        return from_file, by_hand
+
+    def test_same_solve_as_problem_file(self, pair):
+        grid = Grid(2.0, 256)
+        a, b = (picard_solve(s, grid) for s in pair)
+        assert a.iterations == b.iterations
+        np.testing.assert_allclose(b.omega, a.omega, rtol=1e-14, atol=0.0)
+
+    def test_same_estimates_as_problem_file(self, pair):
+        box = (0.0, 3.0)
+        a, b = pair
+        q_a, q_b = check_monotone_quotient(a, box), check_monotone_quotient(b, box)
+        assert (q_a.tau_at_min, q_a.omega_at_min) == (q_b.tau_at_min, q_b.omega_at_min)
+        assert q_b.min_slope == pytest.approx(q_a.min_slope, rel=1e-14)
+        for estimate in (estimate_lipschitz_f, estimate_h_norm):
+            assert estimate(b, box) == pytest.approx(estimate(a, box), rel=1e-14)
+        m_a = existence_condition(a, 0.1, 1.0).M_f
+        assert existence_condition(b, 0.1, 1.0).M_f == pytest.approx(m_a, rel=1e-14)
+
+    def test_perturbed_shift_keeps_the_array_path(self, pair):
+        from_file, _ = pair
+        assert perturbed(from_file, 0.1, +1).g.takes_arrays
+        assert not perturbed(constant_forcing_spec(), 0.1, +1).g.takes_arrays
