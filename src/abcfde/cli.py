@@ -116,8 +116,7 @@ def _cmd_solve(args) -> int:
         exit_code = EXIT_MAX_SWEEPS
         print(f"E_MAXSWEEPS: {exc}", file=sys.stderr)
 
-    residuals = np.abs(trace.omega - rhs_operator(spec, trace.omega, grid))
-    _write_trace_csv(out, digest, grid.nodes, trace.omega, residuals)
+    _write_trace_csv(out, digest, grid.nodes, trace.omega, trace.residuals)
 
     box = _default_box(spec)
     L_f = estimate_lipschitz_f(spec, box)

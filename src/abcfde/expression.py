@@ -66,7 +66,9 @@ Node = Num | Var | Unary | Binary | Call
 
 
 #: name -> (arity, implementation).  The numpy ufuncs take whole sample
-#: arrays; :func:`sample` calls the scalar-only rest once per sample.
+#: arrays, and so do the Mittag-Leffler functions (see
+#: :func:`_sample_by_parameters`); :func:`sample` calls gamma once per
+#: sample.
 BUILTINS: dict[str, tuple[int, Callable]] = {
     "sin": (1, np.sin),
     "cos": (1, np.cos),
@@ -80,6 +82,10 @@ BUILTINS: dict[str, tuple[int, Callable]] = {
     "mlf2": (3, ml.ml_two),
     "mlf3": (4, ml.ml_prabhakar),
 }
+
+#: Builtins whose last argument z is taken as a whole array.  Known by
+#: name, not by a mark on the function, so a wrapped entry keeps it.
+_Z_ARRAY_BUILTINS = frozenset({"mlf1", "mlf2", "mlf3"})
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +287,8 @@ def sample(fn: Callable, *args):
     numpy ufuncs and callables marked by :func:`takes_arrays` get the
     arrays whole.  Any other fn is taken as scalar-only and called once
     per sample with Python floats: this is the one per-point loop, which
-    the builtins gamma and mlf1..3 and user callables given as f, g, v or
-    w go through.  A ValueError, OverflowError or ZeroDivisionError it
+    the builtin gamma and user callables given as f, g, v or w go
+    through.  A ValueError, OverflowError or ZeroDivisionError it
     raises becomes an EvalError naming the sample.
     """
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
@@ -297,6 +303,32 @@ def sample(fn: Callable, *args):
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         bad = np.arange(out.size).reshape(shape) == k
         raise _first_bad(str(exc), bad, getattr(fn, "__name__", "fn"), arrays) from exc
+    return out.reshape(shape)[()]
+
+
+def _sample_by_parameters(fn: Callable, name: str, args):
+    """fn(*params, z) at the broadcast samples args = (*params, z).
+
+    One call per distinct parameter tuple, in order of first appearance,
+    with that tuple as floats and its samples of z as one array.  A
+    ValueError, OverflowError or ZeroDivisionError becomes an EvalError
+    naming the first sample of the tuple, which is the first bad one.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    shape = arrays[0].shape
+    *params, z = (a.ravel() for a in arrays)
+    keys, first, group = np.unique(
+        np.stack(params, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    group = group.ravel()
+    out = np.empty(z.size)
+    for g in np.argsort(first):
+        members = group == g
+        try:
+            out[members] = fn(*keys[g].tolist(), z[members])
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            bad = np.arange(z.size).reshape(shape) == first[g]
+            raise _first_bad(str(exc), bad, name, arrays) from exc
     return out.reshape(shape)[()]
 
 
@@ -334,7 +366,11 @@ def evaluate(node: Node, bindings: Mapping[str, float | np.ndarray]):
         out, name = _BINARY[node.op](a, b), node.op
     elif isinstance(node, Call):
         args = [evaluate(arg, bindings) for arg in node.args]
-        out, name = sample(BUILTINS[node.func][1], *args), node.func
+        fn, name = BUILTINS[node.func][1], node.func
+        if name in _Z_ARRAY_BUILTINS:
+            out = _sample_by_parameters(fn, name, args)
+        else:
+            out = sample(fn, *args)
     else:
         raise TypeError(f"not an AST node: {node!r}")
     if np.isfinite(out).all():

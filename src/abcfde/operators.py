@@ -10,6 +10,7 @@ the derivative), so no naive quadrature ever touches the singularity.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,18 +133,17 @@ def ab_integral(samples, grid: Grid, cfg: OperatorConfig) -> np.ndarray:
     return (1.0 - a) / B * arr + a / B * rl_integral(arr, grid, a)
 
 
+@functools.lru_cache(maxsize=4)
 def ml_kernel_antiderivative(grid: Grid, cfg: OperatorConfig) -> np.ndarray:
     """Values F(k h) of the kernel antiderivative, k = 0 .. N.
 
     F(x) = int_0^x E_alpha(-lam u^alpha) du = x E_{alpha,2}(-lam x^alpha)
-    with lam = alpha / (1 - alpha).
+    with lam = alpha / (1 - alpha).  Built once per (grid, cfg) and shared
+    by every caller, so the array is read-only.
     """
-    a, lam = cfg.alpha, cfg.lam
     x = grid.nodes
-    out = np.empty(grid.N + 1)
-    out[0] = 0.0
-    for k in range(1, grid.N + 1):
-        out[k] = x[k] * ml_two(a, 2.0, -lam * x[k] ** a)
+    out = x * ml_two(cfg.alpha, 2.0, -cfg.lam * x**cfg.alpha)
+    out.flags.writeable = False
     return out
 
 

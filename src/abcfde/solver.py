@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MaxSweepsExceeded, ValidationError
+from .errors import EvalError, MaxSweepsExceeded, ValidationError
 from .expression import Expression, sample, takes_arrays
 from .operators import (
     BConvention,
@@ -88,12 +88,17 @@ class ProblemSpec:
 
 @dataclass
 class SolutionTrace:
+    """A Picard solve: the last iterate, the sweep history and the
+    residuals |omega - rhs_operator(omega)| at the nodes (None when the
+    trace was built without them), whose sup is residual_sup."""
+
     grid: Grid
     omega: np.ndarray
     iterations: int
     iterate_diffs: list[float]
     residual_sup: float
     converged: bool = True
+    residuals: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -274,10 +279,12 @@ def picard_solve(
         diffs.append(diff)
         omega = new
         if diff <= tol:
-            residual = float(np.max(np.abs(omega - rhs_operator(spec, omega, grid))))
-            return SolutionTrace(grid, omega, sweep, diffs, residual)
-    residual = float(np.max(np.abs(omega - rhs_operator(spec, omega, grid))))
-    trace = SolutionTrace(grid, omega, max_sweeps, diffs, residual, converged=False)
+            res = np.abs(omega - rhs_operator(spec, omega, grid))
+            return SolutionTrace(grid, omega, sweep, diffs, float(np.max(res)), residuals=res)
+    res = np.abs(omega - rhs_operator(spec, omega, grid))
+    trace = SolutionTrace(
+        grid, omega, max_sweeps, diffs, float(np.max(res)), converged=False, residuals=res
+    )
     raise MaxSweepsExceeded(
         f"no convergence in {max_sweeps} sweeps (last diff {diffs[-1]:.3e})",
         trace=trace,
@@ -287,7 +294,11 @@ def picard_solve(
 def existence_condition(
     spec: ProblemSpec, L_f: float, h_norm: float
 ) -> ConditionReport:
-    """Evaluate the contraction-style existence condition and ball radius."""
+    """Evaluate the contraction-style existence condition and ball radius.
+
+    M_f = sup |f(tau, 0)| over [0, T]; where f(., 0) is undefined, M_f is
+    NaN and the radii are infinite.
+    """
     if L_f < 0 or h_norm < 0:
         raise ValueError("L_f and h_norm must be >= 0")
     cfg = spec.cfg
@@ -300,8 +311,13 @@ def existence_condition(
     lhs = L_f * inner
     satisfied = lhs < 1.0
     taus = np.linspace(0.0, spec.T, 1001)
-    M_f = float(np.max(np.abs(spec.f_samples(taus, 0.0))))
-    if satisfied:
+    try:
+        M_f = float(np.max(np.abs(spec.f_samples(taus, 0.0))))
+    except EvalError:
+        # f(., 0) is undefined (log(omega) on a box away from 0, say), so
+        # the ball radius is unknown
+        M_f = math.nan
+    if satisfied and not math.isnan(M_f):
         R = M_f * lhs / (1.0 - lhs)
         R_alt = M_f * inner / (1.0 - lhs)
     else:

@@ -83,14 +83,10 @@ def golden_identity_check(
     errors = []
     for grid in grids:
         t = grid.nodes
-        f = np.zeros(grid.N + 1)
-        exact = np.zeros(grid.N + 1)
-        for i in range(1, grid.N + 1):
-            z = lam * t[i] ** a
-            f[i] = t[i] ** (beta - 1.0) * ml_prabhakar(a, beta, sigma, z)
-            exact[i] = (
-                B / (1.0 - a) * t[i] ** (beta - 1.0) * ml_prabhakar(a, beta, sigma + 1.0, z)
-            )
+        z = lam * t**a
+        power = t ** (beta - 1.0)
+        f = power * ml_prabhakar(a, beta, sigma, z)
+        exact = B / (1.0 - a) * power * ml_prabhakar(a, beta, sigma + 1.0, z)
         num = abc_derivative(f, grid, cfg)
         errors.append(float(np.max(np.abs(num - exact))))
     orders = [

@@ -1,9 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from abcfde import Grid, SolutionTrace, ml_one, ml_two
+import abcfde
+from abcfde import (
+    Grid,
+    SolutionTrace,
+    load_problem,
+    ml_two,
+    picard_solve,
+    rhs_operator,
+)
 from abcfde.cli import (
     EXIT_INVALID,
     EXIT_MAX_SWEEPS,
@@ -37,6 +49,25 @@ T = 1
 omega0 = 0
 f = 1 + omega
 g = tau
+"""
+
+NONLINEAR_TEXT = """\
+alpha = 0.6
+T = 2
+omega0 = 0.5
+f = 1 + 0.1 * sin(omega)
+g = tau * cos(omega) + 0.5 * omega * tau
+"""
+
+# f(tau, 0) is undefined, so M_f is; the box keeps omega away from 0
+LOG_F_TEXT = """\
+alpha = 0.5
+T = 1
+omega0 = 1
+f = 1 + 0.1 * log(omega)
+g = tau * (1 - omega)
+omega_min = 0.5
+omega_max = 1.5
 """
 
 
@@ -116,8 +147,44 @@ class TestSolve:
         summary = (tmp_path / "trace.csv.summary.txt").read_text()
         assert "converged=False" in summary
 
+    @pytest.mark.parametrize(
+        "text", [MANUFACTURED_TEXT, NONLINEAR_TEXT], ids=["manufactured", "nonlinear"]
+    )
+    def test_residual_column_is_an_operator_sweep(self, text, tmp_path):
+        # the CSV takes the residuals picard_solve computed; they are the
+        # bytes a separate sweep of the operator at the last iterate gives
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        out = tmp_path / "trace.csv"
+        assert main(["solve", str(path), "--n", "64", "--out", str(out)]) == EXIT_OK
+        spec = load_problem(text)
+        grid = Grid(spec.T, 64)
+        omega = picard_solve(spec, grid).omega
+        residuals = np.abs(omega - rhs_operator(spec, omega, grid))
+        rows = [f"{t:.17g},{w:.17g},{r:.17g}" for t, w, r in zip(grid.nodes, omega, residuals)]
+        assert out.read_text().splitlines()[2:] == rows
+
+    def test_f_undefined_at_zero(self, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        path.write_text(LOG_F_TEXT)
+        out = tmp_path / "trace.csv"
+        code = main(["solve", str(path), "--n", "32", "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        summary = (tmp_path / "trace.csv.summary.txt").read_text().splitlines()
+        assert "condition_M_f=nan" in summary
+        assert "condition_R=inf" in summary
+
 
 class TestCheck:
+    def test_f_undefined_at_zero(self, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        path.write_text(LOG_F_TEXT)
+        code = main(["check", str(path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "  M_f=nan" in out
+        assert "  R=inf" in out
+
     def test_satisfied(self, problem_file, capsys):
         code = main(["check", str(problem_file)])
         assert code == EXIT_OK
@@ -361,3 +428,19 @@ class TestConvergence:
     def test_nondividing_grids(self, problem_file, capsys):
         code = main(["convergence", str(problem_file), "--grids", "32,48"])
         assert code == EXIT_INVALID
+
+
+def test_runs_without_mpmath():
+    # mpmath is a test dependency only: neither the import nor a
+    # Mittag-Leffler value far out on the negative axis loads it
+    code = (
+        "import sys, abcfde.cli\n"
+        "abcfde.cli.main(['mlf', '-35', '--alpha', '0.5', '--beta', '2'])\n"
+        "print('mpmath' in sys.modules)"
+    )
+    src = str(Path(abcfde.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.split()[-1] == "False"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from abcfde import ml_one, ml_prabhakar, ml_two
 from abcfde.errors import ArityError, EvalError, LexError, ParseError
 from abcfde.expression import (
+    BUILTINS,
     Binary,
     Call,
     Expression,
@@ -208,6 +209,8 @@ class TestArrayEvaluate:
         ("exp(x)", [0.0, 1.0, 1000.0, 2000.0]),
         ("gamma(x)", [1.5, 2.0, 0.0, -1.0]),
         ("sin(x)", [0.0, 1.0, math.inf, 2.0]),
+        ("mlf1(x, -1)", [1.0, 0.5, 0.0, -1.0]),
+        ("mlf3(0.5, 1, x, 0.3)", [1.0, 2.0, -1.0, -2.0]),
     ]
 
     @pytest.mark.parametrize("src,xs", DOMAIN_CASES)
@@ -222,9 +225,41 @@ class TestArrayEvaluate:
         with pytest.raises(EvalError, match=r"at sample \(0, 4\)$"):
             evaluate(parse("sqrt(tau - omega)"), {"tau": self.TAU, "omega": self.OMEGA})
 
+    @pytest.mark.parametrize(
+        "src,scalar",
+        [
+            ("mlf1(0.6, x)", lambda x: ml_one(0.6, x)),
+            ("mlf2(0.6, 1.4, x)", lambda x: ml_two(0.6, 1.4, x)),
+            ("mlf3(0.6, 1.4, 2, x)", lambda x: ml_prabhakar(0.6, 1.4, 2.0, x)),
+        ],
+    )
+    def test_mittag_leffler_builtins_match_scalar_calls(self, src, scalar):
+        # z on both sides of the series/contour switch
+        xs = np.linspace(-30.0, 3.0, 45)
+        out = evaluate(parse(src), {"x": xs})
+        np.testing.assert_array_equal(out, [scalar(float(x)) for x in xs])
+
+    def test_mittag_leffler_builtins_one_call_per_parameter_tuple(self, monkeypatch):
+        # a plain wrapper, as a tracer installs, still gets whole arrays
+        calls = []
+        arity, fn = BUILTINS["mlf2"]
+
+        def counting(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setitem(BUILTINS, "mlf2", (arity, counting))
+        alpha = np.array([0.5, 0.7, 0.5, 0.9, 0.7, 0.5])
+        z = -np.linspace(0.2, 8.0, 6)
+        out = evaluate(parse("mlf2(a, 1.5, z)"), {"a": alpha, "z": z})
+        assert [args[0] for args in calls] == [0.5, 0.7, 0.9]
+        np.testing.assert_array_equal(out, [ml_two(a, 1.5, x) for a, x in zip(alpha, z)])
+
     def test_nan_input_passes_through(self):
         # NaN in, NaN out is not a new domain error
         out = evaluate(parse("sin(x) + 1"), {"x": np.array([0.0, math.nan])})
+        assert out[0] == 1.0 and math.isnan(out[1])
+        out = evaluate(parse("mlf1(0.5, x)"), {"x": np.array([0.0, math.nan])})
         assert out[0] == 1.0 and math.isnan(out[1])
 
 

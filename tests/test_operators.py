@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ class TestAbcDerivative:
         cfg = OperatorConfig(0.5)
         out = abc_derivative(grid.nodes, grid, cfg)
         t = grid.nodes
-        exact = cfg.b / 0.5 * t * np.array([ml_two(0.5, 2.0, -v) for v in t**0.5])
+        exact = cfg.b / 0.5 * t * ml_two(0.5, 2.0, -(t**0.5))
         assert np.allclose(out, exact, atol=1e-13)
 
     def test_true_value_of_ml_composition(self):
@@ -196,11 +197,8 @@ class TestAbcDerivative:
         for N in (128, 256):
             grid = Grid(1.0, N)
             t = grid.nodes
-            samples = np.array([ml_one(a, v) for v in t**a])
-            exact = cfg.b * (
-                np.array([ml_one(a, v) for v in t**a])
-                - np.array([ml_one(a, -lam * v) for v in t**a])
-            )
+            samples = ml_one(a, t**a)
+            exact = cfg.b * (ml_one(a, t**a) - ml_one(a, -lam * t**a))
             out = abc_derivative(samples, grid, cfg)
             errs.append(np.max(np.abs(out - exact)[1:]))
         assert errs[1] < errs[0]
@@ -229,6 +227,23 @@ class TestKernelAntiderivative:
     def test_increasing(self):
         F = ml_kernel_antiderivative(Grid(2.0, 40), OperatorConfig(0.7))
         assert np.all(np.diff(F) > 0.0)
+
+    @pytest.mark.parametrize("alpha,T", [(0.5, 1e4), (0.9, 10.0)])
+    def test_long_horizon_in_bounded_time(self, alpha, T):
+        # lam T^alpha = 100 and 71: far out on the negative axis
+        start = time.perf_counter()
+        F = ml_kernel_antiderivative.__wrapped__(Grid(T, 64), OperatorConfig(alpha))
+        assert time.perf_counter() - start < 1.0
+        assert np.all(np.isfinite(F))
+        assert np.all(np.diff(F) > 0.0)
+
+    def test_built_once_per_grid_and_config(self):
+        F = ml_kernel_antiderivative(Grid(1.0, 16), OperatorConfig(0.6))
+        again = ml_kernel_antiderivative(Grid(1.0, 16), OperatorConfig(0.6))
+        np.testing.assert_array_equal(again, F)
+        assert again is F
+        with pytest.raises(ValueError):
+            F[1] = 0.0
 
 
 class TestRoundTrip:
