@@ -33,7 +33,7 @@ grid = Grid(1.0, 64)
 trace = picard_solve(spec, grid)
 
 eps = 0.3
-shift = eps * np.array([ml_one(0.5, t**0.5) for t in grid.nodes])
+shift = eps * ml_one(0.5, grid.nodes**0.5)
 v_vals = trace.omega - shift
 w_vals = trace.omega + shift
 

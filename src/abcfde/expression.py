@@ -314,6 +314,15 @@ def _sample_by_parameters(fn: Callable, name: str, args):
     ValueError, OverflowError or ZeroDivisionError becomes an EvalError
     naming the first sample of the tuple, which is the first bad one.
     """
+    *params, z = args
+    if all(np.ndim(p) == 0 for p in params):
+        # one tuple: no grouping pass
+        z = np.asarray(z, dtype=float)
+        try:
+            out = fn(*map(float, params), z.ravel())
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise _first_bad(str(exc), True, name, args) from exc
+        return np.asarray(out, dtype=float).reshape(z.shape)[()]
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
     shape = arrays[0].shape
     *params, z = (a.ravel() for a in arrays)

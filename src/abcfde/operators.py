@@ -5,6 +5,11 @@ Atangana-Baleanu derivative of Caputo type, all by product integration:
 the weakly singular kernel is integrated exactly against a piecewise
 linear interpolant (for the integrals) or piecewise constant slopes (for
 the derivative), so no naive quadrature ever touches the singularity.
+
+Each operator is a causal convolution of the samples with fixed weights.
+The weights, and on long grids their spectrum, are built once per grid
+and cached, so a call costs one convolution: direct below
+``FFT_MIN_LENGTH`` weights, by FFT (O(N log N)) from there on.
 """
 
 from __future__ import annotations
@@ -93,6 +98,59 @@ def _check_samples(samples, grid: Grid) -> np.ndarray:
     return arr
 
 
+#: Stencil length from which :func:`_causal_convolve` uses the FFT; shorter
+#: stencils are convolved directly, where that is faster.
+FFT_MIN_LENGTH = 512
+
+
+@dataclass(frozen=True)
+class _Stencil:
+    """Read-only convolution weights and, from FFT_MIN_LENGTH on, their
+    real FFT of length nfft >= 2 len(weights) - 1."""
+
+    weights: np.ndarray
+    spectrum: np.ndarray | None
+    nfft: int
+
+
+def _stencil(weights: np.ndarray) -> _Stencil:
+    weights.flags.writeable = False
+    if weights.size < FFT_MIN_LENGTH:
+        return _Stencil(weights, None, 0)
+    nfft = 1 << (2 * weights.size - 2).bit_length()
+    spectrum = np.fft.rfft(weights, nfft)
+    spectrum.flags.writeable = False
+    return _Stencil(weights, spectrum, nfft)
+
+
+def _causal_convolve(x: np.ndarray, stencil: _Stencil) -> np.ndarray:
+    """First len(stencil.weights) entries of the convolution of x with the
+    weights; x is no longer than the weights."""
+    k = stencil.weights.size
+    if stencil.spectrum is None:
+        return np.convolve(x, stencil.weights)[:k]
+    return np.fft.irfft(np.fft.rfft(x, stencil.nfft) * stencil.spectrum, stencil.nfft)[:k]
+
+
+# The stencil caches stay small: callers work on one grid at a time, and
+# at N = 65536 a spectrum alone is 1 MB.
+@functools.lru_cache(maxsize=2)
+def _rl_stencil(N: int, alpha: float) -> tuple[np.ndarray, _Stencil | None]:
+    """Boundary weights c0 and the stencil of the second differences b of
+    the product-trapezoidal RL rule (None for N < 2)."""
+    # boundary weight for j = 0 at each n >= 1
+    n = np.arange(1, N + 1, dtype=float)
+    c0 = np.zeros(N + 1)
+    c0[1:] = (n - 1.0) ** (alpha + 1.0) - n ** (alpha + 1.0) + (alpha + 1.0) * n**alpha
+    c0.flags.writeable = False
+    if N < 2:
+        return c0, None
+    # interior second-difference weights b[m] = (m+1)^(a+1) - 2 m^(a+1) + (m-1)^(a+1)
+    m = np.arange(1, N, dtype=float)
+    b = (m + 1.0) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0) + (m - 1.0) ** (alpha + 1.0)
+    return c0, _stencil(b)
+
+
 def rl_integral(samples, grid: Grid, alpha: float) -> np.ndarray:
     """Riemann-Liouville fractional integral of order alpha at the nodes.
 
@@ -104,22 +162,12 @@ def rl_integral(samples, grid: Grid, alpha: float) -> np.ndarray:
     arr = _check_samples(samples, grid)
     N = grid.N
     coef = grid.h**alpha / math.gamma(alpha + 2.0)
-    n = np.arange(N + 1, dtype=float)
-    npow = n ** (alpha + 1.0)
-    # boundary weight for j = 0 at each n >= 1
-    c0 = np.empty(N + 1)
-    c0[0] = 0.0
-    nn = n[1:]
-    c0[1:] = (nn - 1.0) ** (alpha + 1.0) - npow[1:] + (alpha + 1.0) * nn**alpha
-    # interior second-difference weights b[m] = (m+1)^(a+1) - 2 m^(a+1) + (m-1)^(a+1)
+    c0, b = _rl_stencil(N, alpha)
     out = np.zeros(N + 1)
     out[1:] = coef * (c0[1:] * arr[0] + arr[1:])
-    if N >= 2:
-        m = np.arange(1, N, dtype=float)
-        b = (m + 1.0) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0) + (m - 1.0) ** (alpha + 1.0)
-        # out[n] += coef * sum_{j=1}^{n-1} b[n-j] arr[j]  (discrete convolution)
-        conv = np.convolve(arr[1:N], b)
-        out[2:] += coef * conv[: N - 1]
+    if b is not None:
+        # out[n] += coef * sum_{j=1}^{n-1} b[n-j] arr[j]
+        out[2:] += coef * _causal_convolve(arr[1:N], b)
     return out
 
 
@@ -147,6 +195,12 @@ def ml_kernel_antiderivative(grid: Grid, cfg: OperatorConfig) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=2)
+def _abc_stencil(grid: Grid, cfg: OperatorConfig) -> _Stencil:
+    """Stencil of the kernel increments dF[m-1] = F(m h) - F((m-1) h)."""
+    return _stencil(np.diff(ml_kernel_antiderivative(grid, cfg)))
+
+
 def abc_derivative(samples, grid: Grid, cfg: OperatorConfig) -> np.ndarray:
     """Atangana-Baleanu-Caputo derivative at the nodes.
 
@@ -158,10 +212,7 @@ def abc_derivative(samples, grid: Grid, cfg: OperatorConfig) -> np.ndarray:
     arr = _check_samples(samples, grid)
     a, B = cfg.alpha, cfg.b
     slopes = np.diff(arr) / grid.h
-    F = ml_kernel_antiderivative(grid, cfg)
-    dF = np.diff(F)  # dF[m-1] = F(m h) - F((m-1) h), m = 1 .. N
     out = np.zeros(grid.N + 1)
     # out[n] = B/(1-a) * sum_{j=0}^{n-1} slopes[j] * dF[n-j-1]
-    conv = np.convolve(slopes, dF)
-    out[1:] = B / (1.0 - a) * conv[: grid.N]
+    out[1:] = B / (1.0 - a) * _causal_convolve(slopes, _abc_stencil(grid, cfg))
     return out

@@ -11,14 +11,20 @@ from abcfde import (
     Grid,
     KernelConvention,
     OperatorConfig,
+    Strictness,
     ab_integral,
     abc_derivative,
+    load_problem,
     ml_kernel_antiderivative,
     ml_one,
     ml_two,
+    picard_solve,
     rl_integral,
+    verify_comparison,
 )
+from abcfde import operators
 from abcfde.errors import DimensionMismatch
+from abcfde.operators import FFT_MIN_LENGTH
 
 
 def rl_weights(grid: Grid, alpha: float) -> np.ndarray:
@@ -244,6 +250,101 @@ class TestKernelAntiderivative:
         assert again is F
         with pytest.raises(ValueError):
             F[1] = 0.0
+
+
+def rl_direct(arr: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+    """rl_integral with its weights built inline and one np.convolve."""
+    N = grid.N
+    coef = grid.h**alpha / math.gamma(alpha + 2.0)
+    n = np.arange(1, N + 1, dtype=float)
+    c0 = (n - 1.0) ** (alpha + 1.0) - n ** (alpha + 1.0) + (alpha + 1.0) * n**alpha
+    m = np.arange(1, N, dtype=float)
+    b = (m + 1.0) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0) + (m - 1.0) ** (alpha + 1.0)
+    out = np.zeros(N + 1)
+    out[1:] = coef * (c0 * arr[0] + arr[1:])
+    out[2:] += coef * np.convolve(arr[1:N], b)[: N - 1]
+    return out
+
+
+def abc_direct(arr: np.ndarray, grid: Grid, cfg: OperatorConfig) -> np.ndarray:
+    """abc_derivative as one np.convolve of the slopes with diff(F)."""
+    dF = np.diff(ml_kernel_antiderivative(grid, cfg))
+    out = np.zeros(grid.N + 1)
+    conv = np.convolve(np.diff(arr) / grid.h, dF)
+    out[1:] = cfg.b / (1.0 - cfg.alpha) * conv[: grid.N]
+    return out
+
+
+def convolution_data(grid: Grid) -> list[np.ndarray]:
+    t = grid.nodes
+    noise = np.random.default_rng(grid.N).standard_normal(grid.N + 1)
+    return [np.sin(3.0 * t) + np.sqrt(t), np.cos(t) * t**0.3, noise]
+
+
+# both sides of the direct / FFT cut-over, which falls on the stencil
+# length: N - 1 for rl_integral, N for abc_derivative
+CUTOVER_GRIDS = [FFT_MIN_LENGTH - 1, FFT_MIN_LENGTH, FFT_MIN_LENGTH + 1, 2048]
+
+
+class TestConvolutionPaths:
+    @pytest.mark.parametrize("N", CUTOVER_GRIDS)
+    @pytest.mark.parametrize("alpha", [0.15, 0.65, 0.95])
+    def test_rl_matches_dense_oracle(self, N, alpha):
+        grid = Grid(2.0, N)
+        w = rl_weights(grid, alpha)
+        for arr in convolution_data(grid):
+            out = rl_integral(arr, grid, alpha)
+            ref = w @ arr
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N", CUTOVER_GRIDS)
+    @pytest.mark.parametrize(
+        "cfg", [OperatorConfig(0.3), OperatorConfig(0.8, b_convention=BConvention.AB)]
+    )
+    def test_abc_matches_direct_convolution(self, N, cfg):
+        grid = Grid(2.0, N)
+        for arr in convolution_data(grid):
+            out = abc_derivative(arr, grid, cfg)
+            ref = abc_direct(arr, grid, cfg)
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N", [2, 3, 40, FFT_MIN_LENGTH - 1])
+    def test_direct_path_is_bitwise_unchanged(self, N):
+        grid = Grid(1.5, N)
+        cfg = OperatorConfig(0.45, b_convention=BConvention.AB)
+        for arr in convolution_data(grid):
+            np.testing.assert_array_equal(rl_integral(arr, grid, 0.45), rl_direct(arr, grid, 0.45))
+            np.testing.assert_array_equal(abc_derivative(arr, grid, cfg), abc_direct(arr, grid, cfg))
+
+    def test_repeated_calls_are_byte_identical(self):
+        grid = Grid(2.0, 2048)
+        cfg = OperatorConfig(0.6)
+        arr = convolution_data(grid)[2]
+        first = rl_integral(arr, grid, 0.6).tobytes(), abc_derivative(arr, grid, cfg).tobytes()
+        assert (rl_integral(arr, grid, 0.6).tobytes(), abc_derivative(arr, grid, cfg).tobytes()) == first
+        operators._rl_stencil.cache_clear()
+        operators._abc_stencil.cache_clear()
+        assert (rl_integral(arr, grid, 0.6).tobytes(), abc_derivative(arr, grid, cfg).tobytes()) == first
+
+    def test_solve_builds_the_stencil_once(self):
+        spec = load_problem(
+            "alpha = 0.65\nT = 2\nomega0 = 0\n"
+            "f = 1 + 0.1*sin(omega)\ng = tau*cos(omega) + 0.5*omega*tau\n"
+        )
+        operators._rl_stencil.cache_clear()
+        trace = picard_solve(spec, Grid(2.0, 2048))
+        info = operators._rl_stencil.cache_info()
+        assert trace.iterations > 10
+        assert info.misses == 1
+        assert info.hits == trace.iterations  # one sweep more for the residuals
+
+    def test_comparison_builds_the_stencil_once(self):
+        spec = load_problem("alpha = 0.5\nT = 1\nomega0 = 1\nf = 1\ng = 0\n")
+        operators._abc_stencil.cache_clear()
+        verify_comparison(spec, lambda t: 0.0, lambda t: 2.0, Grid(1.0, 1024),
+                          mode=Strictness.NONSTRICT)
+        info = operators._abc_stencil.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestRoundTrip:
