@@ -6,8 +6,6 @@ below.  For the f == 1, g == 0 instance every shifted solve has a
 closed form linear in eps, so the gaps halve exactly with the schedule.
 """
 
-import numpy as np
-
 from abcfde import (
     Grid,
     OperatorConfig,

@@ -20,7 +20,7 @@ grids = [Grid(1.0, N) for N in (64, 128, 256, 512)]
 
 print("derivative identity, (alpha, beta, sigma, lam) = (0.5, 1.5, 1, -1)")
 print("N      sup error     order")
-res = golden_identity_check(alpha, 1.5, 1.0, -1.0, cfg, grids)
+res = golden_identity_check(1.5, 1.0, -1.0, cfg, grids)
 for i, (grid, err) in enumerate(zip(res.grids, res.errors)):
     order = f"{res.orders[i - 1]:.3f}" if i else "  -  "
     print(f"{grid.N:<6d} {err:.4e}   {order}")

@@ -12,14 +12,16 @@ from .extremal import (
     check_enclosure,
     solve_perturbed,
 )
-from .mittag_leffler import MlParams, ml_one, ml_prabhakar, ml_two, pochhammer
+from .mittag_leffler import MlParams, ml_one, ml_prabhakar, ml_two
 from .operators import (
     BConvention,
+    Discretization,
     Grid,
     KernelConvention,
     OperatorConfig,
     ab_integral,
     abc_derivative,
+    discretization,
     ml_kernel_antiderivative,
     rl_integral,
 )
@@ -63,13 +65,14 @@ __all__ = [
     "ml_one",
     "ml_prabhakar",
     "ml_two",
-    "pochhammer",
     "BConvention",
+    "Discretization",
     "Grid",
     "KernelConvention",
     "OperatorConfig",
     "ab_integral",
     "abc_derivative",
+    "discretization",
     "ml_kernel_antiderivative",
     "rl_integral",
     "ConditionReport",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
 from .expression import Expression, takes_arrays
 from .extremal import bracket_maximal, bracket_minimal
 from .mittag_leffler import ml_one, ml_prabhakar, ml_two
-from .operators import Grid
+from .operators import Grid, KernelConvention, OperatorConfig
 from .solver import (
     ProblemSpec,
     check_monotone_quotient,
@@ -157,10 +158,6 @@ def _cmd_check(args) -> int:
     L_f = estimate_lipschitz_f(spec, box, n_tau=n_tau, n_omega=n_omega)
     h_norm = estimate_h_norm(spec, box, n_tau=n_tau, n_omega=n_omega)
 
-    from dataclasses import replace
-
-    from .operators import KernelConvention
-
     default_report = None
     for conv in (KernelConvention.GAMMA, KernelConvention.PAPER_HYBRID):
         variant = replace(spec, cfg=replace(spec.cfg, kernel_convention=conv))
@@ -274,13 +271,9 @@ def _cmd_mlf(args) -> int:
 
 
 def _cmd_golden(args) -> int:
-    from .operators import OperatorConfig
-
     cfg = OperatorConfig(args.alpha)
     grids = [Grid(args.T, int(n)) for n in args.grids.split(",")]
-    result = golden_identity_check(
-        args.alpha, args.beta, args.sigma, args.lam, cfg, grids
-    )
+    result = golden_identity_check(args.beta, args.sigma, args.lam, cfg, grids)
     print("N,sup_error,order")
     for i, (grid, err) in enumerate(zip(result.grids, result.errors)):
         order = _fmt(result.orders[i - 1]) if i > 0 else ""

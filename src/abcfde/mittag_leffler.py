@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NonConvergence
 
-#: Default absolute tolerance for series truncation.
+#: Absolute tolerance for series truncation.
 DEFAULT_TOL = 1e-13
 
 #: Hard cap on the number of series terms.
@@ -82,37 +82,14 @@ class MlParams:
         if self.rho < 0:
             raise ValueError(f"rho must be >= 0, got {self.rho}")
 
-    def __call__(self, z, tol: float = DEFAULT_TOL):
-        return ml_prabhakar(self.alpha, self.beta, self.rho, z, tol=tol)
 
-
-def pochhammer(gamma: float, k: int) -> float:
-    """Rising factorial (gamma)_k = gamma (gamma+1) ... (gamma+k-1).
-
-    (gamma)_0 = 1 by convention.  Overflow to +/-inf is permitted.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    out = 1.0
-    for i in range(k):
-        out *= gamma + i
-    return out
-
-
-def ml_prabhakar(
-    alpha: float,
-    beta: float,
-    rho: float,
-    z,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = MAX_TERMS,
-):
+def ml_prabhakar(alpha: float, beta: float, rho: float, z):
     """Three-parameter Mittag-Leffler function E^rho_{alpha,beta}(z).
 
     z is a float or an array; the result is a float, or an array of z's
     shape.  Each value depends on its own z only, so an array gives the
-    values the per-element calls give; a NaN z gives NaN.  tol and
-    max_terms bound the series path.
+    values the per-element calls give; a NaN z gives NaN.  DEFAULT_TOL
+    and MAX_TERMS bound the series path.
     """
     MlParams(alpha, beta, rho)  # validate
     zs = np.asarray(z, dtype=float)
@@ -127,20 +104,20 @@ def ml_prabhakar(
         series = ~contour & (flat != 0.0) & ~nan
         if contour.any():
             out[contour] = _contour_sum(alpha, beta, rho, flat[contour])
-        out[series] = _series_sum(alpha, beta, rho, flat[series], tol, max_terms)
+        out[series] = _series_sum(alpha, beta, rho, flat[series])
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _series_sum(alpha, beta, rho, z, tol, max_terms):
+def _series_sum(alpha, beta, rho, z):
     """sum_k (rho)_k z^k / (k! Gamma(alpha k + beta)) at each element of z.
 
     The numerator u = (rho)_k z^k / k! is built by recurrence for full
     accuracy; where it nears overflow its log is carried in log_u, since
     the term (numerator over Gamma) can stay representable.  Kahan
     compensated; each sum stops once ``|term_k| * max(1, |z|/(k+1)) <
-    tol`` and then leaves the working arrays.  The scalars z_max and
-    u_bound skip array checks that cannot fire.
+    DEFAULT_TOL`` and then leaves the working arrays.  The scalars z_max
+    and u_bound skip array checks that cannot fire.
     """
     out = np.empty(z.size)
     lead = 1.0 / math.gamma(beta)
@@ -152,7 +129,7 @@ def _series_sum(alpha, beta, rho, z, tol, max_terms):
     peak = np.full(z.size, abs(lead))
     z_max = float(np.max(np.abs(z), initial=0.0))
     u_bound = 1.0  # >= max |u| while no log_u is set
-    for k in range(1, max_terms):
+    for k in range(1, MAX_TERMS):
         if live.size == 0:
             return out
         u = u * (z * (rho + k - 1.0) / k)
@@ -184,7 +161,7 @@ def _series_sum(alpha, beta, rho, z, tol, max_terms):
         peak = np.maximum(peak, size)
         if z_max > k + 1:
             size = size * np.maximum(1.0, np.abs(z) / (k + 1))
-        done = size < tol
+        done = size < DEFAULT_TOL
         if done.any():
             cancelled = done & (z < 0.0) & (peak > CANCELLATION_LIMIT)
             if cancelled.any():
@@ -201,7 +178,7 @@ def _series_sum(alpha, beta, rho, z, tol, max_terms):
     if live.size == 0:
         return out
     raise NonConvergence(
-        f"series did not meet tol={tol} within {max_terms} terms for "
+        f"series did not meet tol={DEFAULT_TOL} within {MAX_TERMS} terms for "
         f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[0]})"
     )
 
@@ -266,11 +243,11 @@ def _contour_sum(alpha, beta, rho, z):
     return out
 
 
-def ml_two(alpha: float, beta: float, z, tol: float = DEFAULT_TOL):
+def ml_two(alpha: float, beta: float, z):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z)."""
-    return ml_prabhakar(alpha, beta, 1.0, z, tol=tol)
+    return ml_prabhakar(alpha, beta, 1.0, z)
 
 
-def ml_one(alpha: float, z, tol: float = DEFAULT_TOL):
+def ml_one(alpha: float, z):
     """One-parameter Mittag-Leffler function E_alpha(z)."""
-    return ml_prabhakar(alpha, 1.0, 1.0, z, tol=tol)
+    return ml_prabhakar(alpha, 1.0, 1.0, z)

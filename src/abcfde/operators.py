@@ -7,8 +7,9 @@ linear interpolant (for the integrals) or piecewise constant slopes (for
 the derivative), so no naive quadrature ever touches the singularity.
 
 Each operator is a causal convolution of the samples with fixed weights.
-The weights, and on long grids their spectrum, are built once per grid
-and cached, so a call costs one convolution: direct below
+One :class:`Discretization` per (grid, alpha) owns the weights of both
+operators and, on long grids, their spectra; :func:`discretization`
+shares it between calls, so a call costs one convolution: direct below
 ``FFT_MIN_LENGTH`` weights, by FFT (O(N log N)) from there on.
 """
 
@@ -98,57 +99,89 @@ def _check_samples(samples, grid: Grid) -> np.ndarray:
     return arr
 
 
-#: Stencil length from which :func:`_causal_convolve` uses the FFT; shorter
-#: stencils are convolved directly, where that is faster.
+#: Weight count from which a convolution runs by FFT; shorter weight
+#: vectors are convolved directly, where that is faster.
 FFT_MIN_LENGTH = 512
 
 
+class _Convolution:
+    """Causal convolution with fixed read-only weights and, from
+    FFT_MIN_LENGTH weights on, their real FFT of length
+    nfft >= 2 len(weights) - 1.  Called with x no longer than the
+    weights, it returns the first len(weights) entries of x * weights."""
+
+    def __init__(self, weights: np.ndarray):
+        weights.flags.writeable = False
+        self.weights = weights
+        self.spectrum = None
+        if weights.size >= FFT_MIN_LENGTH:
+            self.nfft = 1 << (2 * weights.size - 2).bit_length()
+            self.spectrum = np.fft.rfft(weights, self.nfft)
+            self.spectrum.flags.writeable = False
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        k = self.weights.size
+        if self.spectrum is None:
+            return np.convolve(x, self.weights)[:k]
+        return np.fft.irfft(np.fft.rfft(x, self.nfft) * self.spectrum, self.nfft)[:k]
+
+
 @dataclass(frozen=True)
-class _Stencil:
-    """Read-only convolution weights and, from FFT_MIN_LENGTH on, their
-    real FFT of length nfft >= 2 len(weights) - 1."""
+class Discretization:
+    """Product-integration weights of both operators on one grid, for one
+    order alpha.
 
-    weights: np.ndarray
-    spectrum: np.ndarray | None
-    nfft: int
+    Each member is built on first use and then kept, so a caller that
+    never needs one (a solve never needs F) never pays for it.  Every
+    array is read-only, since all callers on the grid share it.
+    """
+
+    grid: Grid
+    alpha: float
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+
+    @functools.cached_property
+    def rl(self) -> tuple[np.ndarray, _Convolution | None]:
+        """Boundary weights c0 of the product-trapezoidal RL rule and the
+        convolution by its second differences b (None for N < 2)."""
+        N, alpha = self.grid.N, self.alpha
+        # boundary weight for j = 0 at each n >= 1
+        n = np.arange(1, N + 1, dtype=float)
+        c0 = np.zeros(N + 1)
+        c0[1:] = (n - 1.0) ** (alpha + 1.0) - n ** (alpha + 1.0) + (alpha + 1.0) * n**alpha
+        c0.flags.writeable = False
+        if N < 2:
+            return c0, None
+        # interior second-difference weights b[m] = (m+1)^(a+1) - 2 m^(a+1) + (m-1)^(a+1)
+        m = np.arange(1, N, dtype=float)
+        b = (m + 1.0) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0) + (m - 1.0) ** (alpha + 1.0)
+        return c0, _Convolution(b)
+
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        """Values F(k h) of the kernel antiderivative, k = 0 .. N.
+
+        F(x) = int_0^x E_alpha(-lam u^alpha) du = x E_{alpha,2}(-lam x^alpha)
+        with lam = alpha / (1 - alpha).
+        """
+        a = self.alpha
+        x = self.grid.nodes
+        out = x * ml_two(a, 2.0, -(a / (1.0 - a)) * x**a)
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def abc(self) -> _Convolution:
+        """Convolution by the kernel increments dF[m-1] = F(m h) - F((m-1) h)."""
+        return _Convolution(np.diff(self.kernel))
 
 
-def _stencil(weights: np.ndarray) -> _Stencil:
-    weights.flags.writeable = False
-    if weights.size < FFT_MIN_LENGTH:
-        return _Stencil(weights, None, 0)
-    nfft = 1 << (2 * weights.size - 2).bit_length()
-    spectrum = np.fft.rfft(weights, nfft)
-    spectrum.flags.writeable = False
-    return _Stencil(weights, spectrum, nfft)
-
-
-def _causal_convolve(x: np.ndarray, stencil: _Stencil) -> np.ndarray:
-    """First len(stencil.weights) entries of the convolution of x with the
-    weights; x is no longer than the weights."""
-    k = stencil.weights.size
-    if stencil.spectrum is None:
-        return np.convolve(x, stencil.weights)[:k]
-    return np.fft.irfft(np.fft.rfft(x, stencil.nfft) * stencil.spectrum, stencil.nfft)[:k]
-
-
-# The stencil caches stay small: callers work on one grid at a time, and
-# at N = 65536 a spectrum alone is 1 MB.
-@functools.lru_cache(maxsize=2)
-def _rl_stencil(N: int, alpha: float) -> tuple[np.ndarray, _Stencil | None]:
-    """Boundary weights c0 and the stencil of the second differences b of
-    the product-trapezoidal RL rule (None for N < 2)."""
-    # boundary weight for j = 0 at each n >= 1
-    n = np.arange(1, N + 1, dtype=float)
-    c0 = np.zeros(N + 1)
-    c0[1:] = (n - 1.0) ** (alpha + 1.0) - n ** (alpha + 1.0) + (alpha + 1.0) * n**alpha
-    c0.flags.writeable = False
-    if N < 2:
-        return c0, None
-    # interior second-difference weights b[m] = (m+1)^(a+1) - 2 m^(a+1) + (m-1)^(a+1)
-    m = np.arange(1, N, dtype=float)
-    b = (m + 1.0) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0) + (m - 1.0) ** (alpha + 1.0)
-    return c0, _stencil(b)
+#: The shared Discretization of (grid, alpha).  Callers work on one grid
+#: at a time and at N = 65536 one spectrum alone is 1 MB, so two stay.
+discretization = functools.lru_cache(maxsize=2)(Discretization)
 
 
 def rl_integral(samples, grid: Grid, alpha: float) -> np.ndarray:
@@ -157,17 +190,16 @@ def rl_integral(samples, grid: Grid, alpha: float) -> np.ndarray:
     (1/Gamma(alpha)) int_0^tau (tau - s)^(alpha-1) omega(s) ds with omega
     piecewise linear; exact kernel moments, output[0] = 0.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    disc = discretization(grid, alpha)
     arr = _check_samples(samples, grid)
     N = grid.N
     coef = grid.h**alpha / math.gamma(alpha + 2.0)
-    c0, b = _rl_stencil(N, alpha)
+    c0, b = disc.rl
     out = np.zeros(N + 1)
     out[1:] = coef * (c0[1:] * arr[0] + arr[1:])
     if b is not None:
         # out[n] += coef * sum_{j=1}^{n-1} b[n-j] arr[j]
-        out[2:] += coef * _causal_convolve(arr[1:N], b)
+        out[2:] += coef * b(arr[1:N])
     return out
 
 
@@ -181,24 +213,10 @@ def ab_integral(samples, grid: Grid, cfg: OperatorConfig) -> np.ndarray:
     return (1.0 - a) / B * arr + a / B * rl_integral(arr, grid, a)
 
 
-@functools.lru_cache(maxsize=4)
 def ml_kernel_antiderivative(grid: Grid, cfg: OperatorConfig) -> np.ndarray:
-    """Values F(k h) of the kernel antiderivative, k = 0 .. N.
-
-    F(x) = int_0^x E_alpha(-lam u^alpha) du = x E_{alpha,2}(-lam x^alpha)
-    with lam = alpha / (1 - alpha).  Built once per (grid, cfg) and shared
-    by every caller, so the array is read-only.
-    """
-    x = grid.nodes
-    out = x * ml_two(cfg.alpha, 2.0, -cfg.lam * x**cfg.alpha)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=2)
-def _abc_stencil(grid: Grid, cfg: OperatorConfig) -> _Stencil:
-    """Stencil of the kernel increments dF[m-1] = F(m h) - F((m-1) h)."""
-    return _stencil(np.diff(ml_kernel_antiderivative(grid, cfg)))
+    """Values F(k h) of the kernel antiderivative, k = 0 .. N: the
+    read-only :attr:`Discretization.kernel` shared by every caller."""
+    return discretization(grid, cfg.alpha).kernel
 
 
 def abc_derivative(samples, grid: Grid, cfg: OperatorConfig) -> np.ndarray:
@@ -214,5 +232,5 @@ def abc_derivative(samples, grid: Grid, cfg: OperatorConfig) -> np.ndarray:
     slopes = np.diff(arr) / grid.h
     out = np.zeros(grid.N + 1)
     # out[n] = B/(1-a) * sum_{j=0}^{n-1} slopes[j] * dF[n-j-1]
-    out[1:] = B / (1.0 - a) * _causal_convolve(slopes, _abc_stencil(grid, cfg))
+    out[1:] = B / (1.0 - a) * discretization(grid, a).abc(slopes)
     return out

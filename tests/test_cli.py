@@ -233,6 +233,24 @@ class TestExtremal:
         assert "ordering_ok=True" in report
         assert "kind=maximal" in report
 
+    def test_residual_column_is_against_the_problem_as_given(self, tmp_path):
+        # each level solves an eps-shifted problem, but its CSV reports
+        # |omega - rhs_operator(omega)| of the unshifted one: O(eps), not
+        # the near-zero residual of the level's own solve
+        path = tmp_path / "p.txt"
+        path.write_text(NONLINEAR_TEXT)
+        args = ["extremal", str(path), "--n", "64", "--levels", "3",
+                "--out-prefix", str(tmp_path / "ext")]
+        assert main(args) == EXIT_OK
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, 64)
+        for level in range(3):
+            rows = (tmp_path / f"ext_level{level}.csv").read_text().splitlines()[2:]
+            omega = np.array([float(row.split(",")[1]) for row in rows])
+            residuals = np.abs(omega - rhs_operator(spec, omega, grid))
+            assert [row.rsplit(",", 1)[1] for row in rows] == [f"{r:.17g}" for r in residuals]
+            assert residuals.max() > 1e-3
+
     def test_minimal_variant(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text(ZERO_FORCING_TEXT)

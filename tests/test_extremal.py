@@ -10,7 +10,7 @@ from abcfde import (
     solve_perturbed,
 )
 from abcfde.errors import EnclosureViolation
-from abcfde.extremal import BracketResult, _bracket
+from abcfde.extremal import _bracket
 
 from conftest import constant_forcing_spec, perturbed_closed_form
 

@@ -1,0 +1,53 @@
+"""Every imported name in the library, its tests and demos is used.
+
+No linter ships with the test dependencies, so the check walks the
+syntax tree with the standard ``ast`` module: a name bound by an import
+counts as used when it is read anywhere in the file or listed in the
+module's ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    path.relative_to(ROOT)
+    for folder in ("src", "tests", "demos")
+    for path in (ROOT / folder).rglob("*.py")
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_files_found():
+    assert any(path.parts[0] == "demos" for path in FILES)
+    assert Path("src/abcfde/operators.py") in FILES
+
+
+@pytest.mark.parametrize("path", FILES, ids=str)
+def test_no_unused_imports(path):
+    assert unused_imports((ROOT / path).read_text()) == []
+
+
+def test_checker_flags_an_unused_import():
+    source = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"
+    assert unused_imports(source) == ["pi (line 2)"]

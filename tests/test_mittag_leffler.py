@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, rgamma
 
-from abcfde import MlParams, ml_one, ml_prabhakar, ml_two, pochhammer
+from abcfde import ml_one, ml_prabhakar, ml_two
 from abcfde.errors import NonConvergence
 
 
@@ -59,24 +59,6 @@ def oracle(alpha, beta, rho, z):
     if z == 0.0 or log_peak_term(alpha, beta, rho, z) <= 60.0:
         return mp_series(alpha, beta, rho, z)
     return mp_talbot(alpha, beta, rho, z)
-
-
-class TestPochhammer:
-    def test_k_zero_is_one(self):
-        assert pochhammer(2.5, 0) == 1.0
-
-    def test_rising_factorial(self):
-        assert pochhammer(3.0, 4) == 360.0  # 3*4*5*6
-
-    def test_one_gives_factorial(self):
-        assert pochhammer(1.0, 6) == 720.0
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
-
-    def test_overflow_permitted(self):
-        assert pochhammer(1e300, 3) == math.inf
 
 
 class TestPrabhakar:
@@ -173,11 +155,6 @@ class TestProperties:
             vals = [ml_one(a, -t) for t in ts]
             assert all(v > 0.0 for v in vals)
             assert all(v1 <= v0 + 1e-13 for v0, v1 in zip(vals, vals[1:]))
-
-
-def test_params_object_evaluates():
-    p = MlParams(alpha=1.0)
-    assert p(1.0) == pytest.approx(math.e, abs=1e-13)
 
 
 class TestEngine:

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 
 from abcfde import (
     BConvention,
+    Discretization,
     Grid,
-    KernelConvention,
     OperatorConfig,
     Strictness,
     ab_integral,
     abc_derivative,
+    discretization,
     load_problem,
     ml_kernel_antiderivative,
     ml_one,
@@ -238,7 +240,7 @@ class TestKernelAntiderivative:
     def test_long_horizon_in_bounded_time(self, alpha, T):
         # lam T^alpha = 100 and 71: far out on the negative axis
         start = time.perf_counter()
-        F = ml_kernel_antiderivative.__wrapped__(Grid(T, 64), OperatorConfig(alpha))
+        F = Discretization(Grid(T, 64), alpha).kernel
         assert time.perf_counter() - start < 1.0
         assert np.all(np.isfinite(F))
         assert np.all(np.diff(F) > 0.0)
@@ -281,6 +283,29 @@ def convolution_data(grid: Grid) -> list[np.ndarray]:
     return [np.sin(3.0 * t) + np.sqrt(t), np.cos(t) * t**0.3, noise]
 
 
+@pytest.fixture
+def weight_builds(monkeypatch):
+    """A fresh shared-Discretization cache, and the sizes of the weight
+    vectors convolved with, one entry per build."""
+    sizes = []
+
+    class Counted(operators._Convolution):
+        def __init__(self, weights):
+            sizes.append(weights.size)
+            super().__init__(weights)
+
+    monkeypatch.setattr(operators, "_Convolution", Counted)
+    fresh_cache = functools.lru_cache(maxsize=2)(Discretization)
+    monkeypatch.setattr(operators, "discretization", fresh_cache)
+    return sizes
+
+
+NONLINEAR_TEXT = (
+    "alpha = 0.65\nT = 2\nomega0 = 0\n"
+    "f = 1 + 0.1*sin(omega)\ng = tau*cos(omega) + 0.5*omega*tau\n"
+)
+
+
 # both sides of the direct / FFT cut-over, which falls on the stencil
 # length: N - 1 for rl_integral, N for abc_derivative
 CUTOVER_GRIDS = [FFT_MIN_LENGTH - 1, FFT_MIN_LENGTH, FFT_MIN_LENGTH + 1, 2048]
@@ -316,35 +341,41 @@ class TestConvolutionPaths:
             np.testing.assert_array_equal(rl_integral(arr, grid, 0.45), rl_direct(arr, grid, 0.45))
             np.testing.assert_array_equal(abc_derivative(arr, grid, cfg), abc_direct(arr, grid, cfg))
 
-    def test_repeated_calls_are_byte_identical(self):
+    def test_repeated_calls_are_byte_identical(self, monkeypatch):
         grid = Grid(2.0, 2048)
         cfg = OperatorConfig(0.6)
         arr = convolution_data(grid)[2]
         first = rl_integral(arr, grid, 0.6).tobytes(), abc_derivative(arr, grid, cfg).tobytes()
         assert (rl_integral(arr, grid, 0.6).tobytes(), abc_derivative(arr, grid, cfg).tobytes()) == first
-        operators._rl_stencil.cache_clear()
-        operators._abc_stencil.cache_clear()
+        # every call now builds its weights afresh
+        monkeypatch.setattr(operators, "discretization", Discretization)
         assert (rl_integral(arr, grid, 0.6).tobytes(), abc_derivative(arr, grid, cfg).tobytes()) == first
 
-    def test_solve_builds_the_stencil_once(self):
-        spec = load_problem(
-            "alpha = 0.65\nT = 2\nomega0 = 0\n"
-            "f = 1 + 0.1*sin(omega)\ng = tau*cos(omega) + 0.5*omega*tau\n"
-        )
-        operators._rl_stencil.cache_clear()
-        trace = picard_solve(spec, Grid(2.0, 2048))
-        info = operators._rl_stencil.cache_info()
+    def test_solve_builds_the_stencil_once(self, weight_builds):
+        trace = picard_solve(load_problem(NONLINEAR_TEXT), Grid(2.0, 2048))
         assert trace.iterations > 10
-        assert info.misses == 1
-        assert info.hits == trace.iterations  # one sweep more for the residuals
+        assert weight_builds == [2047]  # the RL second differences b
 
-    def test_comparison_builds_the_stencil_once(self):
+    def test_comparison_builds_the_stencil_once(self, weight_builds):
         spec = load_problem("alpha = 0.5\nT = 1\nomega0 = 1\nf = 1\ng = 0\n")
-        operators._abc_stencil.cache_clear()
         verify_comparison(spec, lambda t: 0.0, lambda t: 2.0, Grid(1.0, 1024),
                           mode=Strictness.NONSTRICT)
-        info = operators._abc_stencil.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert weight_builds == [1024]  # the kernel increments diff(F)
+
+
+class TestDiscretization:
+    def test_shared_per_grid_and_order(self):
+        grid = Grid(1.5, 40)
+        assert discretization(grid, 0.35) is discretization(Grid(1.5, 40), 0.35)
+        assert discretization(grid, 0.35) is not discretization(grid, 0.45)
+
+    def test_solve_leaves_the_kernel_unbuilt(self, weight_builds):
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(2.0, 256)
+        picard_solve(spec, grid)
+        built = vars(operators.discretization(grid, spec.cfg.alpha))
+        assert "rl" in built
+        assert "kernel" not in built and "abc" not in built
 
 
 class TestRoundTrip:

@@ -22,7 +22,6 @@ from abcfde.errors import MaxSweepsExceeded, ValidationError
 from abcfde.solver import perturbed, singular_integral_coefficient
 
 from conftest import (
-    MANUFACTURED_TEXT,
     constant_forcing_spec,
     manufactured_exact_nodes,
     perturbed_closed_form,

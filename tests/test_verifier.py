@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcfde import (
     Grid,
@@ -31,7 +33,7 @@ class TestGoldenIdentity:
         # negated kernel rate; first order observed on refinement
         cfg = OperatorConfig(0.5)
         grids = [Grid(1.0, N) for N in (64, 128, 256)]
-        res = golden_identity_check(0.5, 1.5, 1.0, -1.0, cfg, grids)
+        res = golden_identity_check(1.5, 1.0, -1.0, cfg, grids)
         assert res.errors[0] > res.errors[1] > res.errors[2]
         assert all(o > 0.8 for o in res.orders)
         assert res.errors[-1] < 2e-3
@@ -40,19 +42,13 @@ class TestGoldenIdentity:
         cfg = OperatorConfig(0.7)
         lam = -0.7 / 0.3
         grids = [Grid(1.0, N) for N in (64, 128)]
-        res = golden_identity_check(0.7, 1.5, 1.0, lam, cfg, grids)
+        res = golden_identity_check(1.5, 1.0, lam, cfg, grids)
         assert res.errors[1] < res.errors[0]
 
     def test_beta_at_most_one_rejected(self):
         cfg = OperatorConfig(0.5)
         with pytest.raises(ValueError):
-            golden_identity_check(0.5, 1.0, 1.0, -1.0, cfg, [Grid(1.0, 16)])
-
-    def test_alpha_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            golden_identity_check(
-                0.6, 1.5, 1.0, -1.0, OperatorConfig(0.5), [Grid(1.0, 16)]
-            )
+            golden_identity_check(1.0, 1.0, -1.0, cfg, [Grid(1.0, 16)])
 
 
 class TestDiscretizationConstant:
@@ -179,6 +175,51 @@ class TestExtremumSign:
         m = -np.abs(grid.nodes - 0.5)
         rep = extremum_sign_check(m, grid, OperatorConfig(0.5))
         assert rep.tau == pytest.approx(0.5, abs=grid.h)
+
+
+def touching_node_by_loop(arr: np.ndarray, zero_tol: float) -> int | None:
+    """Node scan of extremum_sign_check as a Python loop over nodes."""
+    for n in range(arr.size - 1, 0, -1):
+        if abs(arr[n]) <= zero_tol and np.all(arr[:n] <= zero_tol):
+            return n
+    return None
+
+
+NEAR_ZERO = st.sampled_from(
+    [0.0, -0.0, 5e-9, -5e-9, 1e-8, -1e-8, 2e-8, -2e-8, -1.0, 1.0, math.nan]
+)
+
+
+@given(
+    st.lists(NEAR_ZERO | st.floats(-10.0, 10.0, allow_nan=False), min_size=2, max_size=40),
+    st.sampled_from([0.0, 1e-8, 0.5]),
+)
+@settings(max_examples=200, deadline=None)
+def test_extremum_node_matches_the_loop(values, zero_tol):
+    arr = np.array(values)
+    grid = Grid(1.0, arr.size - 1)
+    expected = touching_node_by_loop(arr, zero_tol)
+    if expected is None:
+        with pytest.raises(HypothesisViolation):
+            extremum_sign_check(arr, grid, OperatorConfig(0.5), zero_tol, slack_constant=1.0)
+    else:
+        rep = extremum_sign_check(arr, grid, OperatorConfig(0.5), zero_tol, slack_constant=1.0)
+        assert rep.node == expected
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.array([0.0, math.nan, 0.0, 0.0]),  # NaN before every later zero
+        np.array([-1.0, -2.0, -0.5, -3.0]),  # all negative
+        np.array([-1.0, 0.5, 0.0, 0.0]),  # positive before the zeros
+        np.array([1.0, 0.0, 0.0, 0.0]),  # positive at tau = 0
+    ],
+)
+def test_extremum_inputs_without_a_touching_node(arr):
+    assert touching_node_by_loop(arr, 1e-8) is None
+    with pytest.raises(HypothesisViolation):
+        extremum_sign_check(arr, Grid(1.0, 3), OperatorConfig(0.5))
 
 
 class TestVerifyComparison:
