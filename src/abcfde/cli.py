@@ -30,7 +30,7 @@ from .errors import (
 )
 from .expression import Expression, takes_arrays
 from .extremal import bracket_maximal, bracket_minimal
-from .mittag_leffler import ml_one, ml_prabhakar, ml_two
+from .mittag_leffler import ml_prabhakar
 from .operators import Grid, KernelConvention, OperatorConfig
 from .solver import (
     ProblemSpec,
@@ -260,13 +260,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_mlf(args) -> int:
-    if args.rho is not None:
-        value = ml_prabhakar(args.alpha, args.beta or 1.0, args.rho, args.z)
-    elif args.beta is not None:
-        value = ml_two(args.alpha, args.beta, args.z)
-    else:
-        value = ml_one(args.alpha, args.z)
-    print(_fmt(value))
+    print(_fmt(ml_prabhakar(args.alpha, args.beta, args.rho, args.z)))
     return EXIT_OK
 
 
@@ -283,20 +277,22 @@ def _cmd_golden(args) -> int:
 
 def _cmd_convergence(args) -> int:
     spec, _ = _load(args.problem)
-    ns = [int(n) for n in args.grids.split(",")]
-    traces = [picard_solve(spec, Grid(spec.T, n), tol=args.tol) for n in ns]
+    grids = [Grid(spec.T, int(n)) for n in args.grids.split(",")]
+    ns = [grid.N for grid in grids]
+    if any(n1 % n0 or n1 == n0 for n0, n1 in zip(ns, ns[1:])):
+        raise ValidationError("grids", "each N must divide the next and be smaller")
+    traces = [picard_solve(spec, grid, tol=args.tol) for grid in grids]
     print("N_coarse,N_fine,sup_diff,order")
-    prev_diff = None
+    prev = None
     for (n0, t0), (n1, t1) in zip(zip(ns, traces), zip(ns[1:], traces[1:])):
-        if n1 % n0 != 0:
-            raise ValidationError("grids", "each N must divide the next")
-        stride = n1 // n0
-        diff = float(np.max(np.abs(t1.omega[::stride] - t0.omega)))
+        diff = float(np.max(np.abs(t1.omega[:: n1 // n0] - t0.omega)))
         order = ""
-        if prev_diff is not None and diff > 0:
-            order = _fmt(np.log2(prev_diff / diff))
+        if prev is not None and diff > 0:
+            # each diff measures the error on its coarse grid
+            prev_n0, prev_diff = prev
+            order = _fmt(np.log2(prev_diff / diff) / np.log2(n0 / prev_n0))
         print(f"{n0},{n1},{_fmt(diff)},{order}")
-        prev_diff = diff
+        prev = n0, diff
     return EXIT_OK
 
 
@@ -348,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mlf", help="evaluate a Mittag-Leffler function")
     p.add_argument("z", type=float)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--rho", type=float, default=1.0)
     p.set_defaults(fn=_cmd_mlf)
 
     p = sub.add_parser("golden", help="closed-form derivative identity error table")

@@ -94,10 +94,10 @@ def _bracket(spec, eps0, ratio, levels, grid, tol, max_sweeps, sign):
 
 def bracket_maximal(
     spec: ProblemSpec,
+    grid: Grid,
     eps0: float = 0.1,
     ratio: float = 0.5,
     levels: int = 8,
-    grid: Grid = None,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> BracketResult:
@@ -107,10 +107,10 @@ def bracket_maximal(
 
 def bracket_minimal(
     spec: ProblemSpec,
+    grid: Grid,
     eps0: float = 0.1,
     ratio: float = 0.5,
     levels: int = 8,
-    grid: Grid = None,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> BracketResult:

@@ -2,15 +2,18 @@
 
 Riemann-Liouville integral, Atangana-Baleanu integral and the
 Atangana-Baleanu derivative of Caputo type, all by product integration:
-the weakly singular kernel is integrated exactly against a piecewise
-linear interpolant (for the integrals) or piecewise constant slopes (for
-the derivative), so no naive quadrature ever touches the singularity.
+the weakly singular kernel is integrated exactly against the piecewise
+constant slopes of the samples, so no naive quadrature ever touches the
+singularity.
 
-Each operator is a causal convolution of the samples with fixed weights.
-One :class:`Discretization` per (grid, alpha) owns the weights of both
-operators and, on long grids, their spectra; :func:`discretization`
-shares it between calls, so a call costs one convolution: direct below
-``FFT_MIN_LENGTH`` weights, by FFT (O(N log N)) from there on.
+Both operators convolve the slopes with the increments of an
+antiderivative: of tau^(alpha+1) / Gamma(alpha+2) for the RL integral,
+which also adds the start value times tau^alpha / Gamma(alpha+1), and of
+the Mittag-Leffler kernel for the derivative.  One
+:class:`Discretization` per (grid, alpha) owns those increments and, on
+long grids, their spectra; :func:`discretization` shares it between
+calls, so a call costs one convolution: direct below ``FFT_MIN_LENGTH``
+weights, by FFT (O(N log N)) from there on.
 """
 
 from __future__ import annotations
@@ -144,21 +147,19 @@ class Discretization:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
     @functools.cached_property
-    def rl(self) -> tuple[np.ndarray, _Convolution | None]:
-        """Boundary weights c0 of the product-trapezoidal RL rule and the
-        convolution by its second differences b (None for N < 2)."""
-        N, alpha = self.grid.N, self.alpha
-        # boundary weight for j = 0 at each n >= 1
-        n = np.arange(1, N + 1, dtype=float)
-        c0 = np.zeros(N + 1)
-        c0[1:] = (n - 1.0) ** (alpha + 1.0) - n ** (alpha + 1.0) + (alpha + 1.0) * n**alpha
-        c0.flags.writeable = False
-        if N < 2:
-            return c0, None
-        # interior second-difference weights b[m] = (m+1)^(a+1) - 2 m^(a+1) + (m-1)^(a+1)
-        m = np.arange(1, N, dtype=float)
-        b = (m + 1.0) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0) + (m - 1.0) ** (alpha + 1.0)
-        return c0, _Convolution(b)
+    def rl(self) -> tuple[np.ndarray, _Convolution]:
+        """The RL integral tau_n^alpha / Gamma(alpha+1) of the constant 1,
+        n = 1 .. N, which weights the start value, and the convolution of
+        the slopes with the increments W[m] = (m+1)^(alpha+1) - m^(alpha+1),
+        m = 0 .. N-1, of its antiderivative in units of h^(alpha+1) / Gamma(alpha+2)."""
+        a = self.alpha
+        start = self.grid.nodes[1:] ** a / math.gamma(a + 1.0)
+        start.flags.writeable = False
+        m = np.arange(self.grid.N, dtype=float)
+        W = np.ones_like(m)
+        # m^(a+1) ((1 + 1/m)^(a+1) - 1), free of the cancellation of the difference
+        W[1:] = m[1:] ** (a + 1.0) * np.expm1((a + 1.0) * np.log1p(1.0 / m[1:]))
+        return start, _Convolution(W)
 
     @functools.cached_property
     def kernel(self) -> np.ndarray:
@@ -190,16 +191,11 @@ def rl_integral(samples, grid: Grid, alpha: float) -> np.ndarray:
     (1/Gamma(alpha)) int_0^tau (tau - s)^(alpha-1) omega(s) ds with omega
     piecewise linear; exact kernel moments, output[0] = 0.
     """
-    disc = discretization(grid, alpha)
+    start, W = discretization(grid, alpha).rl
     arr = _check_samples(samples, grid)
-    N = grid.N
-    coef = grid.h**alpha / math.gamma(alpha + 2.0)
-    c0, b = disc.rl
-    out = np.zeros(N + 1)
-    out[1:] = coef * (c0[1:] * arr[0] + arr[1:])
-    if b is not None:
-        # out[n] += coef * sum_{j=1}^{n-1} b[n-j] arr[j]
-        out[2:] += coef * b(arr[1:N])
+    out = np.zeros(grid.N + 1)
+    # out[n] = arr[0] start[n-1] + h^a / Gamma(a+2) sum_{j<n} (arr[j+1] - arr[j]) W[n-1-j]
+    out[1:] = arr[0] * start + grid.h**alpha / math.gamma(alpha + 2.0) * W(np.diff(arr))
     return out
 
 

@@ -42,13 +42,11 @@ G0_TOL = 1e-10
 class ProblemSpec:
     """One hybrid problem instance.
 
-    f and g are callables of (tau, omega); expression-backed problems
-    keep their sources in f_src / g_src so they can be re-emitted.
-
-    f_samples and g_samples call f and g on whole arrays when they are
-    marked by :func:`~abcfde.expression.takes_arrays`, as the expression
-    callables of :func:`load_problem` and :func:`perturbed`'s shifts of
-    them are; any other callable (a ``math.sin`` lambda, say) is called
+    f and g are callables of (tau, omega).  f_samples and g_samples call
+    them on whole arrays when they are marked by
+    :func:`~abcfde.expression.takes_arrays`, as the expression callables
+    of :func:`load_problem` and :func:`perturbed`'s shifts of them are;
+    any other callable (a ``math.sin`` lambda, say) is called
     once per sample by :func:`~abcfde.expression.sample`.
     """
 
@@ -57,8 +55,6 @@ class ProblemSpec:
     f: Callable[[float, float], float]
     g: Callable[[float, float], float]
     cfg: OperatorConfig
-    f_src: Optional[str] = None
-    g_src: Optional[str] = None
     omega_box: Optional[tuple[float, float]] = None
 
     @property
@@ -154,9 +150,12 @@ def load_problem(text: str) -> ProblemSpec:
 
     def number(key, raw_value):
         try:
-            return float(raw_value)
+            value = float(raw_value)
         except ValueError:
             raise ValidationError(key, f"not a number: {raw_value!r}") from None
+        if not math.isfinite(value):
+            raise ValidationError(key, f"must be finite, got {raw_value!r}")
+        return value
 
     alpha = number("alpha", need("alpha"))
     if not 0.0 < alpha < 1.0:
@@ -194,8 +193,6 @@ def load_problem(text: str) -> ProblemSpec:
         f=takes_arrays(lambda tau, omega: f_expr(tau=tau, omega=omega)),
         g=takes_arrays(lambda tau, omega: g_expr(tau=tau, omega=omega)),
         cfg=OperatorConfig(alpha, b_conv, k_conv),
-        f_src=f_expr.source,
-        g_src=g_expr.source,
         omega_box=box,
     )
     spec.validate()
@@ -216,7 +213,7 @@ def check_monotone_quotient(
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    taus, omegas = _lattice(spec, omega_box, n_tau, samples)
+    taus, omegas = lattice(spec, omega_box, n_tau, samples)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = omegas / spec.f_samples(taus, omegas)
         slopes = np.diff(q, axis=1) / np.diff(omegas)
@@ -335,9 +332,12 @@ def existence_condition(
     )
 
 
-def _lattice(spec: ProblemSpec, omega_box, n_tau, n_omega):
-    """A column of taus on [0, T] and a row of omegas across the box."""
+def lattice(spec: ProblemSpec, omega_box, n_tau, n_omega):
+    """A column of taus on [0, T] and a row of omegas across the box
+    (lo, hi), which must be finite with lo < hi."""
     lo, hi = omega_box
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError("omega_box", f"need finite lo < hi, got ({lo}, {hi})")
     return np.linspace(0.0, spec.T, n_tau)[:, None], np.linspace(lo, hi, n_omega)
 
 
@@ -350,7 +350,7 @@ def estimate_lipschitz_f(
     """Sampled lower bound on the Lipschitz constant of f in omega."""
     if n_tau < 2 or n_omega < 2:
         raise ValueError("lattice needs at least 2 points per axis")
-    taus, omegas = _lattice(spec, omega_box, n_tau, n_omega)
+    taus, omegas = lattice(spec, omega_box, n_tau, n_omega)
     dw = np.abs(omegas[:, None] - omegas[None, :])
     mask = dw > 0
     best = 0.0
@@ -370,7 +370,7 @@ def estimate_h_norm(
     """Sampled sup of |g| over the (tau, omega) box."""
     if n_tau < 2 or n_omega < 2:
         raise ValueError("lattice needs at least 2 points per axis")
-    taus, omegas = _lattice(spec, omega_box, n_tau, n_omega)
+    taus, omegas = lattice(spec, omega_box, n_tau, n_omega)
     return float(np.max(np.abs(spec.g_samples(taus, omegas))))
 
 
@@ -417,4 +417,4 @@ def perturbed(spec: ProblemSpec, eps: float, sign: int) -> ProblemSpec:
         return g(tau, omega) + sign * eps
 
     shifted.takes_arrays = getattr(g, "takes_arrays", False)
-    return replace(spec, omega0=spec.omega0 + sign * eps, g=shifted, g_src=None)
+    return replace(spec, omega0=spec.omega0 + sign * eps, g=shifted)

@@ -16,6 +16,7 @@ from abcfde import (
     picard_solve,
     rhs_operator,
 )
+from abcfde import cli
 from abcfde.cli import (
     EXIT_INVALID,
     EXIT_MAX_SWEEPS,
@@ -133,6 +134,17 @@ class TestSolve:
         assert code == EXIT_INVALID
         assert "E_INVALID" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["T", "omega0"])
+    def test_non_finite_number(self, tmp_path, capsys, key):
+        entries = {"alpha": "0.5", "T": "1", "omega0": "0", "f": "1", "g": "tau"}
+        bad = tmp_path / "bad.txt"
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in {**entries, key: "inf"}.items()))
+        out = tmp_path / "trace.csv"
+        code = main(["solve", str(bad), "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"E_INVALID: {key}: must be finite")
+        assert not out.exists()
+
     def test_max_sweeps_exit_code(self, tmp_path, capsys):
         path = tmp_path / "divergent.txt"
         path.write_text(DIVERGENT_TEXT)
@@ -205,6 +217,14 @@ class TestCheck:
             ["check", str(problem_file), "--omega-box", "0,2", "--lattice", "5,9"]
         )
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("box", ["1,1", "1,-1", "nan,1"])
+    def test_bad_box(self, problem_file, capsys, box):
+        code = main(["check", str(problem_file), "--omega-box", box])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("E_INVALID: omega_box: ")
 
 
 class TestExtremal:
@@ -385,6 +405,28 @@ class TestMlf:
         value = float(capsys.readouterr().out.strip())
         assert value == ml_prabhakar(0.5, 1.5, 2.0, -0.5)
 
+    @pytest.mark.parametrize(
+        "argv,stdout",
+        [
+            (["1.0", "--alpha", "1"], "2.7182818284590424\n"),
+            (["-0.5", "--alpha", "0.5", "--beta", "1.5"], "0.76861931161415864\n"),
+            (["-0.5", "--alpha", "0.5", "--beta", "1.5", "--rho", "2"], "0.51268882290259177\n"),
+            (["-0.5", "--alpha", "0.5", "--rho", "2"], "0.35934593274162985\n"),
+            (["0.3", "--alpha", "0.7", "--rho", "0"], "1\n"),
+        ],
+    )
+    def test_printed_values(self, capsys, argv, stdout):
+        assert main(["mlf", *argv]) == EXIT_OK
+        assert capsys.readouterr().out == stdout
+
+    @pytest.mark.parametrize("extra", [[], ["--rho", "2"]], ids=["two", "three"])
+    def test_zero_beta_rejected(self, capsys, extra):
+        code = main(["mlf", "0.5", "--alpha", "0.5", "--beta", "0", *extra])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "beta must be > 0" in captured.err
+
     def test_out_of_radius(self, capsys):
         code = main(["mlf", "500", "--alpha", "0.5"])
         assert code == EXIT_MAX_SWEEPS
@@ -443,9 +485,25 @@ class TestConvergence:
         assert lines[0] == "N_coarse,N_fine,sup_diff,order"
         assert len(lines) == 3
 
-    def test_nondividing_grids(self, problem_file, capsys):
-        code = main(["convergence", str(problem_file), "--grids", "32,48"])
-        assert code == EXIT_INVALID
+    def test_order_on_tripling_grids(self, tmp_path, capsys):
+        # second order: each tripling of N cuts the difference about 9-fold
+        path = tmp_path / "p.txt"
+        path.write_text(NONLINEAR_TEXT)
+        code = main(["convergence", str(path), "--grids", "64,192,576"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["64", "192"], ["192", "576"]]
+        assert float(lines[2].split(",")[3]) == pytest.approx(2.0, abs=0.05)
+
+    def test_nondividing_grids(self, problem_file, capsys, monkeypatch):
+        # rejected before the first solve, so no row is printed
+        solved = []
+        monkeypatch.setattr(cli, "picard_solve", lambda *args, **kw: solved.append(args))
+        for grids in ("32,48", "32,64,100", "64,64", "64,32"):
+            code = main(["convergence", str(problem_file), "--grids", grids])
+            assert code == EXIT_INVALID
+            assert capsys.readouterr().out == ""
+        assert solved == []
 
 
 def test_runs_without_mpmath():

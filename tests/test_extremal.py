@@ -112,6 +112,11 @@ class TestBracketPreconditions:
         with pytest.raises(ValueError):
             bracket_maximal(constant_forcing_spec(), grid=Grid(1.0, 8), **args)
 
+    @pytest.mark.parametrize("bracket", [bracket_maximal, bracket_minimal])
+    def test_grid_is_required(self, bracket):
+        with pytest.raises(TypeError, match="grid"):
+            bracket(constant_forcing_spec())
+
 
 class TestOrderingDetection:
     def test_violation_recorded(self, monkeypatch):

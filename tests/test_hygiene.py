@@ -1,6 +1,7 @@
-"""Every imported name in the library, its tests and demos is used.
+"""Every imported name in the library, its tests and demos is used, and
+no library module imports another's private names.
 
-No linter ships with the test dependencies, so the check walks the
+No linter ships with the test dependencies, so the checks walk the
 syntax tree with the standard ``ast`` module: a name bound by an import
 counts as used when it is read anywhere in the file or listed in the
 module's ``__all__``.
@@ -51,3 +52,24 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     source = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"
     assert unused_imports(source) == ["pi (line 2)"]
+
+
+def private_imports(source: str) -> list[str]:
+    """Names with one leading underscore that a module imports."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parts[0] == "src"], ids=str)
+def test_no_private_imports_between_modules(path):
+    assert private_imports((ROOT / path).read_text()) == []
+
+
+def test_checker_flags_a_private_import():
+    source = "from . import __version__\nfrom .solver import _lattice, lattice\n"
+    assert private_imports(source) == ["_lattice (line 2)"]

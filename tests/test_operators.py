@@ -2,6 +2,7 @@ import functools
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,36 @@ from abcfde.errors import DimensionMismatch
 from abcfde.operators import FFT_MIN_LENGTH
 
 
+@functools.cache
+def exact_rl_weights(grid: Grid, alpha: float, dtype=float):
+    """Product-trapezoidal weights of the Riemann-Liouville integral from
+    the moments k^(alpha+1), differenced in 40-digit mpmath and rounded
+    once to dtype (float or np.longdouble).
+
+    Returns the self-weight c = h^alpha / Gamma(alpha+2), the weights of
+    omega_0 at nodes n = 1 .. N, c ((alpha+1) n^alpha - n^(alpha+1) +
+    (n-1)^(alpha+1)), and the interior weights at distance m = 1 .. N-1,
+    c ((m+1)^(alpha+1) - 2 m^(alpha+1) + (m-1)^(alpha+1)).
+    """
+    N = grid.N
+    with mp.workdps(40):
+        a1 = mp.mpf(alpha) + 1
+        c = mp.mpf(grid.h) ** (a1 - 1) / mp.gamma(a1 + 1)
+        kp = [mp.mpf(k) ** a1 for k in range(N + 1)]
+        c0 = [c * (a1 * mp.mpf(n) ** (a1 - 1) - kp[n] + kp[n - 1]) for n in range(1, N + 1)]
+        b = [c * (kp[m + 1] - 2 * kp[m] + kp[m - 1]) for m in range(1, N)]
+
+        def rounded(x):
+            # a double and its remainder carry the 64-bit long double mantissa
+            hi = float(x)
+            return dtype(hi) + dtype(float(x - hi))
+
+        def array(values):
+            return np.array([rounded(x) for x in values], dtype)
+
+        return rounded(c), array(c0), array(b)
+
+
 def rl_weights(grid: Grid, alpha: float) -> np.ndarray:
     """Dense product-trapezoidal weights for the Riemann-Liouville integral.
 
@@ -37,16 +68,25 @@ def rl_weights(grid: Grid, alpha: float) -> np.ndarray:
     linear omega: the O(N^2) oracle that rl_integral is checked against.
     """
     N = grid.N
-    coef = grid.h**alpha / math.gamma(alpha + 2.0)
-    kp = np.arange(N + 2, dtype=float) ** (alpha + 1.0)
+    c, c0, b = exact_rl_weights(grid, alpha)
     w = np.zeros((N + 1, N + 1))
     for n in range(1, N + 1):
-        w[n, 0] = coef * (kp[n - 1] - kp[n] + (alpha + 1.0) * float(n) ** alpha)
-        if n >= 2:
-            m = np.arange(1, n)  # m = n - j for interior j = 1 .. n-1
-            w[n, 1:n] = coef * (kp[m + 1] - 2.0 * kp[m] + kp[m - 1])[::-1]
-        w[n, n] = coef
+        w[n, 0] = c0[n - 1]
+        w[n, 1:n] = b[: n - 1][::-1]  # m = n - j for interior j = 1 .. n-1
+        w[n, n] = c
     return w
+
+
+def rl_exact(arr: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+    """The Toeplitz form of rl_weights, summed in long double by one
+    np.convolve: the O(N^2) oracle for grids too long for a dense matrix."""
+    N = grid.N
+    c, c0, b = exact_rl_weights(grid, alpha, np.longdouble)
+    x = arr.astype(np.longdouble)
+    out = np.zeros(N + 1, np.longdouble)
+    out[1:] = c0 * x[0] + c * x[1:]
+    out[2:] += np.convolve(x[1:N], b)[: N - 1]
+    return out
 
 
 class TestGrid:
@@ -257,14 +297,12 @@ class TestKernelAntiderivative:
 def rl_direct(arr: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     """rl_integral with its weights built inline and one np.convolve."""
     N = grid.N
-    coef = grid.h**alpha / math.gamma(alpha + 2.0)
-    n = np.arange(1, N + 1, dtype=float)
-    c0 = (n - 1.0) ** (alpha + 1.0) - n ** (alpha + 1.0) + (alpha + 1.0) * n**alpha
+    start = grid.nodes[1:] ** alpha / math.gamma(alpha + 1.0)
     m = np.arange(1, N, dtype=float)
-    b = (m + 1.0) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0) + (m - 1.0) ** (alpha + 1.0)
+    W = np.concatenate(([1.0], m ** (alpha + 1.0) * np.expm1((alpha + 1.0) * np.log1p(1.0 / m))))
     out = np.zeros(N + 1)
-    out[1:] = coef * (c0 * arr[0] + arr[1:])
-    out[2:] += coef * np.convolve(arr[1:N], b)[: N - 1]
+    conv = np.convolve(np.diff(arr), W)[:N]
+    out[1:] = arr[0] * start + grid.h**alpha / math.gamma(alpha + 2.0) * conv
     return out
 
 
@@ -306,8 +344,8 @@ NONLINEAR_TEXT = (
 )
 
 
-# both sides of the direct / FFT cut-over, which falls on the stencil
-# length: N - 1 for rl_integral, N for abc_derivative
+# both sides of the direct / FFT cut-over, which falls on the weight
+# count N of both operators
 CUTOVER_GRIDS = [FFT_MIN_LENGTH - 1, FFT_MIN_LENGTH, FFT_MIN_LENGTH + 1, 2048]
 
 
@@ -322,6 +360,16 @@ class TestConvolutionPaths:
             ref = w @ arr
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("alpha", [0.15, 0.65, 0.95])
+    def test_rl_matches_exact_weights_on_a_long_grid(self, alpha):
+        # the RL weights take no rounding error from differencing the
+        # moments k^(alpha+1), which grow like N^(alpha+1)
+        grid = Grid(2.0, 4096)
+        for arr in convolution_data(grid):
+            out = rl_integral(arr, grid, alpha)
+            ref = rl_exact(arr, grid, alpha)
+            assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("N", CUTOVER_GRIDS)
     @pytest.mark.parametrize(
         "cfg", [OperatorConfig(0.3), OperatorConfig(0.8, b_convention=BConvention.AB)]
@@ -333,7 +381,7 @@ class TestConvolutionPaths:
             ref = abc_direct(arr, grid, cfg)
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("N", [2, 3, 40, FFT_MIN_LENGTH - 1])
+    @pytest.mark.parametrize("N", [1, 2, 3, 40, FFT_MIN_LENGTH - 1])
     def test_direct_path_is_bitwise_unchanged(self, N):
         grid = Grid(1.5, N)
         cfg = OperatorConfig(0.45, b_convention=BConvention.AB)
@@ -354,7 +402,7 @@ class TestConvolutionPaths:
     def test_solve_builds_the_stencil_once(self, weight_builds):
         trace = picard_solve(load_problem(NONLINEAR_TEXT), Grid(2.0, 2048))
         assert trace.iterations > 10
-        assert weight_builds == [2047]  # the RL second differences b
+        assert weight_builds == [2048]  # the RL moment increments W
 
     def test_comparison_builds_the_stencil_once(self, weight_builds):
         spec = load_problem("alpha = 0.5\nT = 1\nomega0 = 1\nf = 1\ng = 0\n")

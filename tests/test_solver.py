@@ -10,6 +10,7 @@ from abcfde import (
     OperatorConfig,
     ProblemSpec,
     check_monotone_quotient,
+    estimate_g_onesided_lipschitz,
     estimate_h_norm,
     estimate_lipschitz_f,
     existence_condition,
@@ -68,6 +69,19 @@ class TestLoadProblem:
     def test_bad_number(self):
         with pytest.raises(ValidationError):
             load_problem("alpha=half\nT=1\nomega0=0\nf=1\ng=tau")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("T", "inf"), ("omega0", "nan"), ("alpha", "nan"), ("omega_min", "-inf"),
+         ("omega_max", "inf")],
+    )
+    def test_non_finite_number(self, key, value):
+        entries = {"alpha": "0.5", "T": "1", "omega0": "0", "f": "1", "g": "tau",
+                   "omega_min": "-1", "omega_max": "1", key: value}
+        text = "\n".join(f"{k} = {v}" for k, v in entries.items())
+        with pytest.raises(ValidationError) as info:
+            load_problem(text)
+        assert info.value.field == key
 
     def test_bad_line(self):
         with pytest.raises(ValidationError):
@@ -325,6 +339,19 @@ class TestEstimates:
             cfg=OperatorConfig(0.5),
         )
         assert estimate_h_norm(s, (0.0, 2.0)) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "box", [(1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (0.0, math.inf)], ids=str
+    )
+    @pytest.mark.parametrize(
+        "estimate",
+        [check_monotone_quotient, estimate_lipschitz_f, estimate_h_norm,
+         estimate_g_onesided_lipschitz],
+    )
+    def test_box_must_be_finite_and_ordered(self, estimate, box):
+        with pytest.raises(ValidationError) as info:
+            estimate(constant_forcing_spec(), box)
+        assert info.value.field == "omega_box"
 
     def test_lattice_too_small(self):
         with pytest.raises(ValueError):
