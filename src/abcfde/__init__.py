@@ -12,7 +12,7 @@ from .extremal import (
     check_enclosure,
     solve_perturbed,
 )
-from .mittag_leffler import MlParams, ml_one, ml_prabhakar, ml_two
+from .mittag_leffler import ml_one, ml_prabhakar, ml_two
 from .operators import (
     BConvention,
     Discretization,
@@ -61,7 +61,6 @@ __all__ = [
     "bracket_minimal",
     "check_enclosure",
     "solve_perturbed",
-    "MlParams",
     "ml_one",
     "ml_prabhakar",
     "ml_two",

@@ -65,14 +65,10 @@ def _manifest_digest(command: str, input_digest: str | None, params: dict) -> st
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_trace_csv(path: Path, digest: str, taus, omegas, residuals) -> None:
+    rows = zip(taus.tolist(), omegas.tolist(), residuals.tolist())
     lines = [f"# manifest={digest}", "tau,omega,residual"]
-    for t, w, r in zip(taus, omegas, residuals):
-        lines.append(f"{_fmt(t)},{_fmt(w)},{_fmt(r)}")
+    lines += ["%.17g,%.17g,%.17g" % row for row in rows]  # _fmt's format, once per row
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -84,9 +80,8 @@ def _write_summary(path: Path, digest: str, fields: dict) -> None:
 
 
 def _load(path_str: str) -> tuple[ProblemSpec, str]:
-    path = Path(path_str)
-    text = path.read_text()
-    return load_problem(text), _file_digest(path)
+    data = Path(path_str).read_bytes()
+    return load_problem(data.decode()), hashlib.sha256(data).hexdigest()
 
 
 def _default_box(spec: ProblemSpec) -> tuple[float, float]:
@@ -267,7 +262,7 @@ def _cmd_mlf(args) -> int:
 def _cmd_golden(args) -> int:
     cfg = OperatorConfig(args.alpha)
     grids = [Grid(args.T, int(n)) for n in args.grids.split(",")]
-    result = golden_identity_check(args.beta, args.sigma, args.lam, cfg, grids)
+    result = golden_identity_check(args.beta, args.sigma, cfg, grids)
     print("N,sup_error,order")
     for i, (grid, err) in enumerate(zip(result.grids, result.errors)):
         order = _fmt(result.orders[i - 1]) if i > 0 else ""
@@ -352,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--grids", default="64,128,256")
     p.add_argument("--T", type=float, default=1.0)
     p.set_defaults(fn=_cmd_golden)

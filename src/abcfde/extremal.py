@@ -30,16 +30,19 @@ from .solver import (
 class BracketResult:
     eps_levels: list[float]
     traces: list[SolutionTrace]
-    limit: np.ndarray  # last trace; plain limit, no extrapolation
     ordering_ok: bool
     sup_gaps: list[float]
     first_violation_node: Optional[int] = None
     sign: int = +1
 
+    @property
+    def limit(self) -> np.ndarray:
+        """The last trace; a plain limit, no extrapolation."""
+        return self.traces[-1].omega
+
 
 @dataclass
 class EnclosureReport:
-    enclosed: bool
     slack: float
     worst_low_margin: float
     worst_high_margin: float
@@ -84,7 +87,6 @@ def _bracket(spec, eps0, ratio, levels, grid, tol, max_sweeps, sign):
     return BracketResult(
         eps_levels=eps_levels,
         traces=traces,
-        limit=traces[-1].omega.copy(),
         ordering_ok=ordering_ok,
         sup_gaps=sup_gaps,
         first_violation_node=violation_node,
@@ -151,7 +153,6 @@ def check_enclosure(
             node=node,
         )
     return EnclosureReport(
-        enclosed=True,
         slack=slack,
         worst_low_margin=float(np.min(low_margin)),
         worst_high_margin=float(np.min(high_margin)),

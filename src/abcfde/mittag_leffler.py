@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,26 +62,6 @@ _N = math.ceil(-_W * _LOG_TARGET / (2 * math.pi))
 _H = _W / _N
 
 
-@dataclass(frozen=True)
-class MlParams:
-    """Parameter triple (alpha, beta, rho) of the Prabhakar function.
-
-    rho = 1 and beta = 1 recover the classical one-parameter function.
-    """
-
-    alpha: float
-    beta: float = 1.0
-    rho: float = 1.0
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.rho < 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
-
-
 def ml_prabhakar(alpha: float, beta: float, rho: float, z):
     """Three-parameter Mittag-Leffler function E^rho_{alpha,beta}(z).
 
@@ -91,7 +70,12 @@ def ml_prabhakar(alpha: float, beta: float, rho: float, z):
     values the per-element calls give; a NaN z gives NaN.  DEFAULT_TOL
     and MAX_TERMS bound the series path.
     """
-    MlParams(alpha, beta, rho)  # validate
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not beta > 0:
+        raise ValueError(f"beta must be > 0, got {beta}")
+    if rho < 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
     out = np.full(flat.shape, 1.0 / math.gamma(beta))

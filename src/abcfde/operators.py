@@ -37,8 +37,8 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be finite and > 0, got {self.T}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
 

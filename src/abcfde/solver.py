@@ -61,16 +61,16 @@ class ProblemSpec:
     def alpha(self) -> float:
         return self.cfg.alpha
 
-    def validate(self, g0_tol: float = G0_TOL) -> None:
-        if not self.T > 0:
-            raise ValidationError("T", f"must be > 0, got {self.T}")
+    def validate(self) -> None:
+        if not 0 < self.T < math.inf:
+            raise ValidationError("T", f"must be finite and > 0, got {self.T}")
         f00 = self.f(0.0, self.omega0)
         if abs(f00) == 0.0:
             raise ValidationError("f", f"f(0, omega0) = 0 (omega0 = {self.omega0})")
         g00 = self.g(0.0, self.omega0)
-        if abs(g00) > g0_tol:
+        if abs(g00) > G0_TOL:
             raise ValidationError(
-                "g", f"g(0, omega0) = {g00}, must vanish (tol {g0_tol})"
+                "g", f"g(0, omega0) = {g00}, must vanish (tol {G0_TOL})"
             )
 
     def f_samples(self, taus, omegas) -> np.ndarray:
@@ -84,28 +84,34 @@ class ProblemSpec:
 
 @dataclass
 class SolutionTrace:
-    """A Picard solve: the last iterate, the sweep history and the
-    residuals |omega - rhs_operator(omega)| at the nodes (None when the
-    trace was built without them), whose sup is residual_sup."""
+    """A Picard solve: the last iterate, the sweep history (one diff per
+    sweep) and the residuals |omega - rhs_operator(omega)| at the nodes."""
 
     grid: Grid
     omega: np.ndarray
-    iterations: int
     iterate_diffs: list[float]
-    residual_sup: float
+    residuals: np.ndarray
     converged: bool = True
-    residuals: Optional[np.ndarray] = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iterate_diffs)
+
+    @property
+    def residual_sup(self) -> float:
+        return float(np.max(self.residuals))
 
 
 @dataclass
 class ConditionReport:
     """Everything entering the existence condition, plus the ball radius.
 
-    lhs = L_f * ( |omega0/f(0,omega0)| + bracket * h_norm / B ) where
-    bracket = 1 - alpha + T^alpha/(1-alpha) under PAPER_HYBRID or
-    1 - alpha + T^alpha/Gamma(alpha) under GAMMA.  R is the literal
-    radius M_f * lhs / (1 - lhs); R_alt drops the extra Lipschitz factor
-    from the numerator.
+    lhs = L_f * ( |omega0/f(0,omega0)| + bracket * h_norm ) where
+    bracket = (1-alpha)/B + c T^alpha/Gamma(alpha+1), with c the
+    :func:`singular_integral_coefficient`, bounds the g-terms of
+    :func:`rhs_operator` per unit of sup |g|.  R is the literal radius
+    M_f * lhs / (1 - lhs); R_alt drops the extra Lipschitz factor from
+    the numerator.
     """
 
     L_f: float
@@ -264,24 +270,22 @@ def picard_solve(
     Stops when the sup-norm iterate difference drops to tol; raises
     :class:`MaxSweepsExceeded` (carrying the best trace) otherwise.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
-    if max_sweeps < 1:
+    if not max_sweeps >= 1:
         raise ValueError("max_sweeps must be >= 1")
     omega = np.full(grid.N + 1, spec.omega0, dtype=float)
     diffs: list[float] = []
-    for sweep in range(1, max_sweeps + 1):
+    for _ in range(max_sweeps):
         new = rhs_operator(spec, omega, grid)
         diff = float(np.max(np.abs(new - omega)))
         diffs.append(diff)
         omega = new
         if diff <= tol:
             res = np.abs(omega - rhs_operator(spec, omega, grid))
-            return SolutionTrace(grid, omega, sweep, diffs, float(np.max(res)), residuals=res)
+            return SolutionTrace(grid, omega, diffs, res)
     res = np.abs(omega - rhs_operator(spec, omega, grid))
-    trace = SolutionTrace(
-        grid, omega, max_sweeps, diffs, float(np.max(res)), converged=False, residuals=res
-    )
+    trace = SolutionTrace(grid, omega, diffs, res, converged=False)
     raise MaxSweepsExceeded(
         f"no convergence in {max_sweeps} sweeps (last diff {diffs[-1]:.3e})",
         trace=trace,
@@ -299,12 +303,11 @@ def existence_condition(
     if L_f < 0 or h_norm < 0:
         raise ValueError("L_f and h_norm must be >= 0")
     cfg = spec.cfg
-    a, B = cfg.alpha, cfg.b
-    if cfg.kernel_convention is KernelConvention.PAPER_HYBRID:
-        bracket = 1.0 - a + spec.T**a / (1.0 - a)
-    else:
-        bracket = 1.0 - a + spec.T**a / math.gamma(a)
-    inner = abs(spec.omega0 / spec.f(0.0, spec.omega0)) + bracket * h_norm / B
+    a = cfg.alpha
+    c = singular_integral_coefficient(cfg)
+    # c T^a / Gamma(a + 1), written with Gamma(a + 1) = a Gamma(a)
+    bracket = (1.0 - a) / cfg.b + c / a * spec.T**a / math.gamma(a)
+    inner = abs(spec.omega0 / spec.f(0.0, spec.omega0)) + bracket * h_norm
     lhs = L_f * inner
     satisfied = lhs < 1.0
     taus = np.linspace(0.0, spec.T, 1001)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateF, HypothesisViolation, MonotonicityViolation
+from .errors import DegenerateF, HypothesisViolation, MonotonicityViolation, ValidationError
 from .expression import sample
 from .mittag_leffler import ml_prabhakar
 from .operators import Grid, OperatorConfig, abc_derivative, ab_integral
@@ -61,27 +61,27 @@ class ExtremumReport:
 def golden_identity_check(
     beta: float,
     sigma: float,
-    lam: float,
     cfg: OperatorConfig,
     grids: Sequence[Grid],
 ) -> GoldenResult:
-    """Compare the numerical derivative of tau^(beta-1) E^sigma_{alpha,beta}(lam tau^alpha)
-    against B/(1-alpha) * tau^(beta-1) E^(1+sigma)_{alpha,beta}(lam tau^alpha),
-    with alpha = cfg.alpha.
+    """Compare the numerical derivative of tau^(beta-1) E^sigma_{alpha,beta}(z)
+    against B/(1-alpha) * tau^(beta-1) E^(1+sigma)_{alpha,beta}(z) at
+    z = -lam tau^alpha, with alpha = cfg.alpha and lam = cfg.lam: the
+    identity holds only at the kernel rate.
 
     beta <= 1 is rejected: the sampled function is unbounded (or has an
     unbounded derivative model) at 0 and the piecewise-linear slope
-    construction breaks.  The identity itself holds only when lam equals
-    -alpha/(1-alpha), the kernel rate; other lam values are accepted but
-    the reported errors will not converge.
+    construction breaks.  Each grid must be finer than the one before.
     """
     if beta <= 1.0:
         raise ValueError(f"beta must be > 1, got {beta}")
+    if any(g1.N <= g0.N for g0, g1 in zip(grids, grids[1:])):
+        raise ValidationError("grids", "each N must be larger than the one before")
     a, B = cfg.alpha, cfg.b
     errors = []
     for grid in grids:
         t = grid.nodes
-        z = lam * t**a
+        z = -cfg.lam * t**a
         power = t ** (beta - 1.0)
         f = power * ml_prabhakar(a, beta, sigma, z)
         exact = B / (1.0 - a) * power * ml_prabhakar(a, beta, sigma + 1.0, z)
@@ -98,14 +98,13 @@ def estimate_discretization_constant(cfg: OperatorConfig, grid: Grid) -> float:
     """Calibration constant C with observed operator error ~= C * h.
 
     Taken from the closed-form derivative identity at (beta, sigma) =
-    (1.5, 1) with the matching kernel-rate argument, on the same grid.
-    That data's slope behaves like tau^(-1/2) near 0.  Data whose slope
-    is steeper, such as E_alpha(tau^alpha) with alpha < 1/2, has operator
-    error O(h^(2 alpha)), which exceeds C * h: at alpha = 0.3 it is 4.2x
-    C * h at N = 64 and 6.7x at N = 1024.
+    (1.5, 1) on the same grid.  That data's slope behaves like
+    tau^(-1/2) near 0.  Data whose slope is steeper, such as
+    E_alpha(tau^alpha) with alpha < 1/2, has operator error
+    O(h^(2 alpha)), which exceeds C * h: at alpha = 0.3 it is 4.2x C * h
+    at N = 64 and 6.7x at N = 1024.
     """
-    lam = -cfg.alpha / (1.0 - cfg.alpha)
-    res = golden_identity_check(1.5, 1.0, lam, cfg, [grid])
+    res = golden_identity_check(1.5, 1.0, cfg, [grid])
     return res.errors[0] / grid.h
 
 

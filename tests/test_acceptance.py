@@ -82,7 +82,7 @@ def test_criterion_2_golden_identity_convergence():
     start = time.perf_counter()
     cfg = OperatorConfig(0.5)
     grids = [Grid(1.0, N) for N in (64, 128, 256, 512)]
-    res = golden_identity_check(1.5, 1.0, -1.0, cfg, grids)
+    res = golden_identity_check(1.5, 1.0, cfg, grids)
     elapsed = time.perf_counter() - start
     decreasing = all(e0 > e1 for e0, e1 in zip(res.errors, res.errors[1:]))
     orders_ok = all(o >= 0.9 for o in res.orders)

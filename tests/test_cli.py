@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +146,30 @@ class TestSolve:
         assert code == EXIT_INVALID
         assert capsys.readouterr().err.startswith(f"E_INVALID: {key}: must be finite")
         assert not out.exists()
+
+    def test_nan_tol(self, problem_file, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        code = main(["solve", str(problem_file), "--n", "64", "--tol", "nan", "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("E_INVALID: tol must be > 0")
+        assert not out.exists()
+
+    def test_manifest_hashes_the_bytes_parsed(self, problem_file):
+        spec, digest = cli._load(str(problem_file))
+        assert digest == hashlib.sha256(problem_file.read_bytes()).hexdigest()
+        assert spec.T == 1.0
+
+    def test_csv_digits(self, tmp_path):
+        # one %-format per row writes what format(x, ".17g") writes
+        values = [0.0, -0.0, 5e-324, -5e-324, 1.8e308, -1.8e308,
+                  math.nan, math.inf, -math.inf, 0.1, 1e16, 1e17]
+        col = np.array(values)
+        path = tmp_path / "t.csv"
+        cli._write_trace_csv(path, "d", col, col[::-1], -col)
+        rows = zip(values, values[::-1], [-x for x in values])
+        expected = ["# manifest=d", "tau,omega,residual"]
+        expected += [",".join(format(x, ".17g") for x in row) for row in rows]
+        assert path.read_text() == "\n".join(expected) + "\n"
 
     def test_max_sweeps_exit_code(self, tmp_path, capsys):
         path = tmp_path / "divergent.txt"
@@ -300,13 +326,12 @@ class TestExtremal:
 
         def fake_bracket(spec, eps0, ratio, levels, grid=grid, tol=1e-10):
             traces = [
-                SolutionTrace(grid, np.full(9, 1.0), 1, [0.0], 0.0),
-                SolutionTrace(grid, np.full(9, 2.0), 1, [0.0], 0.0),
+                SolutionTrace(grid, np.full(9, 1.0), [0.0], np.zeros(9)),
+                SolutionTrace(grid, np.full(9, 2.0), [0.0], np.zeros(9)),
             ]
             return BracketResult(
                 eps_levels=[eps0, eps0 * ratio],
                 traces=traces,
-                limit=traces[-1].omega,
                 ordering_ok=False,
                 sup_gaps=[1.0],
                 first_violation_node=1,
@@ -444,8 +469,6 @@ class TestGolden:
                 "1.5",
                 "--sigma",
                 "1",
-                "--lambda",
-                "-1",
                 "--grids",
                 "32,64",
             ]
@@ -469,12 +492,18 @@ class TestGolden:
                 "0.5",
                 "--sigma",
                 "1",
-                "--lambda",
-                "-1",
             ]
         )
         # ValueError from the check surfaces as a nonzero exit
         assert code != EXIT_OK
+
+    @pytest.mark.parametrize("grids", ["64,64", "64,32"])
+    def test_grids_must_refine(self, capsys, grids):
+        argv = ["golden", "--alpha", "0.5", "--beta", "1.5", "--sigma", "1", "--grids", grids]
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.startswith("E_INVALID: grids:")
+        assert captured.out == ""
 
 
 class TestConvergence:
@@ -504,6 +533,17 @@ class TestConvergence:
             assert code == EXIT_INVALID
             assert capsys.readouterr().out == ""
         assert solved == []
+
+
+def test_readme_commands_parse():
+    # every command of the README's CLI block is one the parser accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert commands
+    for argv in commands:
+        assert argv[0] == "abcfde"
+        cli.build_parser().parse_args(argv[1:])
 
 
 def test_runs_without_mpmath():

@@ -131,7 +131,7 @@ class TestOrderingDetection:
         def fake_solve(spec, eps, sign, g, tol, max_sweeps):
             from abcfde import SolutionTrace
 
-            return SolutionTrace(g, fabricated[round(eps, 10)], 1, [0.0], 0.0)
+            return SolutionTrace(g, fabricated[round(eps, 10)], [0.0], np.zeros(9))
 
         monkeypatch.setattr(ext, "solve_perturbed", fake_solve)
         res = _bracket(
@@ -160,7 +160,6 @@ class TestEnclosure:
     def test_solution_enclosed(self):
         sol, mx, mn = self._setup()
         rep = check_enclosure(sol, mx, mn)
-        assert rep.enclosed
         assert rep.worst_low_margin >= 0.0
         assert rep.worst_high_margin >= 0.0
         assert rep.slack > 0.0

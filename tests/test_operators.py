@@ -100,6 +100,9 @@ class TestGrid:
             Grid(0.0, 4)
         with pytest.raises(ValueError):
             Grid(1.0, 0)
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                Grid(T, 4)
 
 
 class TestConfig:

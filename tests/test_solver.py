@@ -125,6 +125,18 @@ class TestValidate:
         with pytest.raises(ValidationError):
             s.validate()
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_T_must_be_finite(self, T):
+        s = ProblemSpec(
+            T=T,
+            omega0=0.0,
+            f=lambda t, w: 1.0,
+            g=lambda t, w: 0.0,
+            cfg=OperatorConfig(0.5),
+        )
+        with pytest.raises(ValidationError, match="T: must be finite"):
+            s.validate()
+
 
 class TestMonotoneQuotient:
     def test_f_one_passes(self):
@@ -259,6 +271,11 @@ class TestPicard:
             picard_solve(constant_forcing_spec(), Grid(1.0, 8), tol=0.0)
         with pytest.raises(ValueError):
             picard_solve(constant_forcing_spec(), Grid(1.0, 8), max_sweeps=0)
+        # no diff is <= nan, so a nan tol would run every sweep
+        with pytest.raises(ValueError, match="tol"):
+            picard_solve(constant_forcing_spec(), Grid(1.0, 8), tol=math.nan)
+        with pytest.raises(ValueError, match="max_sweeps"):
+            picard_solve(constant_forcing_spec(), Grid(1.0, 8), max_sweeps=math.nan)
 
     def test_deterministic(self, manufactured_spec):
         a = picard_solve(manufactured_spec, Grid(1.0, 64)).omega
@@ -299,6 +316,22 @@ class TestExistenceCondition:
         rep = existence_condition(s, L_f=0.1, h_norm=1.0)
         bracket = 0.5 + 1.0 / math.gamma(0.5)
         assert rep.lhs == pytest.approx(0.1 * (1.0 + bracket), rel=1e-13)
+
+    @pytest.mark.parametrize("kernel", list(KernelConvention))
+    @pytest.mark.parametrize("b", list(BConvention))
+    def test_bracket_bounds_the_g_terms(self, kernel, b):
+        # f == 1, g == 1, omega0 = 0: rhs_operator is exactly the g-terms,
+        # largest at T, and rl_integral is exact on constants
+        s = ProblemSpec(
+            T=2.0,
+            omega0=0.0,
+            f=lambda t, w: 1.0,
+            g=lambda t, w: 1.0,
+            cfg=OperatorConfig(0.3, b, kernel),
+        )
+        g_terms = rhs_operator(s, np.zeros(65), Grid(2.0, 64))
+        rep = existence_condition(s, L_f=1.0, h_norm=1.0)
+        assert rep.lhs == pytest.approx(np.max(g_terms), rel=1e-13)
 
     def test_zero_lipschitz_gives_zero_radius(self):
         rep = existence_condition(constant_forcing_spec(omega0=1.0), 0.0, 5.0)

@@ -22,6 +22,7 @@ from abcfde.errors import (
     DegenerateF,
     HypothesisViolation,
     MonotonicityViolation,
+    ValidationError,
 )
 
 from conftest import constant_forcing_spec
@@ -29,26 +30,31 @@ from conftest import constant_forcing_spec
 
 class TestGoldenIdentity:
     def test_converges_at_kernel_rate_argument(self):
-        # the closed-form derivative identity holds when lam equals the
-        # negated kernel rate; first order observed on refinement
+        # the closed-form derivative identity holds at the kernel rate;
+        # first order observed on refinement
         cfg = OperatorConfig(0.5)
         grids = [Grid(1.0, N) for N in (64, 128, 256)]
-        res = golden_identity_check(1.5, 1.0, -1.0, cfg, grids)
+        res = golden_identity_check(1.5, 1.0, cfg, grids)
         assert res.errors[0] > res.errors[1] > res.errors[2]
         assert all(o > 0.8 for o in res.orders)
         assert res.errors[-1] < 2e-3
 
     def test_other_alpha(self):
         cfg = OperatorConfig(0.7)
-        lam = -0.7 / 0.3
         grids = [Grid(1.0, N) for N in (64, 128)]
-        res = golden_identity_check(1.5, 1.0, lam, cfg, grids)
+        res = golden_identity_check(1.5, 1.0, cfg, grids)
         assert res.errors[1] < res.errors[0]
 
     def test_beta_at_most_one_rejected(self):
         cfg = OperatorConfig(0.5)
         with pytest.raises(ValueError):
-            golden_identity_check(1.0, 1.0, -1.0, cfg, [Grid(1.0, 16)])
+            golden_identity_check(1.0, 1.0, cfg, [Grid(1.0, 16)])
+
+    @pytest.mark.parametrize("ns", [(64, 64), (64, 32), (32, 64, 64)])
+    def test_grids_must_refine(self, ns):
+        # an order needs two different grids; log(N1/N0) = 0 divided by zero
+        with pytest.raises(ValidationError, match="grids"):
+            golden_identity_check(1.5, 1.0, OperatorConfig(0.5), [Grid(1.0, n) for n in ns])
 
 
 class TestDiscretizationConstant:
