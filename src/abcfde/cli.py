@@ -12,6 +12,7 @@ no timestamps), then the stable header ``tau,omega,residual``.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from dataclasses import replace
@@ -65,10 +66,20 @@ def _manifest_digest(command: str, input_digest: str | None, params: dict) -> st
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _tau_column(taus) -> list[str]:
+    """The tau column of a trace CSV, for files that share their nodes."""
+    return ["%.17g" % tau for tau in taus.tolist()]  # _fmt's format
+
+
 def _write_trace_csv(path: Path, digest: str, taus, omegas, residuals) -> None:
-    rows = zip(taus.tolist(), omegas.tolist(), residuals.tolist())
+    """taus is an array, or its :func:`_tau_column`."""
+    columns = omegas.tolist(), residuals.tolist()
     lines = [f"# manifest={digest}", "tau,omega,residual"]
-    lines += ["%.17g,%.17g,%.17g" % row for row in rows]  # _fmt's format, once per row
+    # _fmt's format, once per row
+    if isinstance(taus, np.ndarray):
+        lines += ["%.17g,%.17g,%.17g" % row for row in zip(taus.tolist(), *columns)]
+    else:
+        lines += ["%s,%.17g,%.17g" % row for row in zip(taus, *columns)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -201,10 +212,11 @@ def _cmd_extremal(args) -> int:
         grid=grid, tol=args.tol,
     )
     prefix = Path(args.out_prefix)
-    for level, (eps, trace) in enumerate(zip(result.eps_levels, result.traces)):
+    taus = _tau_column(grid.nodes)
+    for level, trace in enumerate(result.traces):
         path = prefix.parent / f"{prefix.name}_level{level}.csv"
         residuals = np.abs(trace.omega - rhs_operator(spec, trace.omega, grid))
-        _write_trace_csv(path, digest, grid.nodes, trace.omega, residuals)
+        _write_trace_csv(path, digest, taus, trace.omega, residuals)
     _write_summary(
         prefix.parent / f"{prefix.name}_report.txt",
         digest,
@@ -360,8 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValidationError, ParseError, LexError, ValueError) as exc:

@@ -55,6 +55,11 @@ class MaxSweepsExceeded(AbcfdeError):
         self.trace = trace
 
 
+class NonFiniteIterate(MaxSweepsExceeded):
+    """A Picard sweep produced a NaN or infinite iterate; carries the trace
+    ending at the last finite iterate."""
+
+
 class EnclosureViolation(AbcfdeError):
     """A solution escapes the [minimal, maximal] bracket."""
 

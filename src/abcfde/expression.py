@@ -12,9 +12,16 @@ Grammar (loosest to tightest binding):
 usual elementary functions plus the Mittag-Leffler family ``mlf1``,
 ``mlf2`` and ``mlf3``.
 
-Variables may be bound to floats or to numpy arrays: one tree walk
-evaluates a whole array of samples, and a domain error names the first
-bad sample.
+Variables may be bound to floats or to numpy arrays: one call evaluates a
+whole array of samples, and a domain error names the first bad sample.
+
+An :class:`Expression` compiles its tree once into nested closures (see
+:func:`_compile`) and enters ``np.errstate`` once per call.  Each largest
+subtree whose only variable is ``tau`` is evaluated once per read-only
+``tau`` array (a :attr:`~abcfde.operators.Grid.nodes`, say) and reused
+until another ``tau`` comes, so the tau-only part of f and g costs one
+evaluation per grid, not one per Picard sweep.  Writeable arrays are
+never memoised, and callers always get fresh writeable results.
 """
 
 from __future__ import annotations
@@ -291,10 +298,21 @@ def sample(fn: Callable, *args):
     through.  A ValueError, OverflowError or ZeroDivisionError it
     raises becomes an EvalError naming the sample.
     """
+    if isinstance(fn, np.ufunc) or getattr(fn, "takes_arrays", False):
+        shape = np.broadcast_shapes(*map(np.shape, args))
+        out = fn(*args)
+        if (
+            type(out) is np.ndarray
+            and out.dtype == np.float64
+            and out.shape == shape
+            and out.base is None
+            and out.flags.writeable
+            and all(out is not a for a in args)
+        ):
+            return out  # already a fresh float array of the sample shape
+        return np.broadcast_to(out, shape).astype(float)[()]
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
     shape = arrays[0].shape
-    if isinstance(fn, np.ufunc) or getattr(fn, "takes_arrays", False):
-        return np.broadcast_to(fn(*args), shape).astype(float)[()]
     columns = [a.ravel().tolist() for a in arrays]
     out = np.empty(arrays[0].size)
     try:
@@ -347,41 +365,9 @@ def takes_arrays(fn: Callable) -> Callable:
     return fn
 
 
-@np.errstate(all="ignore")
-def evaluate(node: Node, bindings: Mapping[str, float | np.ndarray]):
-    """Evaluate an AST under the given variable bindings.
-
-    Bindings are floats or numpy arrays that broadcast together; the
-    result is a float or an array of the broadcast shape of the variables
-    it uses.  A division by zero, and any operation that makes NaN from
-    non-NaN inputs or an infinity from finite inputs (log of a nonpositive
-    value, sqrt of a negative one, ``(-2)^0.5``, ``0^-1``, overflow, a
-    gamma pole), raise :class:`EvalError` naming the first bad sample.
-    """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            value = bindings[node.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {node.name!r}") from None
-        return value if isinstance(value, np.ndarray) else float(value)
-    if isinstance(node, Unary):
-        return -evaluate(node.operand, bindings)
-    if isinstance(node, Binary):
-        args = a, b = evaluate(node.left, bindings), evaluate(node.right, bindings)
-        if node.op == "/" and np.any(b == 0.0):
-            raise _first_bad("division by zero", b == 0.0, "/", args)
-        out, name = _BINARY[node.op](a, b), node.op
-    elif isinstance(node, Call):
-        args = [evaluate(arg, bindings) for arg in node.args]
-        fn, name = BUILTINS[node.func][1], node.func
-        if name in _Z_ARRAY_BUILTINS:
-            out = _sample_by_parameters(fn, name, args)
-        else:
-            out = sample(fn, *args)
-    else:
-        raise TypeError(f"not an AST node: {node!r}")
+def _checked(out, name: str, args):
+    """out, unless it is NaN where no arg is or infinite where every arg
+    is finite: then an EvalError naming the first such sample."""
     if np.isfinite(out).all():
         return out
     nan_in = np.any(np.broadcast_arrays(*map(np.isnan, args)), axis=0)
@@ -392,20 +378,144 @@ def evaluate(node: Node, bindings: Mapping[str, float | np.ndarray]):
     return out
 
 
+def _immutable(a) -> bool:
+    """a is an array no one can write to: it and every array it views are
+    read-only, down to one that owns its data."""
+    if not isinstance(a, np.ndarray):
+        return False
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _memoised(run: Callable) -> Callable:
+    """run, evaluated once per immutable ``tau`` binding and reused until
+    another one comes; the kept value is made read-only.  For subtrees
+    whose only variable is tau."""
+    kept = (None, None)  # (tau, value), replaced in one assignment
+
+    def memo(bindings):
+        nonlocal kept
+        tau = bindings.get("tau")
+        if tau is kept[0] and _immutable(tau):
+            return kept[1]
+        value = run(bindings)
+        if _immutable(tau):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            kept = (tau, value)
+        return value
+
+    return memo
+
+
+_TAU_ONLY = frozenset({"tau"})
+
+
+def _shared(run: Callable, node: Node, names: frozenset) -> Callable:
+    """run, :func:`_memoised` when node is an operation on tau alone."""
+    if names == _TAU_ONLY and not isinstance(node, Var):
+        return _memoised(run)
+    return run
+
+
+def _compile(node: Node) -> tuple[Callable, frozenset]:
+    """A closure bindings -> value of the tree, and its variable names.
+
+    The closure does what the tree walk of :func:`evaluate` did node by
+    node, without entering ``np.errstate``; the caller enters it once.
+    Within a tree that uses other variables too, each largest subtree
+    whose only variable is tau is :func:`_memoised`.  Builtins are looked
+    up in BUILTINS at call time, so a replaced entry takes effect.
+    """
+    if isinstance(node, Num):
+        value = node.value
+        return (lambda bindings: value), frozenset()
+    if isinstance(node, Var):
+        name = node.name
+
+        def var(bindings):
+            try:
+                value = bindings[name]
+            except KeyError:
+                raise EvalError(f"unbound variable {name!r}") from None
+            return value if isinstance(value, np.ndarray) else float(value)
+
+        return var, frozenset({name})
+    if isinstance(node, Unary):
+        children = [node.operand]
+    elif isinstance(node, Binary):
+        children = [node.left, node.right]
+    elif isinstance(node, Call):
+        children = list(node.args)
+    else:
+        raise TypeError(f"not an AST node: {node!r}")
+    compiled = [_compile(child) for child in children]
+    names = frozenset().union(*(child_names for _, child_names in compiled))
+    runs = [
+        _shared(run, child, child_names) if names != _TAU_ONLY else run
+        for (run, child_names), child in zip(compiled, children)
+    ]
+    if isinstance(node, Unary):
+        (operand,) = runs
+        return (lambda bindings: -operand(bindings)), names
+    if isinstance(node, Binary):
+        left, right = runs
+        op, name = _BINARY[node.op], node.op
+
+        def binary(bindings):
+            args = a, b = left(bindings), right(bindings)
+            if name == "/" and np.any(b == 0.0):
+                raise _first_bad("division by zero", b == 0.0, "/", args)
+            return _checked(op(a, b), name, args)
+
+        return binary, names
+    func = node.func
+    by_parameters = func in _Z_ARRAY_BUILTINS
+
+    def call(bindings):
+        args = [run(bindings) for run in runs]
+        fn = BUILTINS[func][1]
+        if by_parameters:
+            out = _sample_by_parameters(fn, func, args)
+        else:
+            out = sample(fn, *args)
+        return _checked(out, func, args)
+
+    return call, names
+
+
+def _call(run: Callable, bindings):
+    """run(bindings) under one ``np.errstate``; a read-only array result
+    (a memoised value, or a read-only binding returned as it is) is
+    copied, so callers may write to what they get."""
+    with np.errstate(all="ignore"):
+        out = run(bindings)
+    if isinstance(out, np.ndarray) and not out.flags.writeable:
+        return out.copy()
+    return out
+
+
+def evaluate(node: Node, bindings: Mapping[str, float | np.ndarray]):
+    """Evaluate an AST under the given variable bindings.
+
+    Bindings are floats or numpy arrays that broadcast together; the
+    result is a float or an array of the broadcast shape of the variables
+    it uses.  A division by zero, and any operation that makes NaN from
+    non-NaN inputs or an infinity from finite inputs (log of a nonpositive
+    value, sqrt of a negative one, ``(-2)^0.5``, ``0^-1``, overflow, a
+    gamma pole), raise :class:`EvalError` naming the first bad sample.
+    Compiles the tree for this one call; :class:`Expression` compiles once.
+    """
+    run, names = _compile(node)
+    return _call(_shared(run, node, names), bindings)
+
+
 def variables(node: Node) -> set[str]:
     """Names of all variables appearing in the tree."""
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Unary):
-        return variables(node.operand)
-    if isinstance(node, Binary):
-        return variables(node.left) | variables(node.right)
-    if isinstance(node, Call):
-        out = set()
-        for arg in node.args:
-            out |= variables(arg)
-        return out
-    return set()
+    return set(_compile(node)[1])
 
 
 def to_source(node: Node) -> str:
@@ -424,20 +534,23 @@ def to_source(node: Node) -> str:
 
 
 class Expression:
-    """A parsed expression restricted to a declared variable set."""
+    """A parsed expression restricted to a declared variable set, compiled
+    once (see :func:`_compile`)."""
 
     def __init__(self, source: str, allowed: set[str]):
         self.source = source
         self.ast = parse(source)
-        extra = variables(self.ast) - set(allowed)
+        run, names = _compile(self.ast)
+        extra = names - set(allowed)
         if extra:
             raise ParseError(
                 f"undeclared variable(s) {sorted(extra)}; allowed: {sorted(allowed)}"
             )
+        self._run = _shared(run, self.ast, names)
 
     def __call__(self, **bindings):
         """Value at float or numpy-array bindings; see :func:`evaluate`."""
-        return evaluate(self.ast, bindings)
+        return _call(self._run, bindings)
 
     def __repr__(self):
         return f"Expression({self.source!r})"

@@ -68,7 +68,8 @@ def ml_prabhakar(alpha: float, beta: float, rho: float, z):
     z is a float or an array; the result is a float, or an array of z's
     shape.  Each value depends on its own z only, so an array gives the
     values the per-element calls give; a NaN z gives NaN.  DEFAULT_TOL
-    and MAX_TERMS bound the series path.
+    and MAX_TERMS bound the series path.  The parameters must be finite,
+    and Gamma(beta) must not overflow (beta up to about 171.6).
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -76,9 +77,16 @@ def ml_prabhakar(alpha: float, beta: float, rho: float, z):
         raise ValueError(f"beta must be > 0, got {beta}")
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
+    for name, value in (("alpha", alpha), ("beta", beta), ("rho", rho)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    try:
+        lead = 1.0 / math.gamma(beta)
+    except OverflowError:
+        raise ValueError(f"Gamma(beta) overflows at beta = {beta}") from None
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
-    out = np.full(flat.shape, 1.0 / math.gamma(beta))
+    out = np.full(flat.shape, lead)
     # rho = 0 kills every k >= 1 term through (rho)_k
     if rho != 0.0:
         nan = np.isnan(flat)

@@ -46,9 +46,14 @@ class Grid:
     def h(self) -> float:
         return self.T / self.N
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.N + 1)
+        """tau_0 .. tau_N, built once per Grid and read-only, since every
+        caller on the grid shares it."""
+        # a copy owns its data, so no writeable base can change it
+        nodes = np.linspace(0.0, self.T, self.N + 1).copy()
+        nodes.flags.writeable = False
+        return nodes
 
 
 class BConvention(enum.Enum):

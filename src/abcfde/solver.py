@@ -17,13 +17,14 @@ convention or alpha/(B (1-alpha)) under PAPER_HYBRID.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EvalError, MaxSweepsExceeded, ValidationError
+from .errors import EvalError, MaxSweepsExceeded, NonFiniteIterate, ValidationError
 from .expression import Expression, sample, takes_arrays
 from .operators import (
     BConvention,
@@ -61,11 +62,15 @@ class ProblemSpec:
     def alpha(self) -> float:
         return self.cfg.alpha
 
+    @functools.cached_property
+    def f00(self) -> float:
+        """f(0, omega0), evaluated once per spec."""
+        return self.f(0.0, self.omega0)
+
     def validate(self) -> None:
         if not 0 < self.T < math.inf:
             raise ValidationError("T", f"must be finite and > 0, got {self.T}")
-        f00 = self.f(0.0, self.omega0)
-        if abs(f00) == 0.0:
+        if abs(self.f00) == 0.0:
             raise ValidationError("f", f"f(0, omega0) = 0 (omega0 = {self.omega0})")
         g00 = self.g(0.0, self.omega0)
         if abs(g00) > G0_TOL:
@@ -255,7 +260,7 @@ def rhs_operator(spec: ProblemSpec, omega: np.ndarray, grid: Grid) -> np.ndarray
     f_vals = spec.f_samples(taus, omega)
     g_vals = spec.g_samples(taus, omega)
     integral = singular_integral_coefficient(cfg) * rl_integral(g_vals, grid, a)
-    head = spec.omega0 / spec.f(0.0, spec.omega0)
+    head = spec.omega0 / spec.f00
     return f_vals * (head + (1.0 - a) / B * g_vals + integral)
 
 
@@ -268,7 +273,10 @@ def picard_solve(
     """Iterate the integral-equation operator from omega == omega0.
 
     Stops when the sup-norm iterate difference drops to tol; raises
-    :class:`MaxSweepsExceeded` (carrying the best trace) otherwise.
+    :class:`MaxSweepsExceeded` (carrying the best trace) otherwise, and
+    its subclass :class:`NonFiniteIterate` at the first sweep whose
+    iterate is not finite.  That trace keeps the iterate before it, and
+    its last diff and its residuals are those of the sweep that failed.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
@@ -280,6 +288,12 @@ def picard_solve(
         new = rhs_operator(spec, omega, grid)
         diff = float(np.max(np.abs(new - omega)))
         diffs.append(diff)
+        # a finite diff needs a finite new; the converse can fail to overflow
+        if not math.isfinite(diff) and not np.isfinite(new).all():
+            trace = SolutionTrace(grid, omega, diffs, np.abs(omega - new), converged=False)
+            raise NonFiniteIterate(
+                f"sweep {len(diffs)} gave a non-finite iterate (diff {diff})", trace=trace
+            )
         omega = new
         if diff <= tol:
             res = np.abs(omega - rhs_operator(spec, omega, grid))
@@ -307,7 +321,7 @@ def existence_condition(
     c = singular_integral_coefficient(cfg)
     # c T^a / Gamma(a + 1), written with Gamma(a + 1) = a Gamma(a)
     bracket = (1.0 - a) / cfg.b + c / a * spec.T**a / math.gamma(a)
-    inner = abs(spec.omega0 / spec.f(0.0, spec.omega0)) + bracket * h_norm
+    inner = abs(spec.omega0 / spec.f00) + bracket * h_norm
     lhs = L_f * inner
     satisfied = lhs < 1.0
     taus = np.linspace(0.0, spec.T, 1001)

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +453,24 @@ class TestMlf:
         assert captured.out == ""
         assert "beta must be > 0" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["0.5", "--alpha", "0.5", "--beta", "inf"],
+            ["0.5", "--alpha", "0.5", "--beta", "1e300"],
+            ["-3", "--alpha", "0.5", "--rho", "inf"],
+            ["0.5", "--alpha", "inf"],
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(["mlf", *argv])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("E_INVALID: ")
+
     def test_out_of_radius(self, capsys):
         code = main(["mlf", "500", "--alpha", "0.5"])
         assert code == EXIT_MAX_SWEEPS
@@ -544,6 +563,19 @@ def test_readme_commands_parse():
     for argv in commands:
         assert argv[0] == "abcfde"
         cli.build_parser().parse_args(argv[1:])
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert main(["mlf", "0.5", "--alpha", "0.5"]) == EXIT_OK
+        assert main(["mlf", "-0.5", "--alpha", "0.5"]) == EXIT_OK
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 def test_runs_without_mpmath():

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcfde import ml_one, ml_prabhakar, ml_two
-from abcfde.errors import ArityError, EvalError, LexError, ParseError
+from abcfde.errors import ArityError, EvalError, LexError, NonConvergence, ParseError
 from abcfde.expression import (
+    _BINARY,
+    _Z_ARRAY_BUILTINS,
     BUILTINS,
     Binary,
     Call,
@@ -15,12 +17,59 @@ from abcfde.expression import (
     Num,
     Unary,
     Var,
+    _first_bad,
+    _sample_by_parameters,
     evaluate,
     parse,
+    sample,
     to_source,
     tokenize,
     variables,
 )
+
+
+@np.errstate(all="ignore")
+def tree_walk(node, bindings):
+    """The recursive evaluator that compiled evaluation replaced, kept as
+    its oracle: one walk of the tree per call, every node evaluated."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            value = bindings[node.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {node.name!r}") from None
+        return value if isinstance(value, np.ndarray) else float(value)
+    if isinstance(node, Unary):
+        return -tree_walk(node.operand, bindings)
+    if isinstance(node, Binary):
+        args = a, b = tree_walk(node.left, bindings), tree_walk(node.right, bindings)
+        if node.op == "/" and np.any(b == 0.0):
+            raise _first_bad("division by zero", b == 0.0, "/", args)
+        out, name = _BINARY[node.op](a, b), node.op
+    elif isinstance(node, Call):
+        args = [tree_walk(arg, bindings) for arg in node.args]
+        fn, name = BUILTINS[node.func][1], node.func
+        if name in _Z_ARRAY_BUILTINS:
+            out = _sample_by_parameters(fn, name, args)
+        else:
+            out = sample(fn, *args)
+    else:
+        raise TypeError(f"not an AST node: {node!r}")
+    if np.isfinite(out).all():
+        return out
+    nan_in = np.any(np.broadcast_arrays(*map(np.isnan, args)), axis=0)
+    finite_in = np.all(np.broadcast_arrays(*map(np.isfinite, args)), axis=0)
+    bad = (np.isnan(out) & ~nan_in) | (np.isinf(out) & finite_in)
+    if bad.any():
+        raise _first_bad("not a real number", bad, name, args)
+    return out
+
+
+def read_only(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 class TestTokenize:
@@ -343,6 +392,154 @@ class TestExpressionClass:
 
     def test_repr_mentions_source(self):
         assert "2 * tau" in repr(Expression("2 * tau", {"tau"}))
+
+
+def counting_builtin(monkeypatch, name):
+    """Replace BUILTINS[name] by a wrapper; returns the list of z it got."""
+    arity, fn = BUILTINS[name]
+    seen = []
+
+    def counting(*args):
+        seen.append(np.array(args[-1]))
+        return fn(*args)
+
+    monkeypatch.setitem(BUILTINS, name, (arity, counting))
+    return seen
+
+
+class TestCompiledEvaluation:
+    SRC = "mlf1(0.5, -tau) * omega + sin(tau)"
+
+    def test_tau_subtree_runs_once_per_read_only_tau(self, monkeypatch):
+        expr = Expression(self.SRC, {"tau", "omega"})
+        # the entry is looked up at call time, so a replacement made after
+        # the expression was compiled is the one that runs
+        seen = counting_builtin(monkeypatch, "mlf1")
+        tau = read_only(np.linspace(0.0, 2.0, 9))
+        for omega in (0.5, np.linspace(-1.0, 1.0, 9), 2.0):
+            out = expr(tau=tau, omega=omega)
+            want = tree_walk(expr.ast, {"tau": tau, "omega": omega})
+            assert out.tobytes() == want.tobytes()
+        # one call from the expression, three from the oracle
+        assert len(seen) == 4
+        other = read_only(np.linspace(0.0, 1.0, 9))
+        expr(tau=other, omega=1.0)
+        assert len(seen) == 5
+
+    def test_writeable_tau_is_never_memoised(self, monkeypatch):
+        expr = Expression(self.SRC, {"tau", "omega"})
+        seen = counting_builtin(monkeypatch, "mlf1")
+        tau = np.linspace(0.0, 2.0, 9)
+        first = expr(tau=tau, omega=1.0)
+        tau[3] = 5.0
+        second = expr(tau=tau, omega=1.0)
+        assert len(seen) == 2
+        assert second[3] != first[3]
+        assert second.tobytes() == tree_walk(expr.ast, {"tau": tau, "omega": 1.0}).tobytes()
+
+    def test_read_only_view_of_a_writeable_array_is_never_memoised(self, monkeypatch):
+        expr = Expression(self.SRC, {"tau", "omega"})
+        seen = counting_builtin(monkeypatch, "mlf1")
+        base = np.linspace(0.0, 2.0, 9)
+        tau = base[:]
+        tau.flags.writeable = False
+        expr(tau=tau, omega=1.0)
+        base[3] = 5.0
+        out = expr(tau=tau, omega=1.0)
+        assert len(seen) == 2
+        assert out.tobytes() == tree_walk(expr.ast, {"tau": tau, "omega": 1.0}).tobytes()
+
+    @pytest.mark.parametrize("src", ["2 * tau", "tau", SRC])
+    def test_results_are_fresh_and_writeable(self, src):
+        expr = Expression(src, {"tau", "omega"})
+        tau = read_only(np.linspace(0.0, 2.0, 9))
+        first = expr(tau=tau, omega=1.0)
+        want = first.copy()
+        second = expr(tau=tau, omega=1.0)
+        for out in (first, second):
+            assert out.flags.writeable
+            assert not np.shares_memory(out, tau)
+        assert not np.shares_memory(first, second)
+        first[:] = -1.0
+        assert expr(tau=tau, omega=1.0).tobytes() == want.tobytes()
+
+    def test_domain_error_repeats_on_every_call(self):
+        expr = Expression("log(tau - 0.5) * omega", {"tau", "omega"})
+        tau = read_only([1.0, 2.0, 0.25, 3.0])
+        messages = []
+        for _ in range(2):
+            with pytest.raises(EvalError, match="at sample 2$") as exc:
+                expr(tau=tau, omega=1.0)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
+# Constants that reach the domain edges: 0 (poles, 0^-1, log 0) and 1e200
+# (overflow when squared); negatives come from Unary, as to_source prints
+# them, so the source of a tree parses back to the same tree.
+_NUMS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 1e200]).map(Num)
+_ML_PARAMS = {
+    "mlf1": [(0.5,), (0.9,)],
+    "mlf2": [(0.5, 1.5), (0.9, 1.0)],
+    "mlf3": [(0.5, 1.5, 2.0), (0.7, 1.0, 1.0)],
+}
+
+
+def _calls(kids):
+    unary = st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs", "gamma"]), kids)
+    ml = st.tuples(st.sampled_from(sorted(_ML_PARAMS)), st.integers(0, 1), kids).map(
+        lambda t: Call(t[0], tuple(map(Num, _ML_PARAMS[t[0]][t[1]])) + (t[2],))
+    )
+    return st.one_of(
+        unary.map(lambda t: Call(t[0], (t[1],))),
+        st.tuples(kids, kids).map(lambda t: Call("pow", t)),
+        ml,
+    )
+
+
+_TREES = st.recursive(
+    st.one_of(_NUMS, st.sampled_from(["tau", "omega"]).map(Var)),
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), kids, kids).map(lambda t: Binary(*t)),
+        # a leaf denominator is often zero
+        st.tuples(kids, st.one_of(_NUMS, st.sampled_from(["tau", "omega"]).map(Var))).map(
+            lambda t: Binary("/", *t)
+        ),
+        kids.map(lambda n: Unary("-", n)),
+        _calls(kids),
+    ),
+    max_leaves=8,
+)
+_VALUES = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.sampled_from([0.0, math.nan, math.inf, -math.inf]),
+)
+_BINDINGS = st.one_of(
+    _VALUES,
+    st.lists(_VALUES, min_size=4, max_size=4).map(np.array),
+    st.lists(_VALUES, min_size=4, max_size=4).map(read_only),
+)
+
+
+def _outcome(fn):
+    try:
+        value = fn()
+    except (EvalError, NonConvergence) as exc:
+        return type(exc), str(exc)
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+@given(_TREES, _BINDINGS, _BINDINGS)
+@settings(max_examples=300, deadline=None)
+def test_compiled_evaluation_matches_the_tree_walk(ast, tau, omega):
+    # bitwise values and the same EvalError messages, on the first call
+    # and on a second one that may reuse memoised tau subtrees
+    bindings = {"tau": tau, "omega": omega}
+    want = _outcome(lambda: tree_walk(ast, bindings))
+    assert _outcome(lambda: evaluate(ast, bindings)) == want
+    expr = Expression(to_source(ast), {"tau", "omega"})
+    assert _outcome(lambda: expr(**bindings)) == want
+    assert _outcome(lambda: expr(**bindings)) == want
 
 
 @given(st.text(max_size=40))

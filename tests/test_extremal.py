@@ -9,10 +9,12 @@ from abcfde import (
     picard_solve,
     solve_perturbed,
 )
+from abcfde import load_problem
 from abcfde.errors import EnclosureViolation
+from abcfde.expression import BUILTINS
 from abcfde.extremal import _bracket
 
-from conftest import constant_forcing_spec, perturbed_closed_form
+from conftest import MANUFACTURED_TEXT, constant_forcing_spec, perturbed_closed_form
 
 
 class TestSolvePerturbed:
@@ -37,6 +39,19 @@ class TestSolvePerturbed:
 
 
 class TestBracketMaximal:
+    def test_manufactured_mittag_leffler_runs_once_on_the_nodes(self, monkeypatch):
+        # every eps level shifts the same g, whose tau-only mlf3 is
+        # memoised on the grid's read-only nodes
+        arity, fn = BUILTINS["mlf3"]
+        sizes = []
+        monkeypatch.setitem(
+            BUILTINS, "mlf3", (arity, lambda *a: sizes.append(np.size(a[-1])) or fn(*a))
+        )
+        spec = load_problem(MANUFACTURED_TEXT)
+        result = bracket_maximal(spec, Grid(1.0, 64), levels=4)
+        assert result.ordering_ok
+        assert sizes == [1, 65]
+
     def test_levels_and_ordering(self):
         spec = constant_forcing_spec(omega0=1.0)
         grid = Grid(1.0, 32)

@@ -83,6 +83,22 @@ class TestPrabhakar:
             with pytest.raises(ValueError):
                 ml_prabhakar(alpha, beta, rho, 0.5)
 
+    @pytest.mark.parametrize(
+        "alpha,beta,rho,match",
+        [
+            (0.5, math.inf, 1.0, "beta must be finite"),
+            (math.inf, 1.0, 1.0, "alpha must be finite"),
+            (0.5, 1.0, math.inf, "rho must be finite"),
+            (0.5, 1.0, math.nan, "rho must be finite"),
+            (0.5, 1e300, 1.0, "Gamma\\(beta\\) overflows"),
+            (0.5, 171.7, 1.0, "Gamma\\(beta\\) overflows"),
+        ],
+    )
+    def test_non_finite_params_rejected(self, alpha, beta, rho, match):
+        # beta = inf hung in the contour set-up; 1e300 overflowed Gamma
+        with pytest.raises(ValueError, match=match):
+            ml_prabhakar(alpha, beta, rho, np.array([0.5, -3.0]))
+
     def test_rho_zero_is_constant(self):
         assert ml_prabhakar(0.5, 1.5, 0.0, 3.0) == pytest.approx(
             1.0 / math.gamma(1.5), abs=1e-15

@@ -95,6 +95,15 @@ class TestGrid:
         assert g.h == 0.5
         assert np.allclose(g.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
 
+    def test_nodes_built_once_and_read_only(self):
+        g = Grid(2.0, 4)
+        assert g.nodes is g.nodes
+        assert not g.nodes.flags.writeable
+        assert g.nodes.base is None  # no writeable array underneath
+        with pytest.raises(ValueError):
+            g.nodes[1] = 0.0
+        assert g.nodes.tobytes() == np.linspace(0.0, 2.0, 5).tobytes()
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             Grid(0.0, 4)

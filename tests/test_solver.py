@@ -19,10 +19,12 @@ from abcfde import (
     rhs_operator,
     solve_majorant,
 )
-from abcfde.errors import MaxSweepsExceeded, ValidationError
+from abcfde.errors import MaxSweepsExceeded, NonFiniteIterate, ValidationError
+from abcfde.expression import BUILTINS, takes_arrays
 from abcfde.solver import perturbed, singular_integral_coefficient
 
 from conftest import (
+    MANUFACTURED_TEXT,
     constant_forcing_spec,
     manufactured_exact_nodes,
     perturbed_closed_form,
@@ -265,6 +267,62 @@ class TestPicard:
         assert not trace.converged
         assert trace.iterations == 10
         assert len(trace.iterate_diffs) == 10
+
+    def test_non_finite_iterate_stops_the_solve(self):
+        @takes_arrays
+        def g(t, w):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return t * np.exp(50.0 * w)
+
+        s = ProblemSpec(T=1.0, omega0=1.0, f=lambda t, w: 1.0, g=g, cfg=OperatorConfig(0.5))
+        grid = Grid(1.0, 16)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteIterate) as exc:
+            picard_solve(s, grid)
+        # a MaxSweepsExceeded, so exit code 2 and its handlers still apply
+        assert isinstance(exc.value, MaxSweepsExceeded)
+        trace = exc.value.trace
+        assert not trace.converged
+        # sweep 1 gives about e^50; sweep 2 overflows
+        assert trace.iterations == 2
+        assert math.isfinite(trace.iterate_diffs[0])
+        assert not math.isfinite(trace.iterate_diffs[1])
+        first = rhs_operator(s, np.full(grid.N + 1, 1.0), grid)
+        assert np.all(np.isfinite(trace.omega))
+        assert trace.omega.tobytes() == first.tobytes()
+        assert "sweep 2" in str(exc.value)
+
+    def test_f_at_the_start_evaluated_once_per_solve(self):
+        starts = []
+
+        @takes_arrays
+        def f(t, w):
+            if np.ndim(t) == 0:
+                starts.append((t, w))
+            return 1.0 + 0.1 * np.sin(w)
+
+        s = ProblemSpec(
+            T=1.0, omega0=0.5, f=f, g=takes_arrays(lambda t, w: t * np.cos(w)),
+            cfg=OperatorConfig(0.5),
+        )
+        trace = picard_solve(s, Grid(1.0, 32))
+        assert trace.iterations > 2
+        assert starts == [(0.0, 0.5)]
+
+    def test_manufactured_mittag_leffler_runs_once_on_the_nodes(self, monkeypatch):
+        # g depends on tau alone, so its mlf3 is memoised on the read-only
+        # nodes: one call on them in the whole solve
+        arity, fn = BUILTINS["mlf3"]
+        sizes = []
+        monkeypatch.setitem(
+            BUILTINS, "mlf3", (arity, lambda *a: sizes.append(np.size(a[-1])) or fn(*a))
+        )
+        spec = load_problem(MANUFACTURED_TEXT)
+        assert sizes == [1]  # the g(0, omega0) check
+        trace = picard_solve(spec, Grid(1.0, 64))
+        assert trace.iterations == 2
+        assert sizes == [1, 65]
+        picard_solve(spec, Grid(1.0, 32))
+        assert sizes == [1, 65, 33]
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
