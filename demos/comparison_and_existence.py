@@ -18,6 +18,7 @@ from abcfde import (
     existence_condition,
     ml_one,
     picard_solve,
+    sample_box,
     verify_comparison,
 )
 from abcfde.operators import KernelConvention
@@ -52,9 +53,9 @@ print(f"  grid slack:             {report.slack:.3e}")
 
 print()
 print("existence condition under both kernel conventions")
-box = (0.0, 2.0)
-L_f = estimate_lipschitz_f(spec, box)
-h_norm = estimate_h_norm(spec, box)
+sample = sample_box(spec, (0.0, 2.0))
+L_f = estimate_lipschitz_f(sample)
+h_norm = estimate_h_norm(sample)
 from dataclasses import replace
 
 for conv in (KernelConvention.GAMMA, KernelConvention.PAPER_HYBRID):

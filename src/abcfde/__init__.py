@@ -36,6 +36,7 @@ from .solver import (
     load_problem,
     picard_solve,
     rhs_operator,
+    sample_box,
     solve_majorant,
 )
 from .verifier import (
@@ -84,6 +85,7 @@ __all__ = [
     "load_problem",
     "picard_solve",
     "rhs_operator",
+    "sample_box",
     "solve_majorant",
     "ComparisonReport",
     "Strictness",

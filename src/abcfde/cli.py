@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: solve, check, extremal, compare, mlf, golden, convergence.
-Exit codes: 0 success, 1 validation/parse error, 2 iteration cap hit,
+Exit codes: 0 success, 1 usage, validation or parse error, 2 iteration cap hit,
 3 condition or conclusion not satisfied, 4 ordering violation.
 
 CSV trace files carry a leading ``# manifest=<digest>`` comment (the
@@ -34,6 +34,7 @@ from .extremal import bracket_maximal, bracket_minimal
 from .mittag_leffler import ml_prabhakar
 from .operators import Grid, KernelConvention, OperatorConfig
 from .solver import (
+    LATTICE_NEED,
     ProblemSpec,
     check_monotone_quotient,
     estimate_h_norm,
@@ -42,6 +43,7 @@ from .solver import (
     load_problem,
     picard_solve,
     rhs_operator,
+    sample_box,
 )
 from .verifier import Strictness, golden_identity_check, verify_comparison
 
@@ -95,6 +97,17 @@ def _load(path_str: str) -> tuple[ProblemSpec, str]:
     return load_problem(data.decode()), hashlib.sha256(data).hexdigest()
 
 
+def _option_pair(text: str | None, field: str, kind, need: str):
+    """The two comma-separated values of an option, or None when unset."""
+    if not text:
+        return None
+    try:
+        first, second = (kind(x) for x in text.split(","))
+    except ValueError:
+        raise ValidationError(field, f"{need}, got {text}") from None
+    return first, second
+
+
 def _default_box(spec: ProblemSpec) -> tuple[float, float]:
     if spec.omega_box is not None:
         return spec.omega_box
@@ -125,10 +138,8 @@ def _cmd_solve(args) -> int:
 
     _write_trace_csv(out, digest, grid.nodes, trace.omega, trace.residuals)
 
-    box = _default_box(spec)
-    L_f = estimate_lipschitz_f(spec, box)
-    h_norm = estimate_h_norm(spec, box)
-    report = existence_condition(spec, L_f, h_norm)
+    sample = sample_box(spec, _default_box(spec))
+    report = existence_condition(spec, estimate_lipschitz_f(sample), estimate_h_norm(sample))
     _write_summary(
         summary_path,
         digest,
@@ -152,17 +163,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     spec, _ = _load(args.problem)
-    if args.omega_box:
-        lo, hi = (float(x) for x in args.omega_box.split(","))
-        box = (lo, hi)
-    else:
-        box = _default_box(spec)
-    n_tau, n_omega = (
-        (int(x) for x in args.lattice.split(",")) if args.lattice else (21, 41)
-    )
-    quotient = check_monotone_quotient(spec, box, samples=n_omega, n_tau=n_tau)
-    L_f = estimate_lipschitz_f(spec, box, n_tau=n_tau, n_omega=n_omega)
-    h_norm = estimate_h_norm(spec, box, n_tau=n_tau, n_omega=n_omega)
+    box = _option_pair(args.omega_box, "omega_box", float, "need LO,HI")
+    lattice = _option_pair(args.lattice, "lattice", int, LATTICE_NEED)
+    sample = sample_box(spec, box or _default_box(spec), *(lattice or ()))
+    quotient = check_monotone_quotient(sample)
+    L_f = estimate_lipschitz_f(sample)
+    h_norm = estimate_h_norm(sample)
 
     default_report = None
     for conv in (KernelConvention.GAMMA, KernelConvention.PAPER_HYBRID):
@@ -173,10 +179,8 @@ def _cmd_check(args) -> int:
             default_report = report
             tag += " (default)"
         print(f"[{tag}]")
-        print(f"  L_f={_fmt(report.L_f)}")
-        print(f"  h_norm={_fmt(report.h_norm)}")
-        print(f"  M_f={_fmt(report.M_f)}")
-        print(f"  lhs={_fmt(report.lhs)}")
+        for name in ("L_f", "h_norm", "M_f", "lhs"):
+            print(f"  {name}={_fmt(getattr(report, name))}")
         print(f"  satisfied={report.satisfied}")
         if report.satisfied:
             print(f"  R={_fmt(report.R)}")
@@ -253,10 +257,8 @@ def _cmd_compare(args) -> int:
         mode=mode,
     )
     print(f"mode={report.strictness.value}")
-    print(f"hypothesis_ok={report.hypothesis_ok}")
-    print(f"lower_ineq_ok={report.lower_ineq_ok}")
-    print(f"upper_ineq_ok={report.upper_ineq_ok}")
-    print(f"conclusion_ok={report.conclusion_ok}")
+    for name in ("hypothesis_ok", "lower_ineq_ok", "upper_ineq_ok", "conclusion_ok"):
+        print(f"{name}={getattr(report, name)}")
     print(f"slack={_fmt(report.slack)}")
     if report.Lg is not None:
         print(f"Lg={_fmt(report.Lg)} Lg_bound={_fmt(report.Lg_bound)}")
@@ -306,8 +308,16 @@ def _cmd_convergence(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INVALID: 2 stands for an iteration cap."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="abcfde",
         description="Hybrid fractional differential equations with the "
         "Atangana-Baleanu-Caputo derivative.",
@@ -315,22 +325,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve a problem file by Picard iteration")
-    p.add_argument("problem")
+    def command(name, fn, summary, problem=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        if problem:
+            p.add_argument("problem")
+        return p
+
+    p = command("solve", _cmd_solve, "solve a problem file by Picard iteration")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-sweeps", type=int, default=200)
     p.add_argument("--out", default="solution.csv")
-    p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("check", help="evaluate the existence condition")
-    p.add_argument("problem")
+    p = command("check", _cmd_check, "evaluate the existence condition")
     p.add_argument("--omega-box", default=None, metavar="LO,HI")
     p.add_argument("--lattice", default=None, metavar="NTAU,NOMEGA")
-    p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("extremal", help="bracket the maximal/minimal solution")
-    p.add_argument("problem")
+    p = command("extremal", _cmd_extremal, "bracket the maximal/minimal solution")
     p.add_argument("--eps0", type=float, default=0.1)
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--levels", type=int, default=8)
@@ -338,36 +350,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out-prefix", default="extremal")
-    p.set_defaults(fn=_cmd_extremal)
 
-    p = sub.add_parser("compare", help="verify lower/upper solution inequalities")
-    p.add_argument("problem")
+    p = command("compare", _cmd_compare, "verify lower/upper solution inequalities")
     p.add_argument("--lower", required=True, metavar="EXPR")
     p.add_argument("--upper", required=True, metavar="EXPR")
     p.add_argument("--nonstrict", action="store_true")
     p.add_argument("--n", type=int, default=256)
-    p.set_defaults(fn=_cmd_compare)
 
-    p = sub.add_parser("mlf", help="evaluate a Mittag-Leffler function")
+    p = command("mlf", _cmd_mlf, "evaluate a Mittag-Leffler function", False)
     p.add_argument("z", type=float)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--rho", type=float, default=1.0)
-    p.set_defaults(fn=_cmd_mlf)
 
-    p = sub.add_parser("golden", help="closed-form derivative identity error table")
+    p = command("golden", _cmd_golden, "closed-form derivative identity error table", False)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--grids", default="64,128,256")
     p.add_argument("--T", type=float, default=1.0)
-    p.set_defaults(fn=_cmd_golden)
 
-    p = sub.add_parser("convergence", help="grid-refinement study of a solve")
-    p.add_argument("problem")
+    p = command("convergence", _cmd_convergence, "grid-refinement study of a solve")
     p.add_argument("--grids", default="64,128,256")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(fn=_cmd_convergence)
 
     return parser
 
@@ -382,7 +387,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, ParseError, LexError, ValueError) as exc:
+    except (ValidationError, ParseError, LexError, ValueError, FileNotFoundError) as exc:
         print(f"E_INVALID: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MaxSweepsExceeded as exc:
@@ -391,9 +396,6 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"E_NONCONVERGENCE: {exc}", file=sys.stderr)
         return EXIT_MAX_SWEEPS
-    except FileNotFoundError as exc:
-        print(f"E_INVALID: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except AbcfdeError as exc:
         print(f"E_ERROR: {exc}", file=sys.stderr)
         return EXIT_INVALID

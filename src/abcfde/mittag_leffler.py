@@ -51,6 +51,9 @@ SERIES_RADIUS = 0.5
 #: cancellation costs more than about 1e-12.
 CANCELLATION_LIMIT = 1e4
 
+#: Most corrections _contour may add; it needs about (beta - 1)/alpha - rho.
+MAX_CORRECTIONS = 200
+
 # Garrappa's contour parameters for a transform analytic off the negative
 # axis with a branch point at 0 no stronger than 1/s, at accuracy 1e-15:
 # mu is the largest that keeps the e^mu-scaled rounding within it.
@@ -91,8 +94,9 @@ def ml_prabhakar(alpha: float, beta: float, rho: float, z):
     if rho != 0.0:
         nan = np.isnan(flat)
         out[nan] = np.nan
-        radius = _contour(alpha, beta, rho)[3] if alpha <= 1.0 else math.inf
-        contour = flat < -radius
+        # the series serves |z| <= 1 where the contour needs over two corrections
+        radius = 1.0 if alpha * (rho + 2) - beta < -1.0 else SERIES_RADIUS
+        contour = (flat < -radius) & (alpha <= 1.0)
         series = ~contour & (flat != 0.0) & ~nan
         if contour.any():
             out[contour] = _contour_sum(alpha, beta, rho, flat[contour])
@@ -177,7 +181,7 @@ def _series_sum(alpha, beta, rho, z):
 
 @functools.lru_cache(maxsize=16)
 def _contour(alpha, beta, rho):
-    """Nodes s_k^alpha, weights w_k, corrections c_j and a radius with
+    """Nodes s_k^alpha, weights w_k and corrections c_j with
 
         E^rho_{alpha,beta}(z) ~= Re sum_k w_k (s_k^alpha - z)^(-rho)
                                  + sum_j c_j (-z)^(-rho) z^(-j)
@@ -212,19 +216,23 @@ def _contour(alpha, beta, rho):
     corrections = []
     j, coef = 0, 1.0  # coef = (rho)_j / j!
     while alpha * (rho + j) - beta < -1.0:
+        if j == MAX_CORRECTIONS:
+            raise NonConvergence(
+                f"contour needs more than {MAX_CORRECTIONS} corrections for "
+                f"(alpha={alpha}, beta={beta}, rho={rho})"
+            )
         rule = float(np.sum(weights * s_alpha**j).real)
         exact = 1.0 / math.gamma(beta - alpha * (rho + j))
         corrections.append(coef * (exact - rule))
         j += 1
         coef *= (rho + j - 1) / j
-    radius = SERIES_RADIUS if j <= 2 else 1.0
-    return s_alpha, weights, corrections, radius
+    return s_alpha, weights, corrections
 
 
 def _contour_sum(alpha, beta, rho, z):
     """The contour rule at each z < 0; a loop over the nodes keeps the
     temporaries at the size of z."""
-    s_alpha, weights, corrections, _ = _contour(alpha, beta, rho)
+    s_alpha, weights, corrections = _contour(alpha, beta, rho)
     acc = np.zeros(z.shape, dtype=complex)
     for s_a, weight in zip(s_alpha, weights):
         acc += weight * (s_a - z) ** -rho

@@ -37,6 +37,8 @@ from .operators import (
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_SWEEPS = 200
 G0_TOL = 1e-10
+LATTICE_NEED = "need NTAU,NOMEGA >= 2"  # what sample_box asks of n_tau, n_omega
+PROBLEM_KEYS = ("alpha", "T", "omega0", "f", "g", "B", "kernel", "omega_min", "omega_max")
 
 
 @dataclass(frozen=True)
@@ -140,9 +142,9 @@ class QuotientReport:
 def load_problem(text: str) -> ProblemSpec:
     """Parse a plain-text problem file into a validated ProblemSpec.
 
-    Format: one ``key = value`` pair per line, ``#`` comments.  Keys:
-    alpha, T, omega0, f, g, B (UNIT|AB), kernel (GAMMA|PAPER_HYBRID),
-    and optional omega_min / omega_max.
+    Format: one ``key = value`` pair per line, ``#`` comments.  Keys, each
+    at most once: alpha, T, omega0, f, g, B (UNIT|AB), kernel
+    (GAMMA|PAPER_HYBRID), and optional omega_min / omega_max.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -152,7 +154,11 @@ def load_problem(text: str) -> ProblemSpec:
         if "=" not in line:
             raise ValidationError("file", f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries or key not in PROBLEM_KEYS:
+            fault = "repeated" if key in entries else "unknown"
+            raise ValidationError(key, f"line {lineno}: {fault} key")
+        entries[key] = value.strip()
 
     def need(key):
         if key not in entries:
@@ -168,24 +174,22 @@ def load_problem(text: str) -> ProblemSpec:
             raise ValidationError(key, f"must be finite, got {raw_value!r}")
         return value
 
+    def choice(key, kind, default):
+        name = entries.get(key, default)
+        try:
+            return kind(name)
+        except ValueError:
+            names = " or ".join(member.value for member in kind)
+            raise ValidationError(key, f"must be {names}, got {name!r}") from None
+
     alpha = number("alpha", need("alpha"))
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha", f"must lie in (0, 1), got {alpha}")
     T = number("T", need("T"))
     omega0 = number("omega0", need("omega0"))
 
-    b_name = entries.get("B", "UNIT")
-    try:
-        b_conv = BConvention(b_name)
-    except ValueError:
-        raise ValidationError("B", f"must be UNIT or AB, got {b_name!r}") from None
-    k_name = entries.get("kernel", "GAMMA")
-    try:
-        k_conv = KernelConvention(k_name)
-    except ValueError:
-        raise ValidationError(
-            "kernel", f"must be GAMMA or PAPER_HYBRID, got {k_name!r}"
-        ) from None
+    b_conv = choice("B", BConvention, "UNIT")
+    k_conv = choice("kernel", KernelConvention, "GAMMA")
 
     f_expr = Expression(need("f"), {"tau", "omega"})
     g_expr = Expression(need("g"), {"tau", "omega"})
@@ -210,32 +214,68 @@ def load_problem(text: str) -> ProblemSpec:
     return spec
 
 
-def check_monotone_quotient(
-    spec: ProblemSpec,
-    omega_box: tuple[float, float],
-    samples: int = 41,
-    n_tau: int = 21,
-) -> QuotientReport:
-    """Sample omega -> omega/f(tau, omega) and report the minimal slope.
+@dataclass(frozen=True, eq=False)
+class BoxSample:
+    """f, and g on first use, on taus over [0, T] (a column) by omegas (a row)."""
+
+    spec: ProblemSpec
+    taus: np.ndarray
+    omegas: np.ndarray
+    f: np.ndarray
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        return self.spec.g_samples(self.taus, self.omegas)
+
+
+def sample_box(spec: ProblemSpec, omega_box, n_tau: int = 21, n_omega: int = 41) -> BoxSample:
+    """f on n_tau taus over [0, T] by n_omega omegas across omega_box =
+    (lo, hi), which must be finite with lo < hi."""
+    lo, hi = omega_box
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError("omega_box", f"need finite lo < hi, got ({lo}, {hi})")
+    if n_tau < 2 or n_omega < 2:
+        raise ValidationError("lattice", f"{LATTICE_NEED}, got {n_tau},{n_omega}")
+    taus = np.linspace(0.0, spec.T, n_tau)[:, None]
+    omegas = np.linspace(lo, hi, n_omega)
+    return BoxSample(spec, taus, omegas, spec.f_samples(taus, omegas))
+
+
+def max_pair_slope(num: np.ndarray, den: np.ndarray, absolute: bool = False) -> float:
+    """max(0, largest (num[i] - num[j]) / (den[i] - den[j]), or |that|, over
+    pairs i > j with den[i] != den[j]) in each row; den is one row for all
+    rows of num, or one per row.  A row with a NaN slope is left out."""
+    i, j = np.tril_indices(num.shape[1], -1)
+    best = 0.0
+    rows = max(1, 2**20 // max(i.size, 1))  # keeps each pair table near 2^20 entries
+    for lo in range(0, num.shape[0], rows):
+        n = num[lo : lo + rows]
+        d = den[lo : lo + rows] if den.ndim > 1 else den
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slopes = (n[:, i] - n[:, j]) / (d[..., i] - d[..., j])
+        slopes = np.where(d[..., i] != d[..., j], np.abs(slopes) if absolute else slopes, 0.0)
+        best = max(best, float(np.fmax.reduce(np.max(slopes, axis=1), initial=0.0)))
+    return best
+
+
+def check_monotone_quotient(sample: BoxSample) -> QuotientReport:
+    """Report the minimal slope of omega -> omega/f(tau, omega) on the lattice.
 
     The map must be increasing for the integral-equation equivalence to
     hold; a nonpositive slope anywhere on the lattice fails the check, and
     so does an undefined one (NaN, from 0/0 where f and omega vanish).
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    taus, omegas = lattice(spec, omega_box, n_tau, samples)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = omegas / spec.f_samples(taus, omegas)
-        slopes = np.diff(q, axis=1) / np.diff(omegas)
+        q = sample.omegas / sample.f
+        slopes = np.diff(q, axis=1) / np.diff(sample.omegas)
     # the first least slope; argmin puts a NaN (0/0 where f vanishes) first
     r, c = np.unravel_index(np.argmin(slopes), slopes.shape)
     best = float(slopes[r, c])
     return QuotientReport(
         min_slope=best,
         passed=best > 0.0,
-        tau_at_min=float(taus[r, 0]),
-        omega_at_min=float(omegas[c]),
+        tau_at_min=float(sample.taus[r, 0]),
+        omega_at_min=float(sample.omegas[c]),
     )
 
 
@@ -331,12 +371,9 @@ def existence_condition(
         # f(., 0) is undefined (log(omega) on a box away from 0, say), so
         # the ball radius is unknown
         M_f = math.nan
-    if satisfied and not math.isnan(M_f):
-        R = M_f * lhs / (1.0 - lhs)
-        R_alt = M_f * inner / (1.0 - lhs)
-    else:
-        R = math.inf
-        R_alt = math.inf
+    finite = satisfied and not math.isnan(M_f)
+    R = M_f * lhs / (1.0 - lhs) if finite else math.inf
+    R_alt = M_f * inner / (1.0 - lhs) if finite else math.inf
     return ConditionReport(
         L_f=L_f,
         h_norm=h_norm,
@@ -349,46 +386,14 @@ def existence_condition(
     )
 
 
-def lattice(spec: ProblemSpec, omega_box, n_tau, n_omega):
-    """A column of taus on [0, T] and a row of omegas across the box
-    (lo, hi), which must be finite with lo < hi."""
-    lo, hi = omega_box
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValidationError("omega_box", f"need finite lo < hi, got ({lo}, {hi})")
-    return np.linspace(0.0, spec.T, n_tau)[:, None], np.linspace(lo, hi, n_omega)
-
-
-def estimate_lipschitz_f(
-    spec: ProblemSpec,
-    omega_box: tuple[float, float],
-    n_tau: int = 21,
-    n_omega: int = 41,
-) -> float:
+def estimate_lipschitz_f(sample: BoxSample) -> float:
     """Sampled lower bound on the Lipschitz constant of f in omega."""
-    if n_tau < 2 or n_omega < 2:
-        raise ValueError("lattice needs at least 2 points per axis")
-    taus, omegas = lattice(spec, omega_box, n_tau, n_omega)
-    dw = np.abs(omegas[:, None] - omegas[None, :])
-    mask = dw > 0
-    best = 0.0
-    # one tau row at a time keeps the pair table at n_omega^2
-    for vals in spec.f_samples(taus, omegas):
-        dv = np.abs(vals[:, None] - vals[None, :])
-        best = max(best, float(np.max(dv[mask] / dw[mask])))
-    return best
+    return max_pair_slope(sample.f, sample.omegas, absolute=True)
 
 
-def estimate_h_norm(
-    spec: ProblemSpec,
-    omega_box: tuple[float, float],
-    n_tau: int = 21,
-    n_omega: int = 41,
-) -> float:
+def estimate_h_norm(sample: BoxSample) -> float:
     """Sampled sup of |g| over the (tau, omega) box."""
-    if n_tau < 2 or n_omega < 2:
-        raise ValueError("lattice needs at least 2 points per axis")
-    taus, omegas = lattice(spec, omega_box, n_tau, n_omega)
-    return float(np.max(np.abs(spec.g_samples(taus, omegas))))
+    return float(np.max(np.abs(sample.g)))
 
 
 def solve_majorant(

@@ -18,7 +18,7 @@ from .errors import DegenerateF, HypothesisViolation, MonotonicityViolation, Val
 from .expression import sample
 from .mittag_leffler import ml_prabhakar
 from .operators import Grid, OperatorConfig, abc_derivative, ab_integral
-from .solver import ProblemSpec, check_monotone_quotient, lattice
+from .solver import BoxSample, ProblemSpec, check_monotone_quotient, max_pair_slope, sample_box
 
 
 class Strictness(enum.Enum):
@@ -125,7 +125,6 @@ def verify_comparison(
     grid: Grid,
     mode: Strictness = Strictness.STRICT,
     slack_constant: float | None = None,
-    lipschitz_box: tuple[float, float] | None = None,
 ) -> ComparisonReport:
     """Check the lower/upper solution inequalities and the conclusion v < w.
 
@@ -157,6 +156,7 @@ def verify_comparison(
 
     lower_ok = bool(np.all(lower_margins[1:] >= -slack))
     upper_ok = bool(np.all(upper_margins[1:] >= -slack))
+    Lg = None
     if mode is Strictness.STRICT:
         # one of the two inequalities must be strict at interior nodes
         strict_somewhere = np.maximum(lower_margins[1:], upper_margins[1:]) > slack
@@ -167,15 +167,10 @@ def verify_comparison(
     else:
         hypothesis_ok = v_vals[0] <= w_vals[0]
         conclusion_ok = bool(np.all(v_vals <= w_vals))
-
-    Lg = None
-    if mode is Strictness.NONSTRICT:
-        box = lipschitz_box
-        if box is None:
-            lo = float(min(v_vals.min(), w_vals.min()))
-            hi = float(max(v_vals.max(), w_vals.max()))
-            box = (lo, hi) if hi > lo else (lo - 0.5, hi + 0.5)
-        Lg = estimate_g_onesided_lipschitz(spec, box)
+        lo = float(min(v_vals.min(), w_vals.min()))
+        hi = float(max(v_vals.max(), w_vals.max()))
+        box = (lo, hi) if hi > lo else (lo - 0.5, hi + 0.5)
+        Lg = estimate_g_onesided_lipschitz(sample_box(spec, box, 11, 31))
     return ComparisonReport(
         lower_ineq_ok=lower_ok,
         upper_ineq_ok=upper_ok,
@@ -190,35 +185,22 @@ def verify_comparison(
     )
 
 
-def estimate_g_onesided_lipschitz(
-    spec: ProblemSpec,
-    omega_box: tuple[float, float],
-    n_tau: int = 11,
-    n_omega: int = 31,
-) -> float:
+def estimate_g_onesided_lipschitz(sample: BoxSample) -> float:
     """Sampled one-sided constant L with
     g(tau, w) - g(tau, e) <= L * (w/f(tau, w) - e/f(tau, e)) for w > e.
 
     Requires the quotient map to be increasing on the box; a nonpositive
-    slope of it on the lattice raises :class:`MonotonicityViolation`.
-    Clipped below at 0.
+    slope of it on the lattice raises :class:`MonotonicityViolation`
+    before g is sampled.  Clipped below at 0.
     """
-    quotient = check_monotone_quotient(spec, omega_box, samples=n_omega, n_tau=n_tau)
+    quotient = check_monotone_quotient(sample)
     if not quotient.passed:
         raise MonotonicityViolation(
             f"quotient map slope {quotient.min_slope} <= 0 at "
             f"(tau, omega) = ({quotient.tau_at_min}, {quotient.omega_at_min})"
         )
-    taus, omegas = lattice(spec, omega_box, n_tau, n_omega)
-    g = spec.g_samples(taus, omegas)
-    q = omegas / spec.f_samples(taus, omegas)
-    # q increases along each row, so q[i] > q[j] wherever omegas[i] > omegas[j]
-    i, j = np.tril_indices(n_omega, -1)
-    best = 0.0
-    # one tau row at a time keeps the pair table at n_omega^2
-    for g_row, q_row in zip(g, q):
-        best = max(best, float(np.max((g_row[i] - g_row[j]) / (q_row[i] - q_row[j]))))
-    return best
+    # q = omega/f increases along each row, so q[i] > q[j] for i > j
+    return max_pair_slope(sample.g, sample.omegas / sample.f)
 
 
 def extremum_sign_check(

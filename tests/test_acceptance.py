@@ -27,6 +27,7 @@ from abcfde import (
     ml_prabhakar,
     ml_two,
     picard_solve,
+    sample_box,
     solve_majorant,
     verify_comparison,
 )
@@ -177,11 +178,9 @@ def test_criterion_5_contraction_consistency():
     ratios_ok = True
     while checked < 20:
         spec = _random_contractive_spec(rng)
-        box = (spec.omega0 - 1.0, spec.omega0 + 1.0)
+        sample = sample_box(spec, (spec.omega0 - 1.0, spec.omega0 + 1.0))
         report = existence_condition(
-            spec,
-            estimate_lipschitz_f(spec, box),
-            estimate_h_norm(spec, box),
+            spec, estimate_lipschitz_f(sample), estimate_h_norm(sample)
         )
         if not report.satisfied:
             continue

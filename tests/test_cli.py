@@ -253,6 +253,35 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("E_INVALID: omega_box: ")
 
+    @pytest.mark.parametrize("box", ["1", "0,1,2", "a,1"])
+    def test_malformed_box(self, problem_file, capsys, box):
+        code = main(["check", str(problem_file), f"--omega-box={box}"])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"E_INVALID: omega_box: need LO,HI, got {box}\n"
+
+    @pytest.mark.parametrize("lattice", ["0,41", "1,41", "5,1", "-2,5", "5"])
+    def test_bad_lattice(self, problem_file, capsys, lattice):
+        code = main(["check", str(problem_file), f"--lattice={lattice}"])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"E_INVALID: lattice: need NTAU,NOMEGA >= 2, got {lattice}\n"
+
+    def test_samples_f_once_on_the_lattice(self, problem_file, capsys, monkeypatch):
+        shapes = []
+        f_samples = cli.ProblemSpec.f_samples
+
+        def counted(spec, taus, omegas):
+            shapes.append(np.shape(taus))
+            return f_samples(spec, taus, omegas)
+
+        monkeypatch.setattr(cli.ProblemSpec, "f_samples", counted)
+        assert main(["check", str(problem_file), "--lattice", "5,9"]) == EXIT_OK
+        # the lattice once, then f(tau, 0) for M_f under each convention
+        assert shapes == [(5, 1), (1001,), (1001,)]
+
 
 class TestExtremal:
     def test_writes_levels_and_report(self, tmp_path, capsys):
@@ -476,6 +505,26 @@ class TestMlf:
         assert code == EXIT_MAX_SWEEPS
         assert "E_NONCONVERGENCE" in capsys.readouterr().err
 
+    def test_tiny_alpha_raises_quickly(self):
+        # the contour would add a correction per j < (beta - 1)/alpha - rho
+        code = (
+            "import time, abcfde.cli\n"
+            "start = time.perf_counter()\n"
+            "code = abcfde.cli.main(['mlf', '-3', '--alpha', '1e-300', '--beta', '2'])\n"
+            "print(code, time.perf_counter() - start)"
+        )
+        src = str(Path(abcfde.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=env, timeout=60,
+        )
+        rc, elapsed = result.stdout.split()
+        assert int(rc) == EXIT_MAX_SWEEPS
+        assert float(elapsed) < 1.0
+        assert result.stderr.startswith("E_NONCONVERGENCE: ")
+        assert "alpha=1e-300, beta=2.0, rho=1.0" in result.stderr
+
 
 class TestGolden:
     def test_table(self, capsys):
@@ -563,6 +612,48 @@ def test_readme_commands_parse():
     for argv in commands:
         assert argv[0] == "abcfde"
         cli.build_parser().parse_args(argv[1:])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "p.txt", "--n", "abc"],
+        ["golden", "--alpha", "0.5", "--beta", "1.5", "--sigma", "1", "--lambda", "-1"],
+        [],
+    ],
+    ids=["bad-int", "unknown-option", "no-command"],
+)
+def test_usage_errors_exit_invalid(capsys, argv):
+    # exit code 2 stands for an iteration cap, not argparse's usage error
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: abcfde")
+    assert ": error: " in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["check", "--help"]])
+def test_help_and_version_exit_ok(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_OK
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ("kernal = PAPER_HYBRID", "kernal: line 6: unknown key"),
+        ("T = 3", "T: line 6: repeated key"),
+    ],
+)
+def test_problem_file_keys_checked(tmp_path, capsys, extra, message):
+    path = tmp_path / "p.txt"
+    path.write_text(ZERO_FORCING_TEXT + extra + "\n")
+    assert main(["check", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"E_INVALID: {message}\n"
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from scipy.special import erfc, rgamma
 
 from abcfde import ml_one, ml_prabhakar, ml_two
 from abcfde.errors import NonConvergence
+from abcfde.mittag_leffler import MAX_CORRECTIONS, _contour
 
 
 def log_peak_term(alpha, beta, rho, z):
@@ -218,11 +219,23 @@ class TestEngine:
         # beta - alpha rho > 1: the contour corrects its own error on the
         # terms of the expansion at s = 0 stronger than 1/s; with more
         # than two of them it leaves |z| <= 1, where they outgrow the
-        # transform, to the series
-        for alpha, beta, rho in [(0.3, 2.2, 1.0), (0.1, 2.0, 1.0), (0.3, 3.0, 2.0), (0.02, 2.0, 1.0)]:
+        # transform, to the series.  The last case takes MAX_CORRECTIONS.
+        cases = [(0.3, 2.2, 1.0), (0.1, 2.0, 1.0), (0.3, 3.0, 2.0), (0.02, 2.0, 1.0),
+                 (0.01, 3.005, 1.0)]
+        assert len(_contour(*cases[-1])[2]) == MAX_CORRECTIONS
+        for alpha, beta, rho in cases:
             for z in (-0.51, -0.99, -1.01, -2.0, -20.0):
                 exact = mp_talbot(alpha, beta, rho, z)
                 assert ml_prabhakar(alpha, beta, rho, z) == pytest.approx(exact, rel=1e-12)
+
+    def test_correction_cap(self):
+        # (beta - 1)/alpha - rho = 200.5 asks for one correction too many
+        with pytest.raises(NonConvergence, match=r"\(alpha=0.01, beta=3.015, rho=1.0\)"):
+            ml_prabhakar(0.01, 3.015, 1.0, -3.0)
+        # the series, which needs no contour, still serves |z| <= 1 there
+        for z in (0.5, -0.9):
+            exact = mp_series(0.01, 3.015, 1.0, z)
+            assert ml_prabhakar(0.01, 3.015, 1.0, z) == pytest.approx(exact, rel=1e-12)
 
     def test_cancelling_series_raises_quickly(self):
         # alpha > 1 has poles the contour does not take; the series at

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcfde import (
     BConvention,
@@ -17,11 +19,12 @@ from abcfde import (
     load_problem,
     picard_solve,
     rhs_operator,
+    sample_box,
     solve_majorant,
 )
 from abcfde.errors import MaxSweepsExceeded, NonFiniteIterate, ValidationError
 from abcfde.expression import BUILTINS, takes_arrays
-from abcfde.solver import perturbed, singular_integral_coefficient
+from abcfde.solver import max_pair_slope, perturbed, singular_integral_coefficient
 
 from conftest import (
     MANUFACTURED_TEXT,
@@ -111,6 +114,17 @@ class TestLoadProblem:
         with pytest.raises(ValidationError):
             load_problem("alpha=0.5\nT=1\nomega0=0\nf=tau\ng=tau")
 
+    def test_unknown_key_rejected(self):
+        # ignored, a misspelt kernel would leave the GAMMA default in place
+        text = "alpha=0.5\nT=1\nomega0=0\nf=1\ng=tau\nkernal = PAPER_HYBRID\n"
+        with pytest.raises(ValidationError, match="^kernal: line 6: unknown key$"):
+            load_problem(text)
+
+    def test_repeated_key_rejected(self):
+        text = "alpha=0.5\nT=1\nomega0=0\nf=1\ng=tau\nT = 3\n"
+        with pytest.raises(ValidationError, match="^T: line 6: repeated key$"):
+            load_problem(text)
+
 
 class TestValidate:
     def test_direct_spec(self):
@@ -142,7 +156,7 @@ class TestValidate:
 
 class TestMonotoneQuotient:
     def test_f_one_passes(self):
-        rep = check_monotone_quotient(constant_forcing_spec(), (-2.0, 2.0))
+        rep = check_monotone_quotient(sample_box(constant_forcing_spec(), (-2.0, 2.0)))
         assert rep.passed
         assert rep.min_slope == pytest.approx(1.0, rel=1e-12)
 
@@ -156,7 +170,7 @@ class TestMonotoneQuotient:
             g=lambda t, w: 0.0,
             cfg=OperatorConfig(0.5),
         )
-        rep = check_monotone_quotient(s, (0.0, 2.0), samples=201)
+        rep = check_monotone_quotient(sample_box(s, (0.0, 2.0), n_omega=201))
         assert not rep.passed
         # min q' is attained at w = sqrt(3) with value -1/8
         assert rep.min_slope == pytest.approx(-0.125, abs=5e-3)
@@ -170,18 +184,18 @@ class TestMonotoneQuotient:
             g=lambda t, w: 0.0,
             cfg=OperatorConfig(0.5),
         )
-        assert check_monotone_quotient(s, (-0.5, 0.5), samples=201).passed
+        assert check_monotone_quotient(sample_box(s, (-0.5, 0.5), n_omega=201)).passed
 
     def test_undefined_quotient_fails(self):
         # f = omega makes q = omega/f constant 1, and 0/0 at the sample
         # omega = 0; that NaN once dropped every row and passed the check
         s = load_problem("alpha=0.5\nT=1\nomega0=1\nf=omega\ng=0\n")
-        rep = check_monotone_quotient(s, (-1.0, 1.0))
+        rep = check_monotone_quotient(sample_box(s, (-1.0, 1.0)))
         assert math.isnan(rep.min_slope) and not rep.passed
 
     def test_bad_samples(self):
-        with pytest.raises(ValueError):
-            check_monotone_quotient(constant_forcing_spec(), (0.0, 1.0), samples=1)
+        with pytest.raises(ValidationError, match="lattice"):
+            check_monotone_quotient(sample_box(constant_forcing_spec(), (0.0, 1.0), n_omega=1))
 
 
 class TestSingularCoefficient:
@@ -416,10 +430,10 @@ class TestEstimates:
             g=lambda t, w: 0.0,
             cfg=OperatorConfig(0.5),
         )
-        assert estimate_lipschitz_f(s, (0.0, 1.0)) == pytest.approx(2.0, rel=1e-12)
+        assert estimate_lipschitz_f(sample_box(s, (0.0, 1.0))) == pytest.approx(2.0, rel=1e-12)
 
     def test_lipschitz_constant_f(self):
-        assert estimate_lipschitz_f(constant_forcing_spec(), (0.0, 1.0)) == 0.0
+        assert estimate_lipschitz_f(sample_box(constant_forcing_spec(), (0.0, 1.0))) == 0.0
 
     def test_h_norm_bilinear_g(self):
         s = ProblemSpec(
@@ -429,7 +443,7 @@ class TestEstimates:
             g=lambda t, w: t * w,
             cfg=OperatorConfig(0.5),
         )
-        assert estimate_h_norm(s, (0.0, 2.0)) == pytest.approx(2.0, rel=1e-12)
+        assert estimate_h_norm(sample_box(s, (0.0, 2.0))) == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize(
         "box", [(1.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (0.0, math.inf)], ids=str
@@ -441,14 +455,52 @@ class TestEstimates:
     )
     def test_box_must_be_finite_and_ordered(self, estimate, box):
         with pytest.raises(ValidationError) as info:
-            estimate(constant_forcing_spec(), box)
+            estimate(sample_box(constant_forcing_spec(), box))
         assert info.value.field == "omega_box"
 
     def test_lattice_too_small(self):
-        with pytest.raises(ValueError):
-            estimate_lipschitz_f(constant_forcing_spec(), (0.0, 1.0), n_tau=1)
-        with pytest.raises(ValueError):
-            estimate_h_norm(constant_forcing_spec(), (0.0, 1.0), n_omega=1)
+        with pytest.raises(ValidationError, match="lattice"):
+            estimate_lipschitz_f(sample_box(constant_forcing_spec(), (0.0, 1.0), n_tau=1))
+        with pytest.raises(ValidationError, match="lattice"):
+            estimate_h_norm(sample_box(constant_forcing_spec(), (0.0, 1.0), n_omega=1))
+
+
+def brute_pair_slope(num, den, absolute):
+    """max(0, max over rows and pairs i > j with den[i] != den[j] of the
+    slope (or |slope|)), pair by pair."""
+    best = 0.0
+    for r, row in enumerate(num):
+        d = den if den.ndim == 1 else den[r]
+        for i in range(len(row)):
+            for j in range(i):
+                if d[i] != d[j]:
+                    slope = (row[i] - row[j]) / (d[i] - d[j])
+                    best = max(best, abs(slope) if absolute else slope)
+    return best
+
+
+class TestMaxPairSlope:
+    VALUES = st.floats(-10.0, 10.0, allow_subnormal=False)
+    # few distinct values, so some pairs have den[i] == den[j]
+    DENS = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+
+    @given(st.data(), st.integers(1, 4), st.integers(2, 7), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_loop_over_all_pairs(self, data, rows, cols, absolute, shared):
+        num = np.array(data.draw(st.lists(
+            st.lists(self.VALUES, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        )))
+        den_shape = cols if shared else rows * cols
+        den = np.array(data.draw(st.lists(self.DENS, min_size=den_shape, max_size=den_shape)))
+        den = den if shared else den.reshape(rows, cols)
+        assert max_pair_slope(num, den, absolute) == brute_pair_slope(num, den, absolute)
+
+    def test_equal_den_only_gives_zero(self):
+        assert max_pair_slope(np.array([[1.0, 5.0]]), np.array([2.0, 2.0])) == 0.0
+
+    def test_row_with_a_nan_slope_is_left_out(self):
+        num = np.array([[0.0, np.nan, 3.0], [0.0, 1.0, 2.0]])
+        assert max_pair_slope(num, np.array([0.0, 1.0, 2.0])) == 1.0
 
 
 class TestMajorant:
@@ -529,11 +581,12 @@ class TestScalarOnlyCallables:
     def test_same_estimates_as_problem_file(self, pair):
         box = (0.0, 3.0)
         a, b = pair
-        q_a, q_b = check_monotone_quotient(a, box), check_monotone_quotient(b, box)
+        sample_a, sample_b = sample_box(a, box), sample_box(b, box)
+        q_a, q_b = check_monotone_quotient(sample_a), check_monotone_quotient(sample_b)
         assert (q_a.tau_at_min, q_a.omega_at_min) == (q_b.tau_at_min, q_b.omega_at_min)
         assert q_b.min_slope == pytest.approx(q_a.min_slope, rel=1e-14)
         for estimate in (estimate_lipschitz_f, estimate_h_norm):
-            assert estimate(b, box) == pytest.approx(estimate(a, box), rel=1e-14)
+            assert estimate(sample_b) == pytest.approx(estimate(sample_a), rel=1e-14)
         m_a = existence_condition(a, 0.1, 1.0).M_f
         assert existence_condition(b, 0.1, 1.0).M_f == pytest.approx(m_a, rel=1e-14)
 

@@ -15,11 +15,14 @@ from abcfde import (
     extremum_sign_check,
     fundamental_theorem_check,
     golden_identity_check,
+    load_problem,
     ml_one,
+    sample_box,
     verify_comparison,
 )
 from abcfde.errors import (
     DegenerateF,
+    EvalError,
     HypothesisViolation,
     MonotonicityViolation,
     ValidationError,
@@ -92,7 +95,7 @@ class TestFundamentalTheorem:
 class TestOnesidedLipschitz:
     def test_zero_g(self):
         assert estimate_g_onesided_lipschitz(
-            constant_forcing_spec(), (-1.0, 1.0)
+            sample_box(constant_forcing_spec(), (-1.0, 1.0), 11, 31)
         ) == 0.0
 
     def test_linear_g(self):
@@ -103,7 +106,7 @@ class TestOnesidedLipschitz:
             g=lambda t, w: 0.5 * w,
             cfg=OperatorConfig(0.5),
         )
-        assert estimate_g_onesided_lipschitz(s, (-1.0, 1.0)) == pytest.approx(
+        assert estimate_g_onesided_lipschitz(sample_box(s, (-1.0, 1.0), 11, 31)) == pytest.approx(
             0.5, rel=1e-12
         )
 
@@ -115,7 +118,7 @@ class TestOnesidedLipschitz:
             g=lambda t, w: math.sin(w),
             cfg=OperatorConfig(0.5),
         )
-        L = estimate_g_onesided_lipschitz(s, (-1.0, 1.0), n_omega=101)
+        L = estimate_g_onesided_lipschitz(sample_box(s, (-1.0, 1.0), 11, 101))
         assert L == pytest.approx(1.0, abs=1e-2)
         assert L <= 1.0
 
@@ -127,7 +130,7 @@ class TestOnesidedLipschitz:
             g=lambda t, w: -w,
             cfg=OperatorConfig(0.5),
         )
-        assert estimate_g_onesided_lipschitz(s, (-1.0, 1.0)) == 0.0
+        assert estimate_g_onesided_lipschitz(sample_box(s, (-1.0, 1.0), 11, 31)) == 0.0
 
     def test_nonmonotone_quotient_rejected(self):
         s = ProblemSpec(
@@ -138,7 +141,16 @@ class TestOnesidedLipschitz:
             cfg=OperatorConfig(0.5),
         )
         with pytest.raises(MonotonicityViolation):
-            estimate_g_onesided_lipschitz(s, (0.0, 2.0))
+            estimate_g_onesided_lipschitz(sample_box(s, (0.0, 2.0), 11, 31))
+
+    def test_failing_quotient_raises_before_g_is_sampled(self):
+        # g = tau log(omega) is undefined at omega = 0, a lattice point
+        s = load_problem("alpha=0.5\nT=1\nomega0=1\nf=1+omega^2\ng=tau*log(omega)\n")
+        sample = sample_box(s, (0.0, 2.0), 11, 31)
+        with pytest.raises(MonotonicityViolation):
+            estimate_g_onesided_lipschitz(sample)
+        with pytest.raises(EvalError):
+            sample.g
 
 
 class TestExtremumSign:
@@ -264,12 +276,31 @@ class TestVerifyComparison:
             w=lambda t: 0.0,
             grid=Grid(1.0, 32),
             mode=Strictness.NONSTRICT,
-            lipschitz_box=(-1.0, 1.0),
         )
         assert rep.hypothesis_ok and rep.conclusion_ok
         assert rep.lower_ineq_ok and rep.upper_ineq_ok
         assert rep.Lg == 0.0
         assert rep.Lg_bound == pytest.approx(2.0, rel=1e-14)
+
+    def test_nonstrict_samples_f_once_on_the_lattice(self, monkeypatch):
+        shapes = []
+        f_samples = ProblemSpec.f_samples
+
+        def counted(spec, taus, omegas):
+            shapes.append(np.shape(taus))
+            return f_samples(spec, taus, omegas)
+
+        monkeypatch.setattr(ProblemSpec, "f_samples", counted)
+        rep = verify_comparison(
+            constant_forcing_spec(omega0=0.0),
+            v=lambda t: 0.0,
+            w=lambda t: 1.0,
+            grid=Grid(1.0, 32),
+            mode=Strictness.NONSTRICT,
+        )
+        assert rep.Lg == 0.0
+        # the two paths, then the 11 x 31 lattice once
+        assert shapes == [(33,), (33,), (11, 1)]
 
     def test_degenerate_f_rejected(self):
         s = ProblemSpec(
