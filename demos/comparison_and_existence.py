@@ -15,13 +15,12 @@ from abcfde import (
     Strictness,
     estimate_h_norm,
     estimate_lipschitz_f,
-    existence_condition,
+    existence_conditions,
     ml_one,
     picard_solve,
     sample_box,
     verify_comparison,
 )
-from abcfde.operators import KernelConvention
 
 spec = ProblemSpec(
     T=1.0,
@@ -56,10 +55,6 @@ print("existence condition under both kernel conventions")
 sample = sample_box(spec, (0.0, 2.0))
 L_f = estimate_lipschitz_f(sample)
 h_norm = estimate_h_norm(sample)
-from dataclasses import replace
-
-for conv in (KernelConvention.GAMMA, KernelConvention.PAPER_HYBRID):
-    variant = replace(spec, cfg=replace(spec.cfg, kernel_convention=conv))
-    rep = existence_condition(variant, L_f, h_norm)
+for conv, rep in existence_conditions(spec, L_f, h_norm).items():
     print(f"  [{conv.value}] lhs = {rep.lhs:.4f}  satisfied = {rep.satisfied}  "
           f"R = {rep.R:.4f}")

@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
 from .expression import Expression, takes_arrays
 from .extremal import bracket_maximal, bracket_minimal
 from .mittag_leffler import ml_prabhakar
-from .operators import Grid, KernelConvention, OperatorConfig
+from .operators import Grid, OperatorConfig
 from .solver import (
     LATTICE_NEED,
     ProblemSpec,
@@ -40,10 +40,12 @@ from .solver import (
     estimate_h_norm,
     estimate_lipschitz_f,
     existence_condition,
+    existence_conditions,
     load_problem,
     picard_solve,
     rhs_operator,
     sample_box,
+    stack_rows,
 )
 from .verifier import Strictness, golden_identity_check, verify_comparison
 
@@ -170,13 +172,10 @@ def _cmd_check(args) -> int:
     L_f = estimate_lipschitz_f(sample)
     h_norm = estimate_h_norm(sample)
 
-    default_report = None
-    for conv in (KernelConvention.GAMMA, KernelConvention.PAPER_HYBRID):
-        variant = replace(spec, cfg=replace(spec.cfg, kernel_convention=conv))
-        report = existence_condition(variant, L_f, h_norm)
+    reports = existence_conditions(spec, L_f, h_norm)
+    for conv, report in reports.items():
         tag = conv.value
         if conv is spec.cfg.kernel_convention:
-            default_report = report
             tag += " (default)"
         print(f"[{tag}]")
         for name in ("L_f", "h_norm", "M_f", "lhs"):
@@ -189,7 +188,7 @@ def _cmd_check(args) -> int:
         f"quotient_min_slope={_fmt(quotient.min_slope)} "
         f"passed={quotient.passed}"
     )
-    if not default_report.satisfied:
+    if not reports[spec.cfg.kernel_convention].satisfied:
         print("E_CONDITION: existence condition not satisfied", file=sys.stderr)
         return EXIT_UNSATISFIED
     return EXIT_OK
@@ -217,10 +216,14 @@ def _cmd_extremal(args) -> int:
     )
     prefix = Path(args.out_prefix)
     taus = _tau_column(grid.nodes)
-    for level, trace in enumerate(result.traces):
-        path = prefix.parent / f"{prefix.name}_level{level}.csv"
-        residuals = np.abs(trace.omega - rhs_operator(spec, trace.omega, grid))
-        _write_trace_csv(path, digest, taus, trace.omega, residuals)
+    block = stack_rows(grid)
+    for lo in range(0, len(result.traces), block):
+        # the residuals against the problem as given, one stack per block
+        omegas = np.array([trace.omega for trace in result.traces[lo : lo + block]])
+        residuals = np.abs(omegas - rhs_operator(spec, omegas, grid))
+        for level, rows in enumerate(zip(omegas, residuals), start=lo):
+            path = prefix.parent / f"{prefix.name}_level{level}.csv"
+            _write_trace_csv(path, digest, taus, *rows)
     _write_summary(
         prefix.parent / f"{prefix.name}_report.txt",
         digest,
@@ -309,7 +312,16 @@ def _cmd_convergence(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit EXIT_INVALID: 2 stands for an iteration cap."""
+    """Usage errors exit EXIT_INVALID: 2 stands for an iteration cap.
+
+    An argument that starts with a minus and a digit is a value, not an
+    option, so ``--omega-box -1,1`` and ``mlf -1e-3`` parse; argparse
+    itself reads them so only from Python 3.13 on.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -3,6 +3,8 @@
 The maximal solution is approached from above by solving the shifted
 problems (g + eps, omega0 + eps) along a geometric schedule
 eps_n = eps0 * ratio^n; the minimal solution mirrors this with -eps.
+All levels are solved as one stack (:func:`~abcfde.solver.picard_stack`),
+each bitwise as :func:`solve_perturbed` solves it alone.
 The deliverable is the last trace together with the final sup-norm gap
 as an error bar; no extrapolation is attempted.
 """
@@ -23,6 +25,7 @@ from .solver import (
     SolutionTrace,
     perturbed,
     picard_solve,
+    picard_stack,
 )
 
 
@@ -70,10 +73,9 @@ def _bracket(spec, eps0, ratio, levels, grid, tol, max_sweeps, sign):
     if levels < 2:
         raise ValueError("levels must be >= 2")
     eps_levels = [eps0 * ratio**n for n in range(levels)]
-    traces = [
-        solve_perturbed(spec, eps, sign, grid, tol=tol, max_sweeps=max_sweeps)
-        for eps in eps_levels
-    ]
+    traces = picard_stack(
+        spec, grid, [sign * eps for eps in eps_levels], tol=tol, max_sweeps=max_sweeps
+    )
     ordering_ok = True
     violation_node = None
     sup_gaps = []

@@ -13,7 +13,8 @@ the Mittag-Leffler kernel for the derivative.  One
 :class:`Discretization` per (grid, alpha) owns those increments and, on
 long grids, their spectra; :func:`discretization` shares it between
 calls, so a call costs one convolution: direct below ``FFT_MIN_LENGTH``
-weights, by FFT (O(N log N)) from there on.
+weights, by FFT (O(N log N)) from there on.  Each operator takes one
+vector of node samples or a stack of them, and acts along the last axis.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ class OperatorConfig:
 
 
 def _check_samples(samples, grid: Grid) -> np.ndarray:
+    """samples as a float array of N + 1 nodes along its last axis."""
     arr = np.asarray(samples, dtype=float)
-    if arr.shape != (grid.N + 1,):
+    if arr.ndim == 0 or arr.shape[-1] != grid.N + 1:
         raise DimensionMismatch(
             f"expected {grid.N + 1} samples, got shape {arr.shape}"
         )
@@ -116,7 +118,9 @@ class _Convolution:
     """Causal convolution with fixed read-only weights and, from
     FFT_MIN_LENGTH weights on, their real FFT of length
     nfft >= 2 len(weights) - 1.  Called with x no longer than the
-    weights, it returns the first len(weights) entries of x * weights."""
+    weights, it returns the first len(weights) entries of x * weights,
+    along the last axis of a stack of rows; each row gets bitwise what
+    it gets alone."""
 
     def __init__(self, weights: np.ndarray):
         weights.flags.writeable = False
@@ -129,9 +133,13 @@ class _Convolution:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         k = self.weights.size
-        if self.spectrum is None:
+        if self.spectrum is not None:
+            return np.fft.irfft(np.fft.rfft(x, self.nfft) * self.spectrum, self.nfft)[..., :k]
+        if x.ndim == 1:
             return np.convolve(x, self.weights)[:k]
-        return np.fft.irfft(np.fft.rfft(x, self.nfft) * self.spectrum, self.nfft)[:k]
+        # np.convolve is 1-D only, and no stacked form sums in its order
+        rows = [np.convolve(row, self.weights)[:k] for row in x.reshape(-1, x.shape[-1])]
+        return np.reshape(rows, x.shape[:-1] + (k,))
 
 
 @dataclass(frozen=True)
@@ -194,13 +202,15 @@ def rl_integral(samples, grid: Grid, alpha: float) -> np.ndarray:
     """Riemann-Liouville fractional integral of order alpha at the nodes.
 
     (1/Gamma(alpha)) int_0^tau (tau - s)^(alpha-1) omega(s) ds with omega
-    piecewise linear; exact kernel moments, output[0] = 0.
+    piecewise linear; exact kernel moments, output[0] = 0.  Along the
+    last axis of a stack, each row as it would be alone.
     """
     start, W = discretization(grid, alpha).rl
     arr = _check_samples(samples, grid)
-    out = np.zeros(grid.N + 1)
+    out = np.zeros(arr.shape)
     # out[n] = arr[0] start[n-1] + h^a / Gamma(a+2) sum_{j<n} (arr[j+1] - arr[j]) W[n-1-j]
-    out[1:] = arr[0] * start + grid.h**alpha / math.gamma(alpha + 2.0) * W(np.diff(arr))
+    steps = arr[..., 1:] - arr[..., :-1]  # np.diff(arr), without its Python overhead
+    out[..., 1:] = arr[..., :1] * start + grid.h**alpha / math.gamma(alpha + 2.0) * W(steps)
     return out
 
 
@@ -231,7 +241,7 @@ def abc_derivative(samples, grid: Grid, cfg: OperatorConfig) -> np.ndarray:
     arr = _check_samples(samples, grid)
     a, B = cfg.alpha, cfg.b
     slopes = np.diff(arr) / grid.h
-    out = np.zeros(grid.N + 1)
+    out = np.zeros(arr.shape)
     # out[n] = B/(1-a) * sum_{j=0}^{n-1} slopes[j] * dF[n-j-1]
-    out[1:] = B / (1.0 - a) * discretization(grid, a).abc(slopes)
+    out[..., 1:] = B / (1.0 - a) * discretization(grid, a).abc(slopes)
     return out

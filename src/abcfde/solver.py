@@ -292,7 +292,8 @@ def singular_integral_coefficient(cfg: OperatorConfig) -> float:
 
 
 def rhs_operator(spec: ProblemSpec, omega: np.ndarray, grid: Grid) -> np.ndarray:
-    """One application of the fixed-point operator to a node vector."""
+    """One application of the fixed-point operator to a node vector, or
+    to each row of a stack of them (along the last axis)."""
     omega = np.asarray(omega, dtype=float)
     taus = grid.nodes
     cfg = spec.cfg
@@ -302,6 +303,161 @@ def rhs_operator(spec: ProblemSpec, omega: np.ndarray, grid: Grid) -> np.ndarray
     integral = singular_integral_coefficient(cfg) * rl_integral(g_vals, grid, a)
     head = spec.omega0 / spec.f00
     return f_vals * (head + (1.0 - a) / B * g_vals + integral)
+
+
+#: Iterate elements that one stack of :func:`picard_stack` holds, one row
+#: at least; more rows go in blocks of :func:`stack_rows`.  N = 65536
+#: takes one row at a time, as a level solved alone, so many levels on a
+#: long grid never hold all their FFT rows at once.
+STACK_ELEMENTS = 2**16
+
+
+def stack_rows(grid: Grid) -> int:
+    """Rows of N + 1 nodes that fit STACK_ELEMENTS, and at least one."""
+    return max(1, STACK_ELEMENTS // (grid.N + 1))
+
+
+@dataclass(frozen=True, eq=False)
+class _Stack(ProblemSpec):
+    """Rows of :func:`picard_stack` as one spec for :func:`rhs_operator`:
+    omega0 is the column of the rows' starts, g_samples adds the column of
+    their shifts to g, and f00 is the column of the rows' own f00."""
+
+    rows: tuple = ()
+    shifts: Optional[np.ndarray] = None
+
+    @functools.cached_property
+    def f00(self) -> np.ndarray:
+        return np.array([[row.f00] for row in self.rows])
+
+    def g_samples(self, taus, omegas) -> np.ndarray:
+        return super().g_samples(taus, omegas) + self.shifts
+
+
+def _stack(spec: ProblemSpec, rows: list, shifts: list, live: list) -> ProblemSpec:
+    """The spec :func:`rhs_operator` takes for the live rows: the one row's
+    own spec, or a :class:`_Stack` of theirs."""
+    if len(live) == 1:
+        return rows[live[0]]
+    return _Stack(
+        spec.T, np.array([[rows[r].omega0] for r in live]), spec.f, spec.g, spec.cfg,
+        spec.omega_box, rows=tuple(rows[r] for r in live),
+        shifts=np.array([[shifts[r]] for r in live]),
+    )
+
+
+def _sweep(stack: ProblemSpec, rows: list, live: list, omega: np.ndarray, grid: Grid):
+    """rhs_operator on the live rows' iterates omega, and {row: error} for
+    a row that raises.  A stack that raises is swept again row by row, up
+    to the first row that fails, so an error is the one that row's own
+    solve raises, naming a sample of that row."""
+    try:
+        new = rhs_operator(stack, omega[0] if len(live) == 1 else omega, grid)
+        return new.reshape(omega.shape), {}
+    except Exception as exc:  # f and g are the caller's: a row may raise anything
+        if len(live) == 1:
+            return None, {live[0]: exc}
+    new = np.empty_like(omega)
+    for i, r in enumerate(live):
+        try:
+            new[i] = rhs_operator(rows[r], omega[i], grid)
+        except Exception as exc:
+            return new, {r: exc}
+    return new, {}
+
+
+def picard_stack(
+    spec: ProblemSpec,
+    grid: Grid,
+    shifts=None,
+    tol: float = DEFAULT_TOL,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+) -> list[SolutionTrace]:
+    """Picard-iterate the problems (g + s, omega0 + s) of spec, one per
+    shift s, as one stack of iterates; with shifts None, spec alone.
+
+    Row r gives bitwise the trace of :func:`picard_solve` on its own
+    problem, ``perturbed(spec, |s|, sign of s)``: it starts from its own
+    omega0, keeps its own diffs, stops at its own sweep and then stops
+    changing, and its residuals ride on the next sweep of the stack.  f,
+    g and the operator are called once per sweep on all rows still in the
+    stack, in blocks of :func:`stack_rows` rows.  Raises what that
+    per-row loop would raise first: the error of the first row that
+    fails, which ends the rows after it.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    if not max_sweeps >= 1:
+        raise ValueError("max_sweeps must be >= 1")
+    if shifts is None:
+        rows = [spec]
+    else:
+        shifts = [float(s) for s in shifts]
+        rows = [perturbed(spec, abs(s), int(math.copysign(1.0, s))) for s in shifts]
+    traces: list[SolutionTrace] = []
+    block = stack_rows(grid)
+    for lo in range(0, len(rows), block):
+        outcome = _solve_block(spec, rows, shifts, range(lo, min(lo + block, len(rows))),
+                               grid, tol, max_sweeps)
+        # every row up to the first that failed has one
+        for r in sorted(outcome):
+            if isinstance(outcome[r], Exception):
+                raise outcome[r]
+            traces.append(outcome[r])
+    return traces
+
+
+def _solve_block(spec, rows, shifts, block, grid, tol, max_sweeps) -> dict:
+    """{row: its trace or its error} of the rows of one block of
+    :func:`picard_stack`, up to the first that fails."""
+    live = list(block)
+    stack = _stack(spec, rows, shifts, live)
+    omega = np.empty((len(live), grid.N + 1))
+    omega[:] = [[rows[r].omega0] for r in live]
+    diffs: dict[int, list[float]] = {r: [] for r in live}
+    due: dict[int, bool] = {}  # row -> converged, for rows whose residuals are next
+    outcome: dict = {}
+    while live:
+        new, failed = _sweep(stack, rows, live, omega, grid)
+        outcome.update(failed)
+        if failed:
+            # the rows from the failed one on are done: their solves come after it
+            live = live[: live.index(min(failed))]
+            if not live:
+                break
+            omega, new = omega[: len(live)], new[: len(live)]
+        gap = np.abs(omega - new)
+        keep = []
+        for i, (r, diff) in enumerate(zip(live, gap.max(axis=1).tolist())):
+            if r in due:
+                trace = SolutionTrace(
+                    grid, omega[i].copy(), diffs[r], gap[i].copy(), converged=due[r]
+                )
+                outcome[r] = trace if due[r] else MaxSweepsExceeded(
+                    f"no convergence in {max_sweeps} sweeps (last diff {diffs[r][-1]:.3e})",
+                    trace=trace,
+                )
+                continue
+            diffs[r].append(diff)
+            # a finite diff needs a finite new; the converse can fail to overflow
+            if not math.isfinite(diff) and not np.isfinite(new[i]).all():
+                trace = SolutionTrace(
+                    grid, omega[i].copy(), diffs[r], gap[i].copy(), converged=False
+                )
+                outcome[r] = NonFiniteIterate(
+                    f"sweep {len(diffs[r])} gave a non-finite iterate (diff {diff})",
+                    trace=trace,
+                )
+                continue
+            if diff <= tol or len(diffs[r]) == max_sweeps:
+                due[r] = diff <= tol
+            keep.append(i)
+        omega = new
+        if failed or len(keep) < len(live):
+            live = [live[i] for i in keep]
+            omega = omega[keep]
+            stack = _stack(spec, rows, shifts, live) if live else None
+    return outcome
 
 
 def picard_solve(
@@ -317,33 +473,9 @@ def picard_solve(
     its subclass :class:`NonFiniteIterate` at the first sweep whose
     iterate is not finite.  That trace keeps the iterate before it, and
     its last diff and its residuals are those of the sweep that failed.
+    The one-row case of :func:`picard_stack`.
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    if not max_sweeps >= 1:
-        raise ValueError("max_sweeps must be >= 1")
-    omega = np.full(grid.N + 1, spec.omega0, dtype=float)
-    diffs: list[float] = []
-    for _ in range(max_sweeps):
-        new = rhs_operator(spec, omega, grid)
-        diff = float(np.max(np.abs(new - omega)))
-        diffs.append(diff)
-        # a finite diff needs a finite new; the converse can fail to overflow
-        if not math.isfinite(diff) and not np.isfinite(new).all():
-            trace = SolutionTrace(grid, omega, diffs, np.abs(omega - new), converged=False)
-            raise NonFiniteIterate(
-                f"sweep {len(diffs)} gave a non-finite iterate (diff {diff})", trace=trace
-            )
-        omega = new
-        if diff <= tol:
-            res = np.abs(omega - rhs_operator(spec, omega, grid))
-            return SolutionTrace(grid, omega, diffs, res)
-    res = np.abs(omega - rhs_operator(spec, omega, grid))
-    trace = SolutionTrace(grid, omega, diffs, res, converged=False)
-    raise MaxSweepsExceeded(
-        f"no convergence in {max_sweeps} sweeps (last diff {diffs[-1]:.3e})",
-        trace=trace,
-    )
+    return picard_stack(spec, grid, tol=tol, max_sweeps=max_sweeps)[0]
 
 
 def existence_condition(
@@ -354,16 +486,21 @@ def existence_condition(
     M_f = sup |f(tau, 0)| over [0, T]; where f(., 0) is undefined, M_f is
     NaN and the radii are infinite.
     """
+    (report,) = _conditions(spec, L_f, h_norm, [spec.cfg.kernel_convention]).values()
+    return report
+
+
+def existence_conditions(
+    spec: ProblemSpec, L_f: float, h_norm: float
+) -> dict[KernelConvention, ConditionReport]:
+    """:func:`existence_condition` under each kernel convention, GAMMA
+    first; M_f, which depends on neither, is sampled once."""
+    return _conditions(spec, L_f, h_norm, KernelConvention)
+
+
+def _conditions(spec, L_f, h_norm, conventions) -> dict[KernelConvention, ConditionReport]:
     if L_f < 0 or h_norm < 0:
         raise ValueError("L_f and h_norm must be >= 0")
-    cfg = spec.cfg
-    a = cfg.alpha
-    c = singular_integral_coefficient(cfg)
-    # c T^a / Gamma(a + 1), written with Gamma(a + 1) = a Gamma(a)
-    bracket = (1.0 - a) / cfg.b + c / a * spec.T**a / math.gamma(a)
-    inner = abs(spec.omega0 / spec.f00) + bracket * h_norm
-    lhs = L_f * inner
-    satisfied = lhs < 1.0
     taus = np.linspace(0.0, spec.T, 1001)
     try:
         M_f = float(np.max(np.abs(spec.f_samples(taus, 0.0))))
@@ -371,19 +508,30 @@ def existence_condition(
         # f(., 0) is undefined (log(omega) on a box away from 0, say), so
         # the ball radius is unknown
         M_f = math.nan
-    finite = satisfied and not math.isnan(M_f)
-    R = M_f * lhs / (1.0 - lhs) if finite else math.inf
-    R_alt = M_f * inner / (1.0 - lhs) if finite else math.inf
-    return ConditionReport(
-        L_f=L_f,
-        h_norm=h_norm,
-        M_f=M_f,
-        lhs=lhs,
-        satisfied=satisfied,
-        R=R,
-        R_alt=R_alt,
-        convention=cfg.kernel_convention,
-    )
+    reports = {}
+    for convention in conventions:
+        cfg = spec.cfg
+        if convention is not cfg.kernel_convention:
+            cfg = replace(cfg, kernel_convention=convention)
+        a = cfg.alpha
+        c = singular_integral_coefficient(cfg)
+        # c T^a / Gamma(a + 1), written with Gamma(a + 1) = a Gamma(a)
+        bracket = (1.0 - a) / cfg.b + c / a * spec.T**a / math.gamma(a)
+        inner = abs(spec.omega0 / spec.f00) + bracket * h_norm
+        lhs = L_f * inner
+        satisfied = lhs < 1.0
+        finite = satisfied and not math.isnan(M_f)
+        reports[convention] = ConditionReport(
+            L_f=L_f,
+            h_norm=h_norm,
+            M_f=M_f,
+            lhs=lhs,
+            satisfied=satisfied,
+            R=M_f * lhs / (1.0 - lhs) if finite else math.inf,
+            R_alt=M_f * inner / (1.0 - lhs) if finite else math.inf,
+            convention=convention,
+        )
+    return reports
 
 
 def estimate_lipschitz_f(sample: BoxSample) -> float:

@@ -20,6 +20,15 @@ B = UNIT
 kernel = GAMMA
 """
 
+# no closed form; Picard takes about 45 sweeps
+NONLINEAR_TEXT = """\
+alpha = 0.6
+T = 2
+omega0 = 0.5
+f = 1 + 0.1 * sin(omega)
+g = tau * cos(omega) + 0.5 * omega * tau
+"""
+
 
 def manufactured_exact_nodes(grid: Grid) -> np.ndarray:
     root = np.sqrt(grid.nodes)

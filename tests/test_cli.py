@@ -14,12 +14,13 @@ import abcfde
 from abcfde import (
     Grid,
     SolutionTrace,
+    bracket_maximal,
     load_problem,
     ml_two,
     picard_solve,
     rhs_operator,
 )
-from abcfde import cli
+from abcfde import cli, solver
 from abcfde.cli import (
     EXIT_INVALID,
     EXIT_MAX_SWEEPS,
@@ -279,8 +280,19 @@ class TestCheck:
 
         monkeypatch.setattr(cli.ProblemSpec, "f_samples", counted)
         assert main(["check", str(problem_file), "--lattice", "5,9"]) == EXIT_OK
-        # the lattice once, then f(tau, 0) for M_f under each convention
-        assert shapes == [(5, 1), (1001,), (1001,)]
+        # the lattice once, then f(tau, 0) once for M_f, which both
+        # kernel conventions share
+        assert shapes == [(5, 1), (1001,)]
+
+    @pytest.mark.parametrize("box", ["-1,1", "-2,-1"])
+    def test_box_with_a_negative_bound(self, problem_file, capsys, box):
+        # argparse would take "-1,1" for an option
+        code = main(["check", str(problem_file), "--omega-box", box])
+        out = capsys.readouterr()
+        assert main(["check", str(problem_file), f"--omega-box={box}"]) == code
+        assert capsys.readouterr() == out
+        assert code != EXIT_INVALID
+        assert "quotient_min_slope" in out.out
 
 
 class TestExtremal:
@@ -326,6 +338,30 @@ class TestExtremal:
             residuals = np.abs(omega - rhs_operator(spec, omega, grid))
             assert [row.rsplit(",", 1)[1] for row in rows] == [f"{r:.17g}" for r in residuals]
             assert residuals.max() > 1e-3
+
+    def test_levels_are_swept_as_one_stack(self, tmp_path, monkeypatch):
+        # per level, a solve's sweeps, its residual sweep and the CLI's
+        # residual sweep: 4 x (sweeps + 2) calls; as one stack, the
+        # slowest level's sweeps + 2
+        path = tmp_path / "p.txt"
+        path.write_text(NONLINEAR_TEXT)
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, 64)
+        slowest = max(t.iterations for t in bracket_maximal(spec, grid, levels=4).traces)
+        calls = []
+        rhs_operator = solver.rhs_operator
+
+        def counted(spec, omega, grid):
+            calls.append(np.shape(omega))
+            return rhs_operator(spec, omega, grid)
+
+        monkeypatch.setattr(solver, "rhs_operator", counted)
+        monkeypatch.setattr(cli, "rhs_operator", counted)
+        args = ["extremal", str(path), "--n", "64", "--levels", "4",
+                "--out-prefix", str(tmp_path / "ext")]
+        assert main(args) == EXIT_OK
+        assert len(calls) <= slowest + 2
+        assert calls[-1] == (4, 65)  # the residuals of every level at once
 
     def test_minimal_variant(self, tmp_path):
         path = tmp_path / "p.txt"

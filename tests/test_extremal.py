@@ -1,20 +1,32 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abcfde import (
     Grid,
+    OperatorConfig,
+    ProblemSpec,
     bracket_maximal,
     bracket_minimal,
     check_enclosure,
     picard_solve,
     solve_perturbed,
 )
-from abcfde import load_problem
-from abcfde.errors import EnclosureViolation
-from abcfde.expression import BUILTINS
+from abcfde import load_problem, solver
+from abcfde.errors import EnclosureViolation, EvalError, MaxSweepsExceeded, NonFiniteIterate
+from abcfde.expression import BUILTINS, takes_arrays
 from abcfde.extremal import _bracket
+from abcfde.operators import FFT_MIN_LENGTH
 
-from conftest import MANUFACTURED_TEXT, constant_forcing_spec, perturbed_closed_form
+from conftest import (
+    MANUFACTURED_TEXT,
+    NONLINEAR_TEXT,
+    constant_forcing_spec,
+    perturbed_closed_form,
+)
 
 
 class TestSolvePerturbed:
@@ -143,12 +155,15 @@ class TestOrderingDetection:
             0.05: np.full(9, 2.0),  # larger than its predecessor: violation
         }
 
-        def fake_solve(spec, eps, sign, g, tol, max_sweeps):
+        def fake_stack(spec, g, shifts, tol, max_sweeps):
             from abcfde import SolutionTrace
 
-            return SolutionTrace(g, fabricated[round(eps, 10)], [0.0], np.zeros(9))
+            return [
+                SolutionTrace(g, fabricated[round(abs(s), 10)], [0.0], np.zeros(9))
+                for s in shifts
+            ]
 
-        monkeypatch.setattr(ext, "solve_perturbed", fake_solve)
+        monkeypatch.setattr(ext, "picard_stack", fake_stack)
         res = _bracket(
             constant_forcing_spec(omega0=1.0),
             0.1,
@@ -191,3 +206,178 @@ class TestEnclosure:
         rep = check_enclosure(sol, mx, mn, slack_constant=2.0)
         eps_last = mx.eps_levels[-1]
         assert rep.slack == pytest.approx(2.0 * sol.grid.h + eps_last, rel=1e-14)
+
+
+def per_level(spec, grid, sign, eps0=0.1, ratio=0.5, levels=4, max_sweeps=200):
+    """What solving each level alone gives: the traces, or the error of
+    the first level that fails."""
+    try:
+        return [
+            solve_perturbed(spec, eps0 * ratio**n, sign, grid, max_sweeps=max_sweeps)
+            for n in range(levels)
+        ]
+    except Exception as exc:
+        return exc
+
+
+def stacked(spec, grid, sign, eps0=0.1, ratio=0.5, levels=4, max_sweeps=200):
+    """The same through the bracket, which solves the levels as one stack."""
+    bracket = bracket_maximal if sign > 0 else bracket_minimal
+    try:
+        return bracket(spec, grid, eps0=eps0, ratio=ratio, levels=levels,
+                       max_sweeps=max_sweeps).traces
+    except Exception as exc:
+        return exc
+
+
+def trace_bytes(trace):
+    return (
+        trace.omega.tobytes(),
+        trace.residuals.tobytes(),
+        np.array(trace.iterate_diffs).tobytes(),
+        trace.converged,
+    )
+
+
+def assert_same_outcome(want, got):
+    """Bitwise the same traces, or the same error with the same trace."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        if isinstance(want, MaxSweepsExceeded):
+            assert trace_bytes(got.trace) == trace_bytes(want.trace)
+        return
+    assert not isinstance(got, Exception), got
+    assert [trace_bytes(t) for t in got] == [trace_bytes(t) for t in want]
+
+
+def scalar_spec(alpha):
+    """math callables, which sample calls once per node."""
+    return ProblemSpec(
+        T=1.0,
+        omega0=0.5,
+        f=lambda t, w: 1.0 + 0.1 * math.sin(w),
+        g=lambda t, w: t * math.cos(w),
+        cfg=OperatorConfig(alpha),
+    )
+
+
+class TestOneStack:
+    """bracket_maximal and bracket_minimal solve the levels as one stack,
+    with bitwise the outcome of solving each level alone."""
+
+    @given(
+        kind=st.sampled_from(["nonlinear", "manufactured", "scalar"]),
+        alpha=st.floats(0.3, 0.9),
+        eps0=st.floats(1e-4, 0.3),
+        ratio=st.floats(0.05, 0.9),
+        levels=st.integers(2, 5),
+        # both sides of the direct / FFT cut-over of the RL convolution
+        N=st.one_of(st.integers(2, 48), st.integers(FFT_MIN_LENGTH, FFT_MIN_LENGTH + 48)),
+        sign=st.sampled_from([+1, -1]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_levels_are_bitwise_the_per_level_solves(
+        self, kind, alpha, eps0, ratio, levels, N, sign
+    ):
+        if kind == "scalar":
+            spec = scalar_spec(alpha)
+        else:
+            text = NONLINEAR_TEXT if kind == "nonlinear" else MANUFACTURED_TEXT
+            spec = load_problem(text.replace("alpha = 0.", f"alpha = {alpha!r} #", 1))
+            assert spec.alpha == alpha
+        grid = Grid(spec.T, N)
+        args = (spec, grid, sign, eps0, ratio, levels)
+        assert_same_outcome(per_level(*args), stacked(*args))
+
+    def test_an_underflowed_eps_keeps_its_sign(self):
+        # eps0 * ratio^2 is 0.0, so the last level shifts by -0.0
+        spec = load_problem(NONLINEAR_TEXT)
+        args = (spec, Grid(spec.T, 32), -1, 1e-200, 1e-200, 3)
+        assert_same_outcome(per_level(*args), stacked(*args))
+
+    @pytest.mark.parametrize("sign, cap", [(+1, 43), (+1, 44), (-1, 46)])
+    def test_max_sweeps_in_some_levels(self, sign, cap):
+        # the levels take 43, 44, 45, 45 sweeps above and 47, 46, 46, 46 below
+        spec = load_problem(NONLINEAR_TEXT)
+        args = (spec, Grid(spec.T, 64), sign, 0.1, 0.5, 4, cap)
+        want = per_level(*args)
+        assert isinstance(want, MaxSweepsExceeded)
+        assert_same_outcome(want, stacked(*args))
+
+    def test_non_finite_iterate(self):
+        @takes_arrays
+        def g(t, w):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return t * np.exp(50.0 * w)
+
+        spec = ProblemSpec(T=1.0, omega0=1.0, f=lambda t, w: 1.0, g=g, cfg=OperatorConfig(0.5))
+        args = (spec, Grid(1.0, 16), +1)
+        with np.errstate(all="ignore"):
+            want, got = per_level(*args), stacked(*args)
+        assert isinstance(want, NonFiniteIterate)
+        assert_same_outcome(want, got)
+
+    @pytest.mark.parametrize("omega0", [0.08, 0.02])
+    def test_domain_error_in_one_level_names_a_sample_of_it(self, omega0):
+        # sqrt(omega) is undefined at the start of the lowest level(s) only
+        spec = load_problem(f"alpha = 0.5\nT = 1\nomega0 = {omega0}\nf = sqrt(omega)\ng = tau\n")
+        args = (spec, Grid(1.0, 64), -1)
+        want = per_level(*args)
+        assert isinstance(want, EvalError)
+        got = stacked(*args)
+        assert_same_outcome(want, got)
+        assert str(got).endswith(" at sample 0")
+
+    def band_spec(self):
+        """g raises on omega in [0.52, 0.53), where only the third level of
+        the maximal bracket starts; the levels above it never get there."""
+
+        def g(t, w):
+            if 0.52 <= w < 0.53:
+                raise ValueError("in the band")
+            return t * math.cos(w)
+
+        return ProblemSpec(T=1.0, omega0=0.5, f=lambda t, w: 1.0, g=g, cfg=OperatorConfig(0.5))
+
+    def test_a_later_level_fails_after_the_earlier_ones_finish(self):
+        args = (self.band_spec(), Grid(1.0, 16), +1)
+        want = per_level(*args)
+        assert str(want) == "in the band: shifted(0.0, 0.525) at sample 0"
+        assert_same_outcome(want, stacked(*args))
+
+    def test_an_earlier_level_fails_first_in_level_order(self):
+        # the third level fails at its first sweep, but the first level
+        # comes first and runs out of sweeps at its 40th
+        args = (self.band_spec(), Grid(1.0, 16), +1, 0.1, 0.5, 4, 40)
+        want = per_level(*args)
+        assert type(want) is MaxSweepsExceeded
+        assert_same_outcome(want, stacked(*args))
+
+    def test_levels_past_the_element_budget_go_in_blocks(self, monkeypatch):
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, 64)
+        want = per_level(spec, grid, +1, levels=5)
+        monkeypatch.setattr(solver, "STACK_ELEMENTS", 2 * (grid.N + 1))
+        assert solver.stack_rows(grid) == 2
+        assert_same_outcome(want, stacked(spec, grid, +1, levels=5))
+        monkeypatch.setattr(solver, "STACK_ELEMENTS", 1)
+        assert solver.stack_rows(grid) == 1
+        assert_same_outcome(want, stacked(spec, grid, +1, levels=5))
+
+    def test_one_rhs_operator_call_per_sweep_of_the_stack(self, monkeypatch):
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, 64)
+        sweeps = [t.iterations for t in per_level(spec, grid, +1)]
+        calls = []
+        rhs_operator = solver.rhs_operator
+
+        def counted(spec, omega, grid):
+            calls.append(np.shape(omega))
+            return rhs_operator(spec, omega, grid)
+
+        monkeypatch.setattr(solver, "rhs_operator", counted)
+        bracket_maximal(spec, grid, levels=4)
+        # each sweep, then the residuals, of the slowest level
+        assert len(calls) == max(sweeps) + 1
+        assert calls[0] == (4, grid.N + 1)

@@ -423,6 +423,32 @@ class TestConvolutionPaths:
         assert weight_builds == [1024]  # the kernel increments diff(F)
 
 
+class TestStacks:
+    """Each operator acts along the last axis of a stack of node vectors,
+    and gives each row bitwise what the row gets alone."""
+
+    @pytest.mark.parametrize("N", [256, 1024])  # direct convolution, then FFT
+    def test_rows_are_bitwise_the_row_calls(self, N):
+        grid = Grid(2.0, N)
+        cfg = OperatorConfig(0.45, b_convention=BConvention.AB)
+        stack = np.array(convolution_data(grid) + [np.sin(3.0 * grid.nodes) + 2.0])
+        for op in (
+            lambda x: rl_integral(x, grid, 0.45),
+            lambda x: ab_integral(x, grid, cfg),
+            lambda x: abc_derivative(x, grid, cfg),
+        ):
+            out = op(stack)
+            assert out.shape == stack.shape
+            for row, got in zip(stack, out):
+                assert op(row).tobytes() == got.tobytes()
+            # any leading shape
+            assert op(stack.reshape(1, 2, -1, N + 1)).tobytes() == out.tobytes()
+
+    def test_wrong_row_length(self):
+        with pytest.raises(DimensionMismatch):
+            rl_integral(np.ones((3, 8)), Grid(1.0, 8), 0.5)
+
+
 class TestDiscretization:
     def test_shared_per_grid_and_order(self):
         grid = Grid(1.5, 40)

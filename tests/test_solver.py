@@ -28,6 +28,7 @@ from abcfde.solver import max_pair_slope, perturbed, singular_integral_coefficie
 
 from conftest import (
     MANUFACTURED_TEXT,
+    NONLINEAR_TEXT,
     constant_forcing_spec,
     manufactured_exact_nodes,
     perturbed_closed_form,
@@ -239,6 +240,18 @@ class TestRhsOperator:
         out = rhs_operator(manufactured_spec, exact, grid)
         # defect is pure discretization error, shrinking with the mesh
         assert np.max(np.abs(out - exact)) < 5e-3
+
+
+    @pytest.mark.parametrize("N", [256, 1024])  # direct convolution, then FFT
+    @pytest.mark.parametrize("text", [MANUFACTURED_TEXT, NONLINEAR_TEXT])
+    def test_stack_rows_are_bitwise_the_row_calls(self, text, N):
+        spec = load_problem(text)
+        grid = Grid(spec.T, N)
+        stack = spec.omega0 + np.array([k * np.sin(grid.nodes + k) for k in range(4)])
+        out = rhs_operator(spec, stack, grid)
+        assert out.shape == stack.shape
+        for row, got in zip(stack, out):
+            assert rhs_operator(spec, row, grid).tobytes() == got.tobytes()
 
 
 class TestPicard:
