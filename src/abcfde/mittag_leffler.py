@@ -12,12 +12,15 @@ paths per argument:
   On the negative axis the terms alternate; a sum whose largest term
   exceeds CANCELLATION_LIMIT would lose more than about 1e-12 to
   rounding and raises :class:`~abcfde.errors.NonConvergence` instead.
-* Contour, for the rest of z < 0 when 0 < alpha <= 1: Garrappa's
-  trapezoidal rule for the inverse Laplace transform on the optimal
-  parabolic contour (R. Garrappa, SIAM J. Numer. Anal. 53(3), 2015),
-  28 nodes built once per (alpha, beta, rho).  About 1e-13 relative for
-  alpha < 1; for alpha = 1, whose values decay like e^z, about 1e-16
-  absolute.
+* Contour, for the rest of z < 0 when 0 < alpha <= 1 and rho <=
+  MAX_CONTOUR_RHO: Garrappa's trapezoidal rule for the inverse Laplace
+  transform on the optimal parabolic contour (R. Garrappa, SIAM J.
+  Numer. Anal. 53(3), 2015), 28 nodes built once per (alpha, beta, rho).
+  About 1e-13 relative for alpha < 1; for alpha = 1, whose values decay
+  like e^z, about 1e-16 absolute.  Each node's (s_k^alpha - z)^(-rho) is,
+  for an integer rho, a power of one reciprocal formed by products, and
+  numpy's complex power otherwise.  The rule's error grows with rho, so
+  a larger rho raises :class:`~abcfde.errors.NonConvergence` there.
 
 On the rest of the negative axis (alpha > 1, where s^alpha = z has
 roots the contour does not take) the series is used while its
@@ -53,6 +56,12 @@ CANCELLATION_LIMIT = 1e4
 
 #: Most corrections _contour may add; it needs about (beta - 1)/alpha - rho.
 MAX_CORRECTIONS = 200
+
+#: Largest rho the contour takes.  Against extended precision at alpha in
+#: 0.3-0.99, beta in {1, 1.5, 2} and z in [-20, -1e-3] it is within 7e-14
+#: relative at rho = 2, but 6.4e-12 at rho = 3 (alpha = 0.99, beta = 2,
+#: z = -2) and 1.3e-7 at rho = 10.
+MAX_CONTOUR_RHO = 2.0
 
 # Garrappa's contour parameters for a transform analytic off the negative
 # axis with a branch point at 0 no stronger than 1/s, at accuracy 1e-15:
@@ -207,6 +216,11 @@ def _contour(alpha, beta, rho):
     case measured, but reaches 2e-12 at J = 5 and 2e-9 at J = 19.  So the
     radius is SERIES_RADIUS for J <= 2 and 1 above.
     """
+    if rho > MAX_CONTOUR_RHO:
+        raise NonConvergence(
+            f"contour is accurate only up to rho={MAX_CONTOUR_RHO} for "
+            f"(alpha={alpha}, beta={beta}, rho={rho})"
+        )
     k = np.arange(_N + 1)
     s = _MU * (1j * _H * k + 1) ** 2
     ds = 2j * _MU * (1j * _H * k + 1)
@@ -231,11 +245,24 @@ def _contour(alpha, beta, rho):
 
 def _contour_sum(alpha, beta, rho, z):
     """The contour rule at each z < 0; a loop over the nodes keeps the
-    temporaries at the size of z."""
+    temporaries at the size of z.
+
+    An integer rho takes (s_k^alpha - z)^(-rho) as the rho-th power of one
+    reciprocal, by out-of-place products: about 3x faster per node than
+    numpy's complex power, and, unlike an in-place ``*=``, the same value
+    per element at any array length."""
     s_alpha, weights, corrections = _contour(alpha, beta, rho)
     acc = np.zeros(z.shape, dtype=complex)
+    integer = rho == int(rho)
     for s_a, weight in zip(s_alpha, weights):
-        acc += weight * (s_a - z) ** -rho
+        if integer:
+            r = np.reciprocal(s_a - z)
+            term = r
+            for _ in range(int(rho) - 1):
+                term = term * r
+        else:
+            term = (s_a - z) ** -rho
+        acc += weight * term
     out = acc.real
     lead = (-z) ** -rho
     for j, c in enumerate(corrections):

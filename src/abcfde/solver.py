@@ -300,9 +300,11 @@ def rhs_operator(spec: ProblemSpec, omega: np.ndarray, grid: Grid) -> np.ndarray
     a, B = cfg.alpha, cfg.b
     f_vals = spec.f_samples(taus, omega)
     g_vals = spec.g_samples(taus, omega)
-    integral = singular_integral_coefficient(cfg) * rl_integral(g_vals, grid, a)
     head = spec.omega0 / spec.f00
-    return f_vals * (head + (1.0 - a) / B * g_vals + integral)
+    # an overflow leaves a non-finite iterate, which picard_stack reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        integral = singular_integral_coefficient(cfg) * rl_integral(g_vals, grid, a)
+        return f_vals * (head + (1.0 - a) / B * g_vals + integral)
 
 
 #: Iterate elements that one stack of :func:`picard_stack` holds, one row

@@ -76,6 +76,16 @@ omega_max = 1.5
 """
 
 
+# sweep 1 gives 1e300 * (1 + ...); sweep 2 overflows in the operator
+OVERFLOW_TEXT = """\
+alpha = 0.5
+T = 1
+omega0 = 1
+f = 1e300
+g = tau * omega
+"""
+
+
 @pytest.fixture
 def problem_file(tmp_path):
     path = tmp_path / "problem.txt"
@@ -186,6 +196,24 @@ class TestSolve:
         assert out.exists()
         summary = (tmp_path / "trace.csv.summary.txt").read_text()
         assert "converged=False" in summary
+
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--out", "t.csv"], ["extremal", "--out-prefix", "lv"]],
+        ids=["solve", "extremal"],
+    )
+    def test_overflowing_iterate_prints_only_the_error(self, tmp_path, argv):
+        # in a fresh interpreter, whose default filters print a numpy
+        # RuntimeWarning to stderr; the operator's overflow printed one
+        path = tmp_path / "p.txt"
+        path.write_text(OVERFLOW_TEXT)
+        src = str(Path(abcfde.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-m", "abcfde.cli", argv[0], str(path), *argv[1:]],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert result.returncode == EXIT_MAX_SWEEPS
+        assert result.stderr == "E_MAXSWEEPS: sweep 2 gave a non-finite iterate (diff inf)\n"
 
     @pytest.mark.parametrize(
         "text", [MANUFACTURED_TEXT, NONLINEAR_TEXT], ids=["manufactured", "nonlinear"]
@@ -540,6 +568,19 @@ class TestMlf:
         code = main(["mlf", "500", "--alpha", "0.5"])
         assert code == EXIT_MAX_SWEEPS
         assert "E_NONCONVERGENCE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rho", ["200", "1000"])
+    def test_large_rho_raises_quickly(self, capsys, rho):
+        # the contour printed -1.1e-35 (for -7.4e-35) at rho = 200, and NaN
+        # with two RuntimeWarnings at 1000, both with exit 0
+        start = time.perf_counter()
+        code = main(["mlf", "-3", "--alpha", "0.5", "--beta", "1.5", "--rho", rho])
+        assert time.perf_counter() - start < 0.1
+        assert code == EXIT_MAX_SWEEPS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("E_NONCONVERGENCE: ")
+        assert f"(alpha=0.5, beta=1.5, rho={float(rho)})" in captured.err
 
     def test_tiny_alpha_raises_quickly(self):
         # the contour would add a correction per j < (beta - 1)/alpha - rho

@@ -9,7 +9,7 @@ from scipy.special import erfc, rgamma
 
 from abcfde import ml_one, ml_prabhakar, ml_two
 from abcfde.errors import NonConvergence
-from abcfde.mittag_leffler import MAX_CORRECTIONS, _contour
+from abcfde.mittag_leffler import MAX_CONTOUR_RHO, MAX_CORRECTIONS, _contour
 
 
 def log_peak_term(alpha, beta, rho, z):
@@ -54,6 +54,20 @@ def mp_talbot(alpha, beta, rho, z):
         a, b, r, za = mp.mpf(alpha), mp.mpf(beta), mp.mpf(rho), mp.mpf(z)
         F = lambda s: s ** (a * r - b) / (s**a - za) ** r  # noqa: E731
         return float(mp.invertlaplace(F, 1, method="talbot"))
+
+
+def complex_power_rule(alpha, beta, rho, z):
+    """The engine's contour rule with numpy's complex power at every node,
+    as it took every rho before an integer one took products."""
+    s_alpha, weights, corrections = _contour(alpha, beta, rho)
+    acc = np.zeros(z.shape, dtype=complex)
+    for s_a, weight in zip(s_alpha, weights):
+        acc += weight * (s_a - z) ** -rho
+    out = acc.real
+    lead = (-z) ** -rho
+    for j, c in enumerate(corrections):
+        out += c * lead * z**-j
+    return out
 
 
 def oracle(alpha, beta, rho, z):
@@ -186,9 +200,15 @@ class TestEngine:
         for args in [(0.5, 2.0, 1.0, -5.0), (0.9, 1.5, 2.0, -20.0), (0.3, 2.0, 2.0, -3.0)]:
             assert mp_talbot(*args) == pytest.approx(mp_series(*args), rel=1e-15)
 
+    # an integer rho takes its power by products, a non-integer one by
+    # numpy's complex power; both are gated
     @pytest.mark.parametrize(
         "alpha,beta,rho",
-        list(itertools.product([0.3, 0.5, 0.7, 0.9, 0.99], [1.0, 1.5, 2.0], [1.0, 2.0])),
+        list(
+            itertools.product(
+                [0.3, 0.5, 0.7, 0.9, 0.99], [1.0, 1.5, 2.0], [0.5, 1.0, 1.5, 2.0]
+            )
+        ),
     )
     def test_relative_error_against_oracle(self, alpha, beta, rho):
         zs = np.array(self.ZS)
@@ -202,6 +222,55 @@ class TestEngine:
         assert got.shape == zs.shape
         scalar = [ml_prabhakar(0.7, 1.3, 2.0, float(z)) for z in zs.ravel()]
         np.testing.assert_array_equal(got.ravel(), scalar)
+
+    @pytest.mark.parametrize("alpha,beta,rho", [(0.5, 1.5, 1.0), (0.5, 1.5, 2.0), (0.7, 1.3, 1.5)])
+    def test_contour_array_equals_per_element_calls(self, alpha, beta, rho):
+        # numpy's vectorized complex loops must give each element the value
+        # it gets alone, at any array length; an in-place ``p *= r`` for the
+        # power moved mlf3(0.5, 1.5, 2, z) by 2 ulps with its lane
+        zs = -np.linspace(0.6, 50.0, 1000)
+        scalar = np.array([ml_prabhakar(alpha, beta, rho, float(z)) for z in zs])
+        for n in [*range(1, 41), 1000]:
+            np.testing.assert_array_equal(ml_prabhakar(alpha, beta, rho, zs[:n]), scalar[:n])
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.5, 1.5), (0.9, 2.0), (0.99, 1.0)])
+    def test_products_match_the_complex_power(self, alpha, beta):
+        zs = -np.linspace(0.6, 50.0, 400)
+        for rho in (1.0, 2.0):
+            ref = complex_power_rule(alpha, beta, rho, zs)
+            got = ml_prabhakar(alpha, beta, rho, zs)
+            # a few ulps per node over 28 nodes
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(
+            ml_prabhakar(alpha, beta, 1.5, zs), complex_power_rule(alpha, beta, 1.5, zs)
+        )
+
+    @pytest.mark.parametrize(
+        "alpha,beta,rho,pinned",
+        [
+            (0.5, 1.5, 1.5, ["0x1.fa93e84650b99p-2", "0x1.02555adda3aecp-3", "0x1.230f0748c229fp-7"]),
+            (0.9, 2.0, 0.5, ["0x1.aa30dd71b5a37p-1", "0x1.26be3a73397d1p-1", "0x1.fad8190079160p-3"]),
+        ],
+    )
+    def test_non_integer_rho_values_pinned(self, alpha, beta, rho, pinned):
+        # a non-integer rho keeps numpy's complex power per node: these are
+        # the values it gave before integer powers took products (numpy 2.4,
+        # x86-64 Linux)
+        got = ml_prabhakar(alpha, beta, rho, np.array([-0.75, -3.0, -20.0]))
+        assert [v.hex() for v in got] == pinned
+
+    def test_rho_cap(self):
+        # the contour's error grows with rho: 6.4e-12 relative at rho = 3
+        # (alpha = 0.99, beta = 2, z = -2); the CLI tests take rho = 200, 1000
+        assert MAX_CONTOUR_RHO < 3.0
+        with pytest.raises(NonConvergence, match=r"\(alpha=0.5, beta=1.5, rho=3.0\)"):
+            ml_prabhakar(0.5, 1.5, 3.0, np.array([-0.1, -3.0]))
+
+    def test_series_serves_above_the_rho_cap(self):
+        for z in (0.5, -0.1, -0.5):
+            exact = mp_series(0.5, 1.5, 3.0, z)
+            assert ml_prabhakar(0.5, 1.5, 3.0, z) == pytest.approx(exact, rel=1e-12)
+        assert math.isfinite(ml_prabhakar(0.5, 1.5, MAX_CONTOUR_RHO, -3.0))
 
     @pytest.mark.parametrize("z", [-35.0, -50.0])
     def test_large_negative_argument_in_bounded_time(self, z):

@@ -318,6 +318,13 @@ class TestPicard:
         assert trace.omega.tobytes() == first.tobytes()
         assert "sweep 2" in str(exc.value)
 
+    def test_overflow_in_the_operator_warns_nothing(self):
+        # no errstate here: pytest turns an escaped RuntimeWarning into an
+        # error, and the operator's last multiply overflows at sweep 2
+        spec = load_problem("alpha=0.5\nT=1\nomega0=1\nf=1e300\ng=tau*omega")
+        with pytest.raises(NonFiniteIterate, match="sweep 2"):
+            picard_solve(spec, Grid(1.0, 16))
+
     def test_f_at_the_start_evaluated_once_per_solve(self):
         starts = []
 
