@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import re
 import sys
 from pathlib import Path
@@ -70,21 +71,26 @@ def _manifest_digest(command: str, input_digest: str | None, params: dict) -> st
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _tau_column(taus) -> list[str]:
-    """The tau column of a trace CSV, for files that share their nodes."""
-    return ["%.17g" % tau for tau in taus.tolist()]  # _fmt's format
+_ROWS = 2**10  # rows joined per write: bounds the copies
 
 
 def _write_trace_csv(path: Path, digest: str, taus, omegas, residuals) -> None:
-    """taus is an array, or its :func:`_tau_column`."""
-    columns = omegas.tolist(), residuals.tolist()
-    lines = [f"# manifest={digest}", "tau,omega,residual"]
-    # _fmt's format, once per row
-    if isinstance(taus, np.ndarray):
-        lines += ["%.17g,%.17g,%.17g" % row for row in zip(taus.tolist(), *columns)]
-    else:
-        lines += ["%s,%.17g,%.17g" % row for row in zip(taus, *columns)]
-    path.write_text("\n".join(lines) + "\n")
+    """Each column is an array, or its :func:`~abcfde._format17.csv_fields`
+    rows, so files that share a column format it once."""
+    from ._format17 import csv_fields  # compiled on first use, not on import
+
+    columns = [taus, omegas, residuals]
+    todo = [i for i, column in enumerate(columns) if column.dtype != np.uint8]
+    if todo:  # one call for all columns still to format
+        fields = csv_fields(np.stack([columns[i] for i in todo]))
+        for i, part in zip(todo, np.split(fields, len(todo))):
+            columns[i] = part
+    with path.open("wb") as out:
+        out.write(f"# manifest={digest}\ntau,omega,residual\n".encode())
+        for lo in range(0, len(columns[0]), _ROWS):
+            rows = np.concatenate([column[lo : lo + _ROWS] for column in columns], axis=1)
+            rows[:, -1] = ord("\n")
+            out.write(rows.tobytes().translate(None, b"\0"))  # drop the holes
 
 
 def _write_summary(path: Path, digest: str, fields: dict) -> None:
@@ -194,9 +200,37 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _check_eps_steps(eps0: float, ratio: float, levels: int, tol: float) -> None:
+    """Refuse eps levels closer than tol: levels solved to about tol
+    cannot be ordered below it.  The smallest step, between the last two
+    levels, is eps0 ratio^(levels - 2) (1 - ratio)."""
+    if not math.isfinite(eps0):
+        raise ValidationError("eps0", f"must be finite, got {_fmt(eps0)}")
+    if not (eps0 > 0 and 0 < ratio < 1 and levels >= 2 and tol > 0):
+        return  # the bracket and the solver name these
+
+    def step(n):
+        return eps0 * (1 - ratio) * ratio ** (n - 2)
+
+    if step(levels) >= tol:
+        return
+    usable = 1
+    if step(2) >= tol:
+        usable = 2 + int(math.log(tol / step(2)) / math.log(ratio))
+        usable += step(usable + 1) >= tol
+        usable -= step(usable) < tol
+    raise ValidationError(
+        "levels",
+        f"the step between the last two of {levels} eps levels, {_fmt(step(levels))}, "
+        f"is below --tol {_fmt(tol)}; "
+        + (f"use --levels {usable} or fewer" if usable >= 2 else "raise --eps0 or lower --tol"),
+    )
+
+
 def _cmd_extremal(args) -> int:
     spec, in_digest = _load(args.problem)
     grid = Grid(spec.T, args.n)
+    _check_eps_steps(args.eps0, args.ratio, args.levels, args.tol)
     digest = _manifest_digest(
         "extremal",
         in_digest,
@@ -214,14 +248,17 @@ def _cmd_extremal(args) -> int:
         spec, eps0=args.eps0, ratio=args.ratio, levels=args.levels,
         grid=grid, tol=args.tol,
     )
+    from ._format17 import FIELD, csv_fields
+
     prefix = Path(args.out_prefix)
-    taus = _tau_column(grid.nodes)
+    taus = csv_fields(grid.nodes)
     block = stack_rows(grid)
     for lo in range(0, len(result.traces), block):
         # the residuals against the problem as given, one stack per block
         omegas = np.array([trace.omega for trace in result.traces[lo : lo + block]])
         residuals = np.abs(omegas - rhs_operator(spec, omegas, grid))
-        for level, rows in enumerate(zip(omegas, residuals), start=lo):
+        columns = csv_fields(np.stack([omegas, residuals]))
+        for level, rows in enumerate(zip(*columns.reshape(2, *omegas.shape, FIELD)), start=lo):
             path = prefix.parent / f"{prefix.name}_level{level}.csv"
             _write_trace_csv(path, digest, taus, *rows)
     _write_summary(

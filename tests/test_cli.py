@@ -5,10 +5,14 @@ import shlex
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abcfde
 from abcfde import (
@@ -20,7 +24,7 @@ from abcfde import (
     picard_solve,
     rhs_operator,
 )
-from abcfde import cli, solver
+from abcfde import _format17, cli, solver
 from abcfde.cli import (
     EXIT_INVALID,
     EXIT_MAX_SWEEPS,
@@ -172,7 +176,7 @@ class TestSolve:
         assert spec.T == 1.0
 
     def test_csv_digits(self, tmp_path):
-        # one %-format per row writes what format(x, ".17g") writes
+        # the writer writes what format(x, ".17g") writes
         values = [0.0, -0.0, 5e-324, -5e-324, 1.8e308, -1.8e308,
                   math.nan, math.inf, -math.inf, 0.1, 1e16, 1e17]
         col = np.array(values)
@@ -241,6 +245,137 @@ class TestSolve:
         summary = (tmp_path / "trace.csv.summary.txt").read_text().splitlines()
         assert "condition_M_f=nan" in summary
         assert "condition_R=inf" in summary
+
+
+def per_row_csv(path, digest, taus, omegas, residuals):
+    """The trace CSV as one %-format per row writes it: the oracle of
+    :func:`cli._write_trace_csv`."""
+    columns = taus.tolist(), omegas.tolist(), residuals.tolist()
+    lines = [f"# manifest={digest}", "tau,omega,residual"]
+    lines += ["%.17g,%.17g,%.17g" % row for row in zip(*columns)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def vector_format(values) -> list[str]:
+    """The formatter's text of each value."""
+    fields = _format17.csv_fields(np.asarray(values, dtype=np.float64))
+    return fields.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+
+
+def assert_formats_as_17g(values):
+    values = np.asarray(values, dtype=np.float64)
+    expected = [format(x, ".17g") for x in values.tolist()]
+    got = vector_format(values)
+    wrong = [(x, g, e) for x, g, e in zip(values.tolist(), got, expected) if g != e]
+    assert len(got) == len(expected) and not wrong, wrong[:5]
+
+
+class TestCsvFormat:
+    """The vectorized writer against format(x, ".17g"), byte for byte."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(13).integers(0, 2**64, 10**5, np.uint64)
+        values = bits.view(np.float64)
+        assert np.count_nonzero(~np.isfinite(values)) > 10
+        assert_formats_as_17g(values)
+
+    def test_log_uniform_magnitudes(self):
+        # across the range converted in numpy and past both of its ends
+        rng = np.random.default_rng(7)
+        values = 10.0 ** rng.uniform(-105, 105, 10**5) * rng.choice([-1.0, 1.0], 10**5)
+        assert_formats_as_17g(values)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats(self, values):
+        assert_formats_as_17g(values)
+
+    def test_ties_round_half_even(self):
+        # (2k+1) 2^-m with 18 significant digits ends in a 5: a tie at 17
+        values = [(2 * k + 1) * 2.0**-m for m in range(1, 90) for k in range(0, 3000, 7)]
+        ties = [x for x in values if len(Decimal(x).as_tuple().digits) == 18]
+        assert len(ties) > 100
+        assert format(2.0**-25, ".17g") == "2.9802322387695312e-08"  # 2.98023223876953125e-08
+        assert_formats_as_17g(values)
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([10.0**k for k in range(-323, 309)])
+        values = np.concatenate(
+            [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers]
+        )
+        # some powers lie below 10^k and print as 10^k: rounding carries
+        # into the exponent
+        carried = [k for k, x in zip(range(-323, 309), powers.tolist())
+                   if Fraction(x) < Fraction(10) ** k and format(x, ".17g") == f"1e{k:+03d}"]
+        assert [k for k in carried if _format17.X_MIN <= k <= _format17.X_MAX]
+        assert_formats_as_17g(values)
+
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (1e-4, "0.0001"),
+            (np.nextafter(1e-4, 0), "9.9999999999999991e-05"),
+            (1e-5, "1.0000000000000001e-05"),
+            (0.00012345, "0.00012344999999999999"),
+            (1e16, "10000000000000000"),
+            (1e17, "1e+17"),
+            (np.nextafter(1e17, 0), "99999999999999984"),
+            (123456789012345678.0, "1.2345678901234568e+17"),
+            (1.5, "1.5"),
+            (-2.0, "-2"),
+            (2.2250738585072009e-308, "2.2250738585072009e-308"),
+            (2.2250738585072014e-308, "2.2250738585072014e-308"),
+            (1.7976931348623157e308, "1.7976931348623157e+308"),
+        ],
+    )
+    def test_fixed_and_exponent_switches(self, x, text):
+        assert format(x, ".17g") == text
+        assert vector_format([x]) == [text]
+
+    def test_subnormals_and_zeros(self):
+        rng = np.random.default_rng(3)
+        subnormals = rng.integers(1, 2**52, 1000, np.uint64).view(np.float64)
+        values = np.concatenate([[0.0, -0.0, 5e-324, -5e-324], subnormals, -subnormals])
+        assert_formats_as_17g(values)
+
+    def test_formatter_loads_on_first_write(self):
+        # `import abcfde.cli` (the benchmark's set-up) neither compiles the
+        # formatter nor builds its tables
+        code = "import sys, abcfde.cli; print('abcfde._format17' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(abcfde.__file__).parent.parent)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("n", [1, 64, 1025])
+    def test_solve_file_matches_the_per_row_writer(self, tmp_path, n):
+        path = tmp_path / "p.txt"
+        path.write_text(MANUFACTURED_TEXT)
+        out = tmp_path / "trace.csv"
+        assert main(["solve", str(path), "--n", str(n), "--out", str(out)]) == EXIT_OK
+        digest = out.read_text().split("\n", 1)[0].removeprefix("# manifest=")
+        grid = Grid(1.0, n)
+        trace = picard_solve(load_problem(MANUFACTURED_TEXT), grid, tol=1e-10)
+        per_row_csv(tmp_path / "oracle.csv", digest, grid.nodes, trace.omega, trace.residuals)
+        assert out.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [1, 64, 1025])
+    def test_extremal_files_match_the_per_row_writer(self, tmp_path, n):
+        path = tmp_path / "p.txt"
+        path.write_text(MANUFACTURED_TEXT)
+        args = ["extremal", str(path), "--n", str(n), "--levels", "3",
+                "--out-prefix", str(tmp_path / "ext")]
+        assert main(args) == EXIT_OK
+        spec = load_problem(MANUFACTURED_TEXT)
+        grid = Grid(1.0, n)
+        omegas = np.array([t.omega for t in bracket_maximal(spec, grid, levels=3).traces])
+        residuals = np.abs(omegas - rhs_operator(spec, omegas, grid))
+        for level in range(3):
+            got = tmp_path / f"ext_level{level}.csv"
+            digest = got.read_text().split("\n", 1)[0].removeprefix("# manifest=")
+            oracle = tmp_path / "oracle.csv"
+            per_row_csv(oracle, digest, grid.nodes, omegas[level], residuals[level])
+            assert got.read_bytes() == oracle.read_bytes()
 
 
 class TestCheck:
@@ -390,6 +525,57 @@ class TestExtremal:
         assert main(args) == EXIT_OK
         assert len(calls) <= slowest + 2
         assert calls[-1] == (4, 65)  # the residuals of every level at once
+
+    def test_unresolvable_levels_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        # the last of 64 levels sits 1.1e-20 below the one before, far under
+        # --tol; the manufactured problem reported E_ORDERING for it
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(cli, "bracket_maximal", no_solve)
+        path = tmp_path / "p.txt"
+        path.write_text(MANUFACTURED_TEXT)
+        args = ["extremal", str(path), "--n", "4096", "--levels", "64",
+                "--out-prefix", str(tmp_path / "ext")]
+        assert main(args) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("E_INVALID: levels: ")
+        assert "use --levels 30 or fewer" in err
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "levels, eps0, ratio, tol, usable",
+        [
+            (30, 0.1, 0.5, 1e-10, None),
+            (31, 0.1, 0.5, 1e-10, 30),
+            (100000, 0.1, 0.5, 1e-10, 30),
+            (200, 0.1, 0.9, 1e-10, 176),
+            (4, 1e-11, 0.5, 1e-10, 1),
+        ],
+    )
+    def test_largest_usable_levels(self, levels, eps0, ratio, tol, usable):
+        def step(n):
+            return eps0 * ratio ** (n - 2) * (1 - ratio)
+
+        if usable is None:
+            cli._check_eps_steps(eps0, ratio, levels, tol)
+            return
+        with pytest.raises(cli.ValidationError) as info:
+            cli._check_eps_steps(eps0, ratio, levels, tol)
+        if usable >= 2:
+            assert f"use --levels {usable} or fewer" in str(info.value)
+            assert step(usable) >= tol > step(usable + 1)
+        else:
+            assert "raise --eps0 or lower --tol" in str(info.value)
+
+    @pytest.mark.parametrize("eps0", ["inf", "nan"])
+    def test_non_finite_eps0(self, tmp_path, capsys, eps0):
+        path = tmp_path / "p.txt"
+        path.write_text(ZERO_FORCING_TEXT)
+        args = ["extremal", str(path), "--eps0", eps0, "--out-prefix", str(tmp_path / "ext")]
+        assert main(args) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("E_INVALID: eps0: must be finite")
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_minimal_variant(self, tmp_path):
         path = tmp_path / "p.txt"
