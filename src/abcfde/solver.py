@@ -243,19 +243,15 @@ def sample_box(spec: ProblemSpec, omega_box, n_tau: int = 21, n_omega: int = 41)
 
 def max_pair_slope(num: np.ndarray, den: np.ndarray, absolute: bool = False) -> float:
     """max(0, largest (num[i] - num[j]) / (den[i] - den[j]), or |that|, over
-    pairs i > j with den[i] != den[j]) in each row; den is one row for all
-    rows of num, or one per row.  A row with a NaN slope is left out."""
-    i, j = np.tril_indices(num.shape[1], -1)
-    best = 0.0
-    rows = max(1, 2**20 // max(i.size, 1))  # keeps each pair table near 2^20 entries
-    for lo in range(0, num.shape[0], rows):
-        n = num[lo : lo + rows]
-        d = den[lo : lo + rows] if den.ndim > 1 else den
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slopes = (n[:, i] - n[:, j]) / (d[..., i] - d[..., j])
-        slopes = np.where(d[..., i] != d[..., j], np.abs(slopes) if absolute else slopes, 0.0)
-        best = max(best, float(np.fmax.reduce(np.max(slopes, axis=1), initial=0.0)))
-    return best
+    pairs i > j) in each row, for den increasing along each row; den is
+    one row for all rows of num, or one per row.  A chord's slope is a
+    weighted mean of the neighbour slopes it spans, so only neighbours are
+    compared.  A row with a NaN slope is left out."""
+    with np.errstate(invalid="ignore"):  # inf - inf in num
+        slopes = np.diff(num, axis=1) / np.diff(den)
+    if absolute:
+        slopes = np.abs(slopes)
+    return float(np.fmax.reduce(np.max(slopes, axis=1), initial=0.0))
 
 
 def check_monotone_quotient(sample: BoxSample) -> QuotientReport:
@@ -336,38 +332,6 @@ class _Stack(ProblemSpec):
         return super().g_samples(taus, omegas) + self.shifts
 
 
-def _stack(spec: ProblemSpec, rows: list, shifts: list, live: list) -> ProblemSpec:
-    """The spec :func:`rhs_operator` takes for the live rows: the one row's
-    own spec, or a :class:`_Stack` of theirs."""
-    if len(live) == 1:
-        return rows[live[0]]
-    return _Stack(
-        spec.T, np.array([[rows[r].omega0] for r in live]), spec.f, spec.g, spec.cfg,
-        spec.omega_box, rows=tuple(rows[r] for r in live),
-        shifts=np.array([[shifts[r]] for r in live]),
-    )
-
-
-def _sweep(stack: ProblemSpec, rows: list, live: list, omega: np.ndarray, grid: Grid):
-    """rhs_operator on the live rows' iterates omega, and {row: error} for
-    a row that raises.  A stack that raises is swept again row by row, up
-    to the first row that fails, so an error is the one that row's own
-    solve raises, naming a sample of that row."""
-    try:
-        new = rhs_operator(stack, omega[0] if len(live) == 1 else omega, grid)
-        return new.reshape(omega.shape), {}
-    except Exception as exc:  # f and g are the caller's: a row may raise anything
-        if len(live) == 1:
-            return None, {live[0]: exc}
-    new = np.empty_like(omega)
-    for i, r in enumerate(live):
-        try:
-            new[i] = rhs_operator(rows[r], omega[i], grid)
-        except Exception as exc:
-            return new, {r: exc}
-    return new, {}
-
-
 def picard_stack(
     spec: ProblemSpec,
     grid: Grid,
@@ -385,81 +349,87 @@ def picard_stack(
     g and the operator are called once per sweep on all rows still in the
     stack, in blocks of :func:`stack_rows` rows.  Raises what that
     per-row loop would raise first: the error of the first row that
-    fails, which ends the rows after it.
+    fails, naming a sample of that row.  For that, a block whose stacked
+    sweep raises is solved again row by row: at most one more solve of
+    the block, and only when a sweep raises.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if not max_sweeps >= 1:
         raise ValueError("max_sweeps must be >= 1")
     if shifts is None:
-        rows = [spec]
+        rows, shifts = [spec], [0.0]  # one row never reads its shift
     else:
         shifts = [float(s) for s in shifts]
         rows = [perturbed(spec, abs(s), int(math.copysign(1.0, s))) for s in shifts]
     traces: list[SolutionTrace] = []
-    block = stack_rows(grid)
-    for lo in range(0, len(rows), block):
-        outcome = _solve_block(spec, rows, shifts, range(lo, min(lo + block, len(rows))),
-                               grid, tol, max_sweeps)
-        # every row up to the first that failed has one
-        for r in sorted(outcome):
-            if isinstance(outcome[r], Exception):
-                raise outcome[r]
-            traces.append(outcome[r])
+    size = stack_rows(grid)
+    for lo in range(0, len(rows), size):
+        block = rows[lo : lo + size]
+        outcomes = _solve_block(spec, block, shifts[lo : lo + size], grid, tol, max_sweeps)
+        if outcomes is None:  # a stacked sweep raised
+            outcomes = [picard_solve(row, grid, tol, max_sweeps) for row in block]
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+            traces.append(outcome)
     return traces
 
 
-def _solve_block(spec, rows, shifts, block, grid, tol, max_sweeps) -> dict:
-    """{row: its trace or its error} of the rows of one block of
-    :func:`picard_stack`, up to the first that fails."""
-    live = list(block)
-    stack = _stack(spec, rows, shifts, live)
-    omega = np.empty((len(live), grid.N + 1))
-    omega[:] = [[rows[r].omega0] for r in live]
-    diffs: dict[int, list[float]] = {r: [] for r in live}
+def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
+    """The trace of each row of one block of :func:`picard_stack`, or the
+    MaxSweepsExceeded or NonFiniteIterate that ends it, in row order.
+    None when a sweep of several rows raises; a sweep of one row
+    raises."""
+    live = list(range(len(rows)))
+    omega = np.full((len(rows), grid.N + 1), [[row.omega0] for row in rows])
+    diffs: list[list[float]] = [[] for _ in rows]
     due: dict[int, bool] = {}  # row -> converged, for rows whose residuals are next
-    outcome: dict = {}
+    outcomes: list = [None] * len(rows)
+    stack = None
     while live:
-        new, failed = _sweep(stack, rows, live, omega, grid)
-        outcome.update(failed)
-        if failed:
-            # the rows from the failed one on are done: their solves come after it
-            live = live[: live.index(min(failed))]
-            if not live:
-                break
-            omega, new = omega[: len(live)], new[: len(live)]
+        if stack is None:  # the first sweep, or rows left
+            stack = rows[live[0]] if len(live) == 1 else _Stack(
+                spec.T, np.array([[rows[r].omega0] for r in live]), spec.f, spec.g, spec.cfg,
+                spec.omega_box, rows=tuple(rows[r] for r in live),
+                shifts=np.array([[shifts[r]] for r in live]),
+            )
+        try:
+            new = rhs_operator(stack, omega[0] if len(live) == 1 else omega, grid)
+        except Exception:  # f and g are the caller's: a row may raise anything
+            if len(rows) == 1:
+                raise
+            return None
+        new = new.reshape(omega.shape)
         gap = np.abs(omega - new)
         keep = []
         for i, (r, diff) in enumerate(zip(live, gap.max(axis=1).tolist())):
-            if r in due:
-                trace = SolutionTrace(
-                    grid, omega[i].copy(), diffs[r], gap[i].copy(), converged=due[r]
-                )
-                outcome[r] = trace if due[r] else MaxSweepsExceeded(
+            if r not in due:
+                diffs[r].append(diff)
+                # a finite diff needs a finite new; the converse can fail to overflow
+                if math.isfinite(diff) or np.isfinite(new[i]).all():
+                    if diff <= tol or len(diffs[r]) == max_sweeps:
+                        due[r] = diff <= tol
+                    keep.append(i)
+                    continue
+            # row r is done: gap holds its residuals, or its sweep was not finite
+            trace = SolutionTrace(grid, omega[i].copy(), diffs[r], gap[i].copy(), due.get(r, False))
+            if trace.converged:
+                outcomes[r] = trace
+            elif r in due:
+                outcomes[r] = MaxSweepsExceeded(
                     f"no convergence in {max_sweeps} sweeps (last diff {diffs[r][-1]:.3e})",
                     trace=trace,
                 )
-                continue
-            diffs[r].append(diff)
-            # a finite diff needs a finite new; the converse can fail to overflow
-            if not math.isfinite(diff) and not np.isfinite(new[i]).all():
-                trace = SolutionTrace(
-                    grid, omega[i].copy(), diffs[r], gap[i].copy(), converged=False
+            else:
+                outcomes[r] = NonFiniteIterate(
+                    f"sweep {len(diffs[r])} gave a non-finite iterate (diff {diff})", trace=trace
                 )
-                outcome[r] = NonFiniteIterate(
-                    f"sweep {len(diffs[r])} gave a non-finite iterate (diff {diff})",
-                    trace=trace,
-                )
-                continue
-            if diff <= tol or len(diffs[r]) == max_sweeps:
-                due[r] = diff <= tol
-            keep.append(i)
         omega = new
-        if failed or len(keep) < len(live):
+        if len(keep) < len(live):
             live = [live[i] for i in keep]
-            omega = omega[keep]
-            stack = _stack(spec, rows, shifts, live) if live else None
-    return outcome
+            omega, stack = omega[keep], None
+    return outcomes
 
 
 def picard_solve(
@@ -480,27 +450,22 @@ def picard_solve(
     return picard_stack(spec, grid, tol=tol, max_sweeps=max_sweeps)[0]
 
 
-def existence_condition(
-    spec: ProblemSpec, L_f: float, h_norm: float
-) -> ConditionReport:
-    """Evaluate the contraction-style existence condition and ball radius.
-
-    M_f = sup |f(tau, 0)| over [0, T]; where f(., 0) is undefined, M_f is
-    NaN and the radii are infinite.
-    """
-    (report,) = _conditions(spec, L_f, h_norm, [spec.cfg.kernel_convention]).values()
-    return report
+def existence_condition(spec: ProblemSpec, L_f: float, h_norm: float) -> ConditionReport:
+    """Evaluate the contraction-style existence condition and ball radius
+    under spec's kernel convention."""
+    return existence_conditions(spec, L_f, h_norm)[spec.cfg.kernel_convention]
 
 
 def existence_conditions(
     spec: ProblemSpec, L_f: float, h_norm: float
 ) -> dict[KernelConvention, ConditionReport]:
-    """:func:`existence_condition` under each kernel convention, GAMMA
-    first; M_f, which depends on neither, is sampled once."""
-    return _conditions(spec, L_f, h_norm, KernelConvention)
+    """The existence condition and ball radius under each kernel
+    convention, GAMMA first.
 
-
-def _conditions(spec, L_f, h_norm, conventions) -> dict[KernelConvention, ConditionReport]:
+    M_f = sup |f(tau, 0)| over [0, T], which depends on neither, is
+    sampled once; where f(., 0) is undefined, M_f is NaN and the radii are
+    infinite.
+    """
     if L_f < 0 or h_norm < 0:
         raise ValueError("L_f and h_norm must be >= 0")
     taus = np.linspace(0.0, spec.T, 1001)
@@ -511,7 +476,7 @@ def _conditions(spec, L_f, h_norm, conventions) -> dict[KernelConvention, Condit
         # the ball radius is unknown
         M_f = math.nan
     reports = {}
-    for convention in conventions:
+    for convention in KernelConvention:
         cfg = spec.cfg
         if convention is not cfg.kernel_convention:
             cfg = replace(cfg, kernel_convention=convention)

@@ -354,6 +354,22 @@ class TestOneStack:
         assert type(want) is MaxSweepsExceeded
         assert_same_outcome(want, stacked(*args))
 
+    def test_an_earlier_non_finite_level_fails_before_a_later_raise(self):
+        # the first level overflows at its second sweep; the third starts in
+        # the band and raises at the first sweep of the stack
+        def g(t, w):
+            if 0.52 <= w < 0.53:
+                raise ValueError("in the band")
+            return t * np.exp(50.0 * w)
+
+        spec = ProblemSpec(T=1.0, omega0=0.5, f=lambda t, w: 1.0, g=g, cfg=OperatorConfig(0.5))
+        args = (spec, Grid(1.0, 16), +1)
+        with np.errstate(all="ignore"):
+            want, got = per_level(*args), stacked(*args)
+        assert type(want) is NonFiniteIterate
+        assert want.trace.iterations == 2
+        assert_same_outcome(want, got)
+
     def test_levels_past_the_element_budget_go_in_blocks(self, monkeypatch):
         spec = load_problem(NONLINEAR_TEXT)
         grid = Grid(spec.T, 64)

@@ -1,5 +1,6 @@
-"""Every imported name in the library, its tests and demos is used, and
-no library module imports another's private names.
+"""Every imported name in the library, its tests and demos is used, no
+library module imports another's private names, and every private
+top-level name of a library module is read in that module.
 
 No linter ships with the test dependencies, so the checks walk the
 syntax tree with the standard ``ast`` module: a name bound by an import
@@ -73,3 +74,42 @@ def test_no_private_imports_between_modules(path):
 def test_checker_flags_a_private_import():
     source = "from . import __version__\nfrom .solver import _lattice, lattice\n"
     assert private_imports(source) == ["_lattice (line 2)"]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Private top-level names (one leading underscore) of a module that
+    nothing in it reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{name} (line {line})"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parts[0] == "src"], ids=str)
+def test_every_private_name_is_read_in_its_module(path):
+    assert unread_private_names((ROOT / path).read_text()) == []
+
+
+def test_checker_flags_an_unread_private_name():
+    source = (
+        "_A, _B = 1, 2\n__all__ = []\n\n\ndef _used():\n    return _A\n\n\n"
+        "def _dead():\n    return _used()\n\n\nclass _Gone:\n    pass\n"
+    )
+    assert unread_private_names(source) == ["_B (line 1)", "_dead (line 9)", "_Gone (line 13)"]
