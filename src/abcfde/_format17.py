@@ -131,9 +131,9 @@ def csv_fields(values) -> np.ndarray:
 
     A value with 1e-100 <= |x| < 1e101 gets its 17 digits
     D = round(|x| 10^(16 - X)), ties to even, X = floor(log10 |x|), from the
-    exact binary value (the digits of Gay's correctly rounded conversion);
-    other values, and those within :data:`_TIE_MARGIN` of a tie, go through
-    ``format`` one by one.
+    exact binary value (the digits of Gay's correctly rounded conversion),
+    and +-0.0 gets "0" or "-0"; other values, and those within
+    :data:`_TIE_MARGIN` of a tie, go through ``format`` one by one.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     fields = np.empty((x.size, FIELD), np.uint8)
@@ -168,7 +168,12 @@ def _round17(x, powers):
     carry = digits >= 10**17
     digits[carry] = 10**16
     exps += carry
-    return digits, exps, vector
+    # log10(0) = -inf left +-0.0 out of the vector pass above, standing in
+    # as 1.0 with X = 0; with the digits 0, the layout of X = 0 keeps one
+    # digit: "0" or "-0", as format() gives
+    zero = x == 0.0
+    digits[zero] = 0
+    return digits, exps, vector | zero
 
 
 def _fill_fields(x, fields) -> None:

@@ -21,6 +21,9 @@ paths per argument:
   for an integer rho, a power of one reciprocal formed by products, and
   numpy's complex power otherwise.  The rule's error grows with rho, so
   a larger rho raises :class:`~abcfde.errors.NonConvergence` there.
+  s_k^alpha - z depends on alpha and z only, so a call for several
+  (beta, rho) pairs at one z forms it, and its reciprocal, once per node
+  for all of them.
 
 On the rest of the negative axis (alpha > 1, where s^alpha = z has
 roots the contour does not take) the series is used while its
@@ -74,7 +77,7 @@ _N = math.ceil(-_W * _LOG_TARGET / (2 * math.pi))
 _H = _W / _N
 
 
-def ml_prabhakar(alpha: float, beta: float, rho: float, z):
+def ml_prabhakar(alpha: float, beta, rho, z):
     """Three-parameter Mittag-Leffler function E^rho_{alpha,beta}(z).
 
     z is a float or an array; the result is a float, or an array of z's
@@ -82,35 +85,62 @@ def ml_prabhakar(alpha: float, beta: float, rho: float, z):
     values the per-element calls give; a NaN z gives NaN.  DEFAULT_TOL
     and MAX_TERMS bound the series path.  The parameters must be finite,
     and Gamma(beta) must not overflow (beta up to about 171.6).
+
+    beta and rho may also be tuples or lists of one length: the result is
+    then a list with the value at z of each pair (beta[i], rho[i]), each
+    bitwise what the call for that pair alone gives.  The pairs share the
+    contour's per-node terms s_k^alpha - z and their reciprocals, which
+    depend on alpha and z only.  The pairs are checked in order, each
+    one's contour table before its series, so the call raises what the
+    first failing per-pair call would raise.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if not beta > 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    for name, value in (("alpha", alpha), ("beta", beta), ("rho", rho)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    try:
-        lead = 1.0 / math.gamma(beta)
-    except OverflowError:
-        raise ValueError(f"Gamma(beta) overflows at beta = {beta}") from None
+    sequences = isinstance(beta, (tuple, list)), isinstance(rho, (tuple, list))
+    if not any(sequences):
+        return _ml_pairs(alpha, [(beta, rho)], z)[0]
+    if not all(sequences) or len(beta) != len(rho):
+        raise ValueError("beta and rho must be numbers, or sequences of one length")
+    return _ml_pairs(alpha, list(zip(beta, rho)), z)
+
+
+def _ml_pairs(alpha, pairs, z):
+    """E^rho_{alpha,beta}(z) for each (beta, rho) in pairs, as a list: each
+    pair's series on its own, then one contour pass for all of them."""
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
-    out = np.full(flat.shape, lead)
-    # rho = 0 kills every k >= 1 term through (rho)_k
-    if rho != 0.0:
-        nan = np.isnan(flat)
+    nan = np.isnan(flat)
+    outs, contours = [], []
+    for beta, rho in pairs:
+        if not alpha > 0:
+            raise ValueError(f"alpha must be > 0, got {alpha}")
+        if not beta > 0:
+            raise ValueError(f"beta must be > 0, got {beta}")
+        if rho < 0:
+            raise ValueError(f"rho must be >= 0, got {rho}")
+        for name, value in (("alpha", alpha), ("beta", beta), ("rho", rho)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        try:
+            lead = 1.0 / math.gamma(beta)
+        except OverflowError:
+            raise ValueError(f"Gamma(beta) overflows at beta = {beta}") from None
+        out = np.full(flat.shape, lead)
+        outs.append(out)
+        # rho = 0 kills every k >= 1 term through (rho)_k
+        if rho == 0.0:
+            continue
         out[nan] = np.nan
         # the series serves |z| <= 1 where the contour needs over two corrections
         radius = 1.0 if alpha * (rho + 2) - beta < -1.0 else SERIES_RADIUS
         contour = (flat < -radius) & (alpha <= 1.0)
         series = ~contour & (flat != 0.0) & ~nan
         if contour.any():
-            out[contour] = _contour_sum(alpha, beta, rho, flat[contour])
+            contours.append((out, contour, rho, _contour(alpha, beta, rho)))
         out[series] = _series_sum(alpha, beta, rho, flat[series])
-    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
+    if contours:
+        _contour_sums(flat, contours)
+    if zs.ndim == 0:
+        return [float(out[0]) for out in outs]
+    return [out.reshape(zs.shape) for out in outs]
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -243,31 +273,47 @@ def _contour(alpha, beta, rho):
     return s_alpha, weights, corrections
 
 
-def _contour_sum(alpha, beta, rho, z):
-    """The contour rule at each z < 0; a loop over the nodes keeps the
-    temporaries at the size of z.
+def _contour_sums(z, jobs):
+    """The contour rule for each job (out, mask, rho, table): out[mask] =
+    the rule at z[mask] < 0.
 
-    An integer rho takes (s_k^alpha - z)^(-rho) as the rho-th power of one
-    reciprocal, by out-of-place products: about 3x faster per node than
+    s_k^alpha depends on alpha only, so every job's table holds the same
+    nodes.  One loop over them forms s_k^alpha - z and, for an integer
+    rho, its reciprocal and that reciprocal's powers once per node over
+    the union of the masks, and adds each job's weight times its term
+    into the job's own accumulator, in node order as for one job alone;
+    the temporaries stay at the size of z.  An integer rho takes the
+    rho-th power by out-of-place products: about 3x faster per node than
     numpy's complex power, and, unlike an in-place ``*=``, the same value
-    per element at any array length."""
-    s_alpha, weights, corrections = _contour(alpha, beta, rho)
-    acc = np.zeros(z.shape, dtype=complex)
-    integer = rho == int(rho)
-    for s_a, weight in zip(s_alpha, weights):
-        if integer:
-            r = np.reciprocal(s_a - z)
-            term = r
-            for _ in range(int(rho) - 1):
-                term = term * r
-        else:
-            term = (s_a - z) ** -rho
-        acc += weight * term
-    out = acc.real
-    lead = (-z) ** -rho
-    for j, c in enumerate(corrections):
-        out += c * lead * z**-j
-    return out
+    per element at any array length.  A non-integer rho takes numpy's
+    complex power.
+    """
+    masks = [mask for _, mask, _, _ in jobs]
+    union = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
+    zc = z[union].astype(complex)
+    # per job: accumulator, weights, and the integer power or else -rho
+    sums = [
+        (np.zeros(zc.shape, dtype=complex), weights, int(rho) if rho == int(rho) else -rho)
+        for _, _, rho, (_, weights, _) in jobs
+    ]
+    top = max((p for _, _, p in sums if isinstance(p, int)), default=0)
+    powers = [None] * (top + 1)
+    for k, s_a in enumerate(jobs[0][3][0]):
+        diff = s_a - zc
+        if top:
+            r = powers[1] = np.reciprocal(diff)
+            for p in range(2, top + 1):
+                powers[p] = powers[p - 1] * r
+        for acc, weights, p in sums:
+            acc += weights[k] * (powers[p] if isinstance(p, int) else diff**p)
+    for (acc, _, _), (out, mask, rho, (_, _, corrections)) in zip(sums, jobs):
+        values = acc.real if mask is union else acc.real[mask[union]]
+        if corrections:
+            zj = z[mask]
+            lead = (-zj) ** -rho
+            for j, c in enumerate(corrections):
+                values += c * lead * zj**-j
+        out[mask] = values
 
 
 def ml_two(alpha: float, beta: float, z):

@@ -338,6 +338,27 @@ class TestCsvFormat:
         values = np.concatenate([[0.0, -0.0, 5e-324, -5e-324], subnormals, -subnormals])
         assert_formats_as_17g(values)
 
+    def test_zeros_take_the_vector_path(self, monkeypatch):
+        # a converged residual column is all zeros; format() would see
+        # each one alone
+        rng = np.random.default_rng(11)
+        mixed = rng.standard_normal(3000) * 10.0 ** rng.integers(-20, 20, 3000)
+        mixed[::3] = 0.0
+        mixed[1::7] = -0.0
+        cases = [[0.0], [-0.0], np.zeros(1025), -np.zeros(1025), np.tile([0.0, -0.0], 700), mixed]
+        expected = [[format(x, ".17g") for x in np.asarray(c, dtype=float).tolist()] for c in cases]
+        assert expected[1] == ["-0"]
+        one_by_one = []
+
+        def recorded(value, spec):
+            one_by_one.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(_format17, "format", recorded, raising=False)
+        assert [vector_format(c) for c in cases] == expected
+        # no zero goes one by one (-0.0 == 0.0)
+        assert one_by_one and 0.0 not in one_by_one
+
     def test_formatter_loads_on_first_write(self):
         # `import abcfde.cli` (the benchmark's set-up) neither compiles the
         # formatter nor builds its tables

@@ -5,6 +5,8 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc, rgamma
 
 from abcfde import ml_one, ml_prabhakar, ml_two
@@ -313,3 +315,128 @@ class TestEngine:
         with pytest.raises(NonConvergence):
             ml_one(1.5, -100.0)
         assert time.perf_counter() - start < 0.1
+
+
+def outcome(call):
+    """call()'s value, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def per_pair(alpha, pairs, z):
+    """The calls of ml_prabhakar for each (beta, rho) in pairs alone: the
+    list of their values, or what the first failing one raises."""
+    values = []
+    for beta, rho in pairs:
+        got = outcome(lambda: ml_prabhakar(alpha, beta, rho, z))
+        if isinstance(got, tuple):
+            return got
+        values.append(got)
+    return values
+
+
+def assert_same_as_per_pair(alpha, pairs, z):
+    want = per_pair(alpha, pairs, z)
+    betas, rhos = [b for b, _ in pairs], [r for _, r in pairs]
+    got = outcome(lambda: ml_prabhakar(alpha, betas, rhos, z))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, list) and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        # bitwise, NaN included
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+class TestSeveralPairs:
+    """ml_prabhakar with sequences of beta and rho against one call per pair."""
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(0.05, 1.0), st.floats(1.0, 1.6)),
+        pairs=st.lists(
+            st.tuples(
+                st.floats(0.2, 3.5),
+                st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 2.5)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        z=st.one_of(
+            st.floats(-40.0, 3.0),
+            st.lists(
+                st.one_of(st.floats(-40.0, 3.0), st.sampled_from([0.0, -0.0, math.nan])),
+                min_size=1,
+                max_size=30,
+            ).map(np.array),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_pair_calls(self, alpha, pairs, z):
+        assert_same_as_per_pair(alpha, pairs, z)
+
+    @pytest.mark.parametrize(
+        "alpha,pairs",
+        [
+            # the compare triple: calibration pair and kernel
+            (0.65, [(1.5, 1.0), (1.5, 2.0), (2.0, 1.0)]),
+            # series radius 1 beside radius 0.5, in both orders
+            (0.2, [(2.5, 1.0), (1.5, 1.0)]),
+            (0.2, [(1.5, 2.0), (2.5, 1.0), (1.5, 1.0)]),
+            # alpha = 1, a non-integer rho
+            (1.0, [(1.0, 1.0), (2.0, 2.0), (1.5, 0.5)]),
+            (0.7, [(1.3, 1.5), (1.3, 2.0), (1.3, 0.5)]),
+            # rho = 0 is the constant 1/Gamma(beta), NaN z included
+            (0.5, [(1.5, 0.0), (2.0, 1.0), (1.5, 0.0)]),
+            # alpha > 1: series only
+            (1.4, [(1.5, 1.0), (2.0, 2.0)]),
+        ],
+    )
+    def test_cases(self, alpha, pairs):
+        zs = -np.linspace(-1.0, 30.0, 311)
+        zs[[0, 17, 101]] = [np.nan, 0.0, -0.0]
+        assert_same_as_per_pair(alpha, pairs, zs)
+        assert_same_as_per_pair(alpha, pairs, zs.reshape(1, -1, 1))
+        for z in (-3.0, -0.75, 0.0, 0.4, math.nan):
+            assert_same_as_per_pair(alpha, pairs, z)
+
+    def test_per_element_values_at_any_length(self):
+        alpha, betas, rhos = 0.5, (1.5, 1.5, 2.0), (1.0, 2.0, 1.0)
+        zs = -np.linspace(0.1, 50.0, 500)
+        scalar = [[ml_prabhakar(alpha, b, r, float(z)) for z in zs] for b, r in zip(betas, rhos)]
+        for n in [*range(1, 41), 500]:
+            got = ml_prabhakar(alpha, betas, rhos, zs[:n])
+            for row, want in zip(got, scalar):
+                np.testing.assert_array_equal(row, want[:n])
+
+    @pytest.mark.parametrize(
+        "alpha,pairs,z,message",
+        [
+            # more than 200 corrections, in the first pair or the second
+            (1e-3, [(2.0, 1.0), (1.5, 1.0)], [-3.0, 0.2],
+             "more than 200 corrections for (alpha=0.001, beta=2.0, rho=1.0)"),
+            (1e-3, [(1.1, 1.0), (1.5, 1.0)], [0.2, -3.0],
+             "more than 200 corrections for (alpha=0.001, beta=1.5, rho=1.0)"),
+            # the contour refuses rho = 3
+            (0.5, [(1.5, 1.0), (1.5, 3.0)], [-0.1, -3.0],
+             "accurate only up to rho=2.0 for (alpha=0.5, beta=1.5, rho=3.0)"),
+            # a series that overflows before a later pair's refusal, and after
+            (0.5, [(1.5, 1.0), (1.5, 3.0)], [1000.0, -3.0],
+             "series overflow at k=135 for (alpha=0.5, beta=1.5, rho=1.0, z=1000.0)"),
+            (0.5, [(1.5, 3.0), (1.5, 1.0)], [1000.0, -3.0],
+             "accurate only up to rho=2.0 for (alpha=0.5, beta=1.5, rho=3.0)"),
+            # a bad parameter after a pair that needs the contour
+            (0.5, [(1.5, 1.0), (-1.0, 1.0)], [-3.0], "beta must be > 0, got -1.0"),
+        ],
+    )
+    def test_raises_what_the_first_failing_pair_raises(self, alpha, pairs, z, message):
+        want = per_pair(alpha, pairs, np.array(z))
+        assert isinstance(want, tuple) and message in want[1]
+        assert_same_as_per_pair(alpha, pairs, np.array(z))
+
+    @pytest.mark.parametrize("beta,rho", [((1.5, 2.0), (1.0,)), ((1.5, 2.0), 1.0), (1.5, [1.0])])
+    def test_pairs_need_two_sequences_of_one_length(self, beta, rho):
+        with pytest.raises(ValueError, match="sequences of one length"):
+            ml_prabhakar(0.5, beta, rho, -1.0)

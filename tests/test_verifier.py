@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abcfde import (
+    BConvention,
+    Discretization,
     Grid,
     OperatorConfig,
     ProblemSpec,
     Strictness,
+    abc_derivative,
+    discretization,
     estimate_discretization_constant,
     estimate_g_onesided_lipschitz,
     extremum_sign_check,
@@ -17,7 +21,11 @@ from abcfde import (
     golden_identity_check,
     load_problem,
     ml_one,
+    ml_prabhakar,
+    ml_two,
+    operators,
     sample_box,
+    verifier,
     verify_comparison,
 )
 from abcfde.errors import (
@@ -27,6 +35,7 @@ from abcfde.errors import (
     MonotonicityViolation,
     ValidationError,
 )
+from abcfde.operators import KERNEL_PAIR
 
 from conftest import constant_forcing_spec
 
@@ -58,6 +67,95 @@ class TestGoldenIdentity:
         # an order needs two different grids; log(N1/N0) = 0 divided by zero
         with pytest.raises(ValidationError, match="grids"):
             golden_identity_check(1.5, 1.0, OperatorConfig(0.5), [Grid(1.0, n) for n in ns])
+
+
+def two_call_golden_errors(beta, sigma, cfg, grids):
+    """The errors of golden_identity_check with one engine call per
+    function, and the kernel that abc_derivative builds on its own: the
+    oracle of the shared pass."""
+    a, B = cfg.alpha, cfg.b
+    errors = []
+    for grid in grids:
+        t = grid.nodes
+        z = -cfg.lam * t**a
+        power = t ** (beta - 1.0)
+        f = power * ml_prabhakar(a, beta, sigma, z)
+        exact = B / (1.0 - a) * power * ml_prabhakar(a, beta, sigma + 1.0, z)
+        num = abc_derivative(f, grid, cfg)
+        errors.append(float(np.max(np.abs(num - exact))))
+    return errors
+
+
+def count_engine_calls(monkeypatch) -> list:
+    """(name, z) of each engine call on the names the verifier and the
+    operators look it up by, from now on."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, args[-1]))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verifier, "ml_prabhakar", counted("ml_prabhakar", ml_prabhakar))
+    monkeypatch.setattr(operators, "ml_two", counted("ml_two", ml_two))
+    return calls
+
+
+class TestOneEnginePass:
+    """The calibration and the kernel share one Mittag-Leffler pass per grid."""
+
+    @pytest.mark.parametrize("b", list(BConvention))
+    @pytest.mark.parametrize("beta,sigma", [(1.5, 1.0), (2.0, 1.0), (2.5, 0.5), (1.2, 0.0)])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.65, 0.9])
+    def test_errors_equal_the_two_call_check(self, alpha, beta, sigma, b):
+        cfg = OperatorConfig(alpha, b)
+        # 600 weights take the FFT path
+        grids = [Grid(1.0, 16), Grid(2.0, 100), Grid(1.0, 600)]
+        discretization.cache_clear()
+        got = golden_identity_check(beta, sigma, cfg, grids).errors
+        discretization.cache_clear()
+        want = two_call_golden_errors(beta, sigma, cfg, grids)
+        assert [e.hex() for e in got] == [e.hex() for e in want]
+
+    def test_one_engine_call_per_fresh_grid(self, monkeypatch):
+        calls = count_engine_calls(monkeypatch)
+        spec = constant_forcing_spec(omega0=0.0, alpha=0.65)
+        grid = Grid(1.7, 301)
+        discretization.cache_clear()
+        rep = verify_comparison(spec, v=lambda t: -1.0 - t, w=lambda t: 1.0 + t, grid=grid)
+        assert rep.conclusion_ok
+        disc = discretization(grid, 0.65)
+        assert [(name, z is disc.kernel_argument) for name, z in calls] == [("ml_prabhakar", True)]
+        assert set(disc.ml_values) == {(1.5, 1.0), (1.5, 2.0), KERNEL_PAIR}
+        calls.clear()
+        assert estimate_discretization_constant(spec.cfg, grid) * grid.h == rep.slack
+        assert calls == []
+        # the kernel's row is the one ml_two gives
+        alone = Discretization(grid, 0.65)
+        assert disc.kernel.tobytes() == alone.kernel.tobytes()
+        assert disc.kernel_argument.tobytes() == alone.kernel_argument.tobytes()
+
+    def test_a_grid_with_a_kernel_asks_for_the_calibration_only(self, monkeypatch):
+        calls = count_engine_calls(monkeypatch)
+        cfg = OperatorConfig(0.4)
+        grid = Grid(1.3, 77)
+        discretization.cache_clear()
+        abc_derivative(grid.nodes, grid, cfg)
+        estimate_discretization_constant(cfg, grid)
+        assert [name for name, _ in calls] == ["ml_two", "ml_prabhakar"]
+        assert set(discretization(grid, 0.4).ml_values) == {KERNEL_PAIR, (1.5, 1.0), (1.5, 2.0)}
+
+    def test_the_table_is_read_only(self):
+        cfg = OperatorConfig(0.5)
+        grid = Grid(1.0, 40)
+        estimate_discretization_constant(cfg, grid)
+        disc = discretization(grid, 0.5)
+        with pytest.raises(TypeError):
+            disc.ml_values[(3.0, 1.0)] = disc.kernel_argument
+        for row in (disc.kernel_argument, *disc.ml_values.values()):
+            assert not row.flags.writeable
 
 
 class TestDiscretizationConstant:
