@@ -203,7 +203,9 @@ def _cmd_check(args) -> int:
 def _check_eps_steps(eps0: float, ratio: float, levels: int, tol: float) -> None:
     """Refuse eps levels closer than tol: levels solved to about tol
     cannot be ordered below it.  The smallest step, between the last two
-    levels, is eps0 ratio^(levels - 2) (1 - ratio)."""
+    levels, is eps0 ratio^(levels - 2) (1 - ratio).  The bracket refuses
+    the same schedules; this check words the refusal in terms of the
+    options and names the most levels that --tol allows."""
     if not math.isfinite(eps0):
         raise ValidationError("eps0", f"must be finite, got {_fmt(eps0)}")
     if not (eps0 > 0 and 0 < ratio < 1 and levels >= 2 and tol > 0):

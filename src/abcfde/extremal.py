@@ -72,6 +72,13 @@ def _bracket(spec, eps0, ratio, levels, grid, tol, max_sweeps, sign):
         raise ValueError("ratio must lie in (0, 1)")
     if levels < 2:
         raise ValueError("levels must be >= 2")
+    # levels solved to about tol cannot be ordered closer than tol
+    step = eps0 * (1 - ratio) * ratio ** (levels - 2)
+    if tol > 0 and step < tol:
+        raise ValueError(
+            f"the step between the last two of {levels} eps levels, {step:.3g}, "
+            f"is below tol={tol:.3g}"
+        )
     eps_levels = [eps0 * ratio**n for n in range(levels)]
     traces = picard_stack(
         spec, grid, [sign * eps for eps in eps_levels], tol=tol, max_sweeps=max_sweeps
@@ -105,7 +112,10 @@ def bracket_maximal(
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> BracketResult:
-    """Approach the maximal solution from above; traces must decrease."""
+    """Approach the maximal solution from above; traces must decrease.
+
+    Raises ValueError, before any sweep, when the last step of the eps
+    schedule, eps0 (1 - ratio) ratio^(levels - 2), is below tol."""
     return _bracket(spec, eps0, ratio, levels, grid, tol, max_sweeps, sign=+1)
 
 
@@ -118,7 +128,9 @@ def bracket_minimal(
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> BracketResult:
-    """Approach the minimal solution from below; traces must increase."""
+    """Approach the minimal solution from below; traces must increase.
+
+    Refuses the eps schedules that :func:`bracket_maximal` refuses."""
     return _bracket(spec, eps0, ratio, levels, grid, tol, max_sweeps, sign=-1)
 
 

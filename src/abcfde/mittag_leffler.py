@@ -7,8 +7,10 @@ paths per argument:
 
 * Series, for z >= 0 and for |z| <= SERIES_RADIUS (up to 1 where the
   contour needs more than two corrections, see _contour): the power
-  series summed term by term with compensated accumulation, vectorized
-  over z.
+  series with compensated accumulation, summed on a table of terms a
+  block of rows at a time (see _series_sum).  The table's columns are
+  the series elements of every (beta, rho) pair of a call, so the numpy
+  calls per term are paid once per call, not once per pair and element.
   On the negative axis the terms alternate; a sum whose largest term
   exceeds CANCELLATION_LIMIT would lose more than about 1e-12 to
   rounding and raises :class:`~abcfde.errors.NonConvergence` instead.
@@ -20,7 +22,11 @@ paths per argument:
   like e^z, about 1e-16 absolute.  Each node's (s_k^alpha - z)^(-rho) is,
   for an integer rho, a power of one reciprocal formed by products, and
   numpy's complex power otherwise.  The rule's error grows with rho, so
-  a larger rho raises :class:`~abcfde.errors.NonConvergence` there.
+  rho = 3 with beta > 1 comes from two rho = 2 rules by the Prabhakar
+  recurrence 2 alpha E^3_{a,b} = E^2_{a,b-1} + (1 - b + 2 alpha) E^2_{a,b}
+  (within 4.4e-13 relative of extended precision at alpha in 0.3-0.99,
+  beta in {1.5, 2} and z in [-20, -1e-3]), and any other rho above
+  MAX_CONTOUR_RHO raises :class:`~abcfde.errors.NonConvergence` there.
   s_k^alpha - z depends on alpha and z only, so a call for several
   (beta, rho) pairs at one z forms it, and its reciprocal, once per node
   for all of them.
@@ -35,6 +41,7 @@ overflows.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -60,10 +67,11 @@ CANCELLATION_LIMIT = 1e4
 #: Most corrections _contour may add; it needs about (beta - 1)/alpha - rho.
 MAX_CORRECTIONS = 200
 
-#: Largest rho the contour takes.  Against extended precision at alpha in
-#: 0.3-0.99, beta in {1, 1.5, 2} and z in [-20, -1e-3] it is within 7e-14
-#: relative at rho = 2, but 6.4e-12 at rho = 3 (alpha = 0.99, beta = 2,
-#: z = -2) and 1.3e-7 at rho = 10.
+#: Largest rho the contour's rule takes.  Against extended precision at
+#: alpha in 0.3-0.99, beta in {1, 1.5, 2} and z in [-20, -1e-3] it is
+#: within 7e-14 relative at rho = 2, but 6.4e-12 at rho = 3 (alpha = 0.99,
+#: beta = 2, z = -2) and 1.3e-7 at rho = 10.  rho = 3 with beta > 1 takes
+#: two rho = 2 rules instead.
 MAX_CONTOUR_RHO = 2.0
 
 # Garrappa's contour parameters for a transform analytic off the negative
@@ -88,11 +96,11 @@ def ml_prabhakar(alpha: float, beta, rho, z):
 
     beta and rho may also be tuples or lists of one length: the result is
     then a list with the value at z of each pair (beta[i], rho[i]), each
-    bitwise what the call for that pair alone gives.  The pairs share the
-    contour's per-node terms s_k^alpha - z and their reciprocals, which
-    depend on alpha and z only.  The pairs are checked in order, each
-    one's contour table before its series, so the call raises what the
-    first failing per-pair call would raise.
+    bitwise what the call for that pair alone gives.  The pairs share one
+    table for the series and, on the contour, the per-node terms
+    s_k^alpha - z and their reciprocals, which depend on alpha and z
+    only.  The call raises what the first failing per-pair call would
+    raise.
     """
     sequences = isinstance(beta, (tuple, list)), isinstance(rho, (tuple, list))
     if not any(sequences):
@@ -103,119 +111,255 @@ def ml_prabhakar(alpha: float, beta, rho, z):
 
 
 def _ml_pairs(alpha, pairs, z):
-    """E^rho_{alpha,beta}(z) for each (beta, rho) in pairs, as a list: each
-    pair's series on its own, then one contour pass for all of them."""
+    """E^rho_{alpha,beta}(z) for each (beta, rho) in pairs, as a list.
+
+    The pairs are set up in order, each one's contour tables built; then
+    one series table takes the series elements of every pair set up, and
+    one contour pass their contour elements.  A pair that fails its set-up
+    ends the set-up, and is raised unless the series of a pair before it
+    fails first, so the call raises what the per-pair calls would.
+    """
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
     nan = np.isnan(flat)
-    outs, contours = [], []
-    for beta, rho in pairs:
-        if not alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
-        if not beta > 0:
-            raise ValueError(f"beta must be > 0, got {beta}")
-        if rho < 0:
-            raise ValueError(f"rho must be >= 0, got {rho}")
-        for name, value in (("alpha", alpha), ("beta", beta), ("rho", rho)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        try:
-            lead = 1.0 / math.gamma(beta)
-        except OverflowError:
-            raise ValueError(f"Gamma(beta) overflows at beta = {beta}") from None
-        out = np.full(flat.shape, lead)
-        outs.append(out)
-        # rho = 0 kills every k >= 1 term through (rho)_k
-        if rho == 0.0:
-            continue
-        out[nan] = np.nan
-        # the series serves |z| <= 1 where the contour needs over two corrections
-        radius = 1.0 if alpha * (rho + 2) - beta < -1.0 else SERIES_RADIUS
-        contour = (flat < -radius) & (alpha <= 1.0)
-        series = ~contour & (flat != 0.0) & ~nan
-        if contour.any():
-            contours.append((out, contour, rho, _contour(alpha, beta, rho)))
-        out[series] = _series_sum(alpha, beta, rho, flat[series])
+    outs, series, contours, lifts = [], [], [], []
+    failure = None
+    try:
+        for beta, rho in pairs:
+            if not alpha > 0:
+                raise ValueError(f"alpha must be > 0, got {alpha}")
+            if not beta > 0:
+                raise ValueError(f"beta must be > 0, got {beta}")
+            if rho < 0:
+                raise ValueError(f"rho must be >= 0, got {rho}")
+            for name, value in (("alpha", alpha), ("beta", beta), ("rho", rho)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+            try:
+                lead = 1.0 / math.gamma(beta)
+            except OverflowError:
+                raise ValueError(f"Gamma(beta) overflows at beta = {beta}") from None
+            out = np.full(flat.shape, lead)
+            outs.append(out)
+            # rho = 0 kills every k >= 1 term through (rho)_k
+            if rho == 0.0:
+                continue
+            out[nan] = np.nan
+            # rho = 3 with beta > 1 comes from two rho = 2 rules (see below)
+            lift = rho == 3.0 and beta > 1.0
+            # the series serves |z| <= 1 where the contour needs over two corrections
+            rule_rho = 2.0 if lift else rho
+            radius = 1.0 if alpha * (rule_rho + 2) - beta < -1.0 else SERIES_RADIUS
+            contour = (flat < -radius) & (alpha <= 1.0)
+            if contour.any() and lift:
+                # 2 alpha E^3_{a,b} = E^2_{a,b-1} + (1 - b + 2 alpha) E^2_{a,b}
+                # (Giusti et al., Fract. Calc. Appl. Anal. 23(1), 2020)
+                low, high = np.empty(flat.shape), np.empty(flat.shape)
+                contours.append((low, contour, 2.0, _contour(alpha, beta - 1.0, 2.0)))
+                contours.append((high, contour, 2.0, _contour(alpha, beta, 2.0)))
+                lifts.append((out, contour, low, high, 1.0 - beta + 2.0 * alpha))
+            elif contour.any():
+                contours.append((out, contour, rho, _contour(alpha, beta, rho)))
+            mask = ~contour & (flat != 0.0) & ~nan
+            if mask.any():
+                series.append((out, mask, beta, rho))
+    except Exception as exc:  # raised below, after the series of the pairs before it
+        failure = exc
+    sums = _series_sum(alpha, [(beta, rho, flat[mask]) for _, mask, beta, rho in series])
+    for (out, mask, _, _), values in zip(series, sums):
+        out[mask] = values
+    if failure is not None:
+        raise failure
     if contours:
         _contour_sums(flat, contours)
+    for out, mask, low, high, c in lifts:
+        out[mask] = (low[mask] + c * high[mask]) / (2.0 * alpha)
     if zs.ndim == 0:
         return [float(out[0]) for out in outs]
     return [out.reshape(zs.shape) for out in outs]
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _series_sum(alpha, beta, rho, z):
-    """sum_k (rho)_k z^k / (k! Gamma(alpha k + beta)) at each element of z.
+def _series_sum(alpha, jobs):
+    """sum_k (rho)_k z^k / (k! Gamma(alpha k + beta)) at each element of z,
+    for each job (beta, rho, z): a list with one array per job.
 
-    The numerator u = (rho)_k z^k / k! is built by recurrence for full
-    accuracy; where it nears overflow its log is carried in log_u, since
-    the term (numerator over Gamma) can stay representable.  Kahan
-    compensated; each sum stops once ``|term_k| * max(1, |z|/(k+1)) <
-    DEFAULT_TOL`` and then leaves the working arrays.  The scalars z_max
-    and u_bound skip array checks that cannot fire.
+    The elements of all jobs are the columns of one table of terms, built a
+    block of rows k at a time.  A block forms the factors z (rho + k - 1) /
+    k and their running product u = (rho)_k z^k / k! from the u carried in,
+    and divides each row by Gamma(alpha k + beta) from a table indexed by
+    (row, job).  Kahan compensated accumulation then runs row by row, in
+    place, so that row k holds the totals after term k.  Each sum stops at
+    its first row with ``|term_k| * max(1, |z|/(k+1)) < DEFAULT_TOL`` and
+    takes the total there; one on the negative axis whose largest term up
+    to that row exceeds CANCELLATION_LIMIT raises NonConvergence instead.
+    The arrays are compacted once per block.  The scalar u_bound >= |u| of
+    each job, on its largest |z|, sizes a block to end where every sum must
+    have stopped, within 2^16 table entries, so one block usually covers
+    the whole sum.
+
+    Where a job's u_bound exceeds 1e290, the running product carries the
+    log of each |u| that nears overflow in log_u, row by row, and the term
+    is formed from logs wherever log_u is set or alpha k + beta exceeds 170,
+    since it can stay representable where u or Gamma would not.  A sum that
+    then overflows raises; such blocks end every 64 rows, so it raises soon.
+
+    Each value and each error is bitwise what the job summed alone, term by
+    term, gives; the call raises what the first failing job would raise.
     """
-    out = np.empty(z.size)
-    lead = 1.0 / math.gamma(beta)
-    live = np.arange(z.size)
-    total = np.full(z.size, lead)
-    comp = np.zeros(z.size)
-    u = np.ones(z.size)
-    log_u = np.zeros(z.size)
-    peak = np.full(z.size, abs(lead))
-    z_max = float(np.max(np.abs(z), initial=0.0))
-    u_bound = 1.0  # >= max |u| while no log_u is set
-    for k in range(1, MAX_TERMS):
-        if live.size == 0:
-            return out
-        u = u * (z * (rho + k - 1.0) / k)
-        u_bound *= z_max * abs(rho + k - 1.0) / k
-        if u_bound > 1e290:
-            big = np.abs(u) > 1e290
-            log_u[big] += np.log(np.abs(u[big]))
-            u[big] = np.sign(u[big])
-        x = alpha * k + beta
-        if x <= 170.0 and u_bound <= 1e290:
-            term = u / math.gamma(x)
+    if not jobs:
+        return []
+    sizes = [z.size for _, _, z in jobs]
+    ends = list(itertools.accumulate(sizes))
+    out = np.empty(ends[-1])
+    betas = [beta for beta, _, _ in jobs]
+    rhos = [rho for _, rho, _ in jobs]
+    z_maxes = [float(np.abs(z).max(initial=0.0)) for _, _, z in jobs]
+    bounds = [1.0] * len(jobs)  # u_bound of each job
+    # the stop rule scales by |z|/(k+1) below the largest z_max; a NaN one never
+    far = max((m for m in z_maxes if not math.isnan(m)), default=0.0)
+    job = np.repeat(np.arange(len(jobs)), sizes)
+    z = np.concatenate([z for _, _, z in jobs])
+    live = np.arange(out.size)
+    total = np.array([1.0 / math.gamma(beta) for beta in betas])[job]
+    comp, u, log_u = np.zeros(out.size), np.ones(out.size), np.zeros(out.size)
+    peak = np.abs(total)
+    failures = {}  # job -> its error
+    stacked = len(jobs) > 1
+    k0 = 1
+    while live.size and k0 < MAX_TERMS:
+        running = np.flatnonzero(np.bincount(job)).tolist() if stacked else [0]
+        # a per-job table's column for each element; one running job broadcasts
+        by_job = job if len(running) > 1 else slice(running[0], running[0] + 1)
+        # per row, for each running job: rho + k - 1, Gamma(alpha k + beta)
+        # (inf past 170) and whether u_bound exceeds 1e290; and whether the
+        # row needs logs for some job
+        rows = []
+        for k in range(k0, min(k0 + max(1, (1 << 16) // live.size), MAX_TERMS)):
+            cs, gs, hot = [0.0] * len(jobs), [1.0] * len(jobs), [False] * len(jobs)
+            more = special = False
+            for j in running:
+                cs[j] = c = rhos[j] + k - 1.0
+                bounds[j] = b = bounds[j] * (z_maxes[j] * abs(c) / k)
+                hot[j] = b > 1e290
+                x = alpha * k + betas[j]
+                if x <= 170.0:
+                    gs[j] = math.gamma(x)
+                    b /= gs[j]
+                else:
+                    gs[j] = math.inf
+                    b = b and math.exp(math.log(b) - math.lgamma(x))
+                special = special or hot[j] or x > 170.0
+                more = more or not b * max(1.0, z_maxes[j] / (k + 1)) < DEFAULT_TOL
+            rows.append((cs, gs, hot, special))
+            # a sum may overflow past u_bound = 1e290: check it every 64 rows
+            if not more or special and len(rows) >= 64:
+                break
+        ks = np.arange(k0, k0 + len(rows), dtype=float)[:, None]
+        table = z * np.array([row[0] for row in rows])[:, by_job]
+        table /= ks
+        table[0] *= u
+        gammas = np.array([row[1] for row in rows])[:, by_job]
+        hot_rows = {r: np.array(row[2])[by_job] for r, row in enumerate(rows) if any(row[2])}
+        log_us = [log_u] * len(rows)  # log_u at each row; a rescale copies it
+        if live.size < 64 and not hot_rows:
+            np.multiply.accumulate(table, axis=0, out=table)
+        else:  # numpy accumulates along axis 0 one column at a time
+            for r, row in enumerate(table):
+                if r:
+                    np.multiply(table[r - 1], row, out=row)
+                if r in hot_rows:
+                    big = hot_rows[r] & (np.abs(row) > 1e290)
+                    if big.any():
+                        log_u = log_u.copy()
+                        log_u[big] += np.log(np.abs(row[big]))
+                        row[big] = np.sign(row[big])
+                log_us[r] = log_u
+        u = table[-1].copy()
+        # the term from logs where log_u is set or alpha k + beta exceeds 170
+        special = [r for r, row in enumerate(rows) if row[3]]
+        if special:
+            spare = table[special]
+            logs = np.array([log_us[r] for r in special])
+            hot = np.array([rows[r][2] for r in special])[:, by_job]
+            plain = np.isfinite(gammas[special]) & (~hot | (logs == 0.0))
+            lgammas = [[math.lgamma(alpha * (k0 + r) + beta) for beta in betas] for r in special]
+            logs += np.log(np.abs(spare))
+            logs -= np.array(lgammas)[:, by_job]
+            logs = np.sign(spare) * np.exp(logs)
+        table /= gammas
+        if special:
+            table[special] = np.where(plain, table[special], logs)
+        size = np.abs(table)
+        # Kahan compensated accumulation; row r becomes the totals after it
+        y = np.empty(live.size)
+        prev = total
+        for row in table:
+            np.subtract(row, comp, out=y)
+            np.add(prev, y, out=row)
+            np.subtract(row, prev, out=comp)
+            np.subtract(comp, y, out=comp)
+            prev = row
+        stopped = size < DEFAULT_TOL
+        if far > k0 + 1:
+            m = np.count_nonzero(ks[:, 0] + 1.0 < far)
+            reach = np.where(np.isnan(z_maxes)[by_job], 0.0, np.abs(z))
+            stopped[:m] = size[:m] * np.maximum(1.0, reach / (ks[:m] + 1.0)) < DEFAULT_TOL
+        # each sum's first stopping row, len(rows) where it has none; numpy's
+        # argmax along axis 0 runs one column at a time (rows < MAX_TERMS < 2^16)
+        countdown = np.arange(len(rows), 0, -1, dtype=np.uint16)[:, None]
+        stop = len(rows) - (stopped * countdown).max(axis=0).astype(int)
+        done = stop < len(rows)
+        # each job's first error in this block: (row, overflow before cancel)
+        errors = {}
+        if hot_rows:
+            # terms below 1e290 / Gamma(x) cannot overflow the sum
+            rs = list(hot_rows)
+            over = np.isinf(table[rs]) & np.array(list(hot_rows.values()))
+            over &= stop >= np.array(rs)[:, None]
+            for j in np.unique(job[over.any(axis=0)]).tolist():
+                h = np.argmax(over[:, job == j].any(axis=1))
+                i = np.argmax(over[h] & (job == j))
+                errors[j] = (rs[h], 0, NonConvergence(
+                    f"series overflow at k={k0 + rs[h]} for "
+                    f"(alpha={alpha}, beta={betas[j]}, rho={rhos[j]}, z={z[i]})"
+                ))
+        before, peak = peak, np.maximum(peak, size.max(axis=0))
+        if (peak > CANCELLATION_LIMIT).any():
+            # the largest term up to each stop row
+            upto = np.arange(len(rows))[:, None] <= stop
+            at_stop = np.maximum(before, size.max(axis=0, where=upto, initial=0.0))
+            cancelled = done & (z < 0.0) & (at_stop > CANCELLATION_LIMIT)
+            for j in np.unique(job[cancelled]).tolist():
+                mine = np.flatnonzero(cancelled & (job == j))
+                i = mine[np.argmin(stop[mine])]
+                errors[j] = min(errors.get(j, (math.inf,)), (stop[i], 1, NonConvergence(
+                    f"series terms up to {at_stop[i]:.3g} cancel for "
+                    f"(alpha={alpha}, beta={betas[j]}, rho={rhos[j]}, z={z[i]})"
+                )))
+        failures.update((j, error) for j, (_, _, error) in errors.items())
+        ends_at = np.flatnonzero(done)
+        out[live[ends_at]] = table.ravel()[stop[ends_at] * live.size + ends_at]
+        keep = ~done
+        if failures:
+            keep &= job < min(failures)
+        if keep.all():
+            total = table[-1].copy()
         else:
-            term = np.sign(u) * np.exp(np.log(np.abs(u)) + log_u - math.lgamma(x))
-            if x <= 170.0:
-                term = np.where(log_u == 0.0, u / math.gamma(x), term)
-        # Kahan compensated accumulation
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        # terms below 1e290 / Gamma(x) cannot overflow the sum
-        if u_bound > 1e290 and np.isinf(total).any():
-            bad = z[np.argmax(np.isinf(total))]
-            raise NonConvergence(
-                f"series overflow at k={k} for "
-                f"(alpha={alpha}, beta={beta}, rho={rho}, z={bad})"
-            )
-        size = np.abs(term)
-        peak = np.maximum(peak, size)
-        if z_max > k + 1:
-            size = size * np.maximum(1.0, np.abs(z) / (k + 1))
-        done = size < DEFAULT_TOL
-        if done.any():
-            cancelled = done & (z < 0.0) & (peak > CANCELLATION_LIMIT)
-            if cancelled.any():
-                bad = np.argmax(cancelled)
-                raise NonConvergence(
-                    f"series terms up to {peak[bad]:.3g} cancel for "
-                    f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[bad]})"
-                )
-            out[live[done]] = total[done]
-            keep = ~done
-            live, z, total, comp, u, log_u, peak = (
-                a[keep] for a in (live, z, total, comp, u, log_u, peak)
-            )
-    if live.size == 0:
-        return out
-    raise NonConvergence(
-        f"series did not meet tol={DEFAULT_TOL} within {MAX_TERMS} terms for "
-        f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[0]})"
-    )
+            live = live[keep]
+            if live.size:
+                total, peak = table[-1][keep], peak[keep]
+                job, z, u, log_u, comp = (a[keep] for a in (job, z, u, log_u, comp))
+        k0 += len(rows)
+    if live.size:
+        j = job[0]
+        failures.setdefault(j, NonConvergence(
+            f"series did not meet tol={DEFAULT_TOL} within {MAX_TERMS} terms for "
+            f"(alpha={alpha}, beta={betas[j]}, rho={rhos[j]}, z={z[0]})"
+        ))
+    if failures:
+        raise failures[min(failures)]
+    return [out[a:b] for a, b in zip([0, *ends], ends)]
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,9 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from abcfde import Grid, OperatorConfig, ProblemSpec, ml_two
+
+# CI sets HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
+# failing one printed with the blob that reproduces it
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Hybrid instance with a known exact solution:
 #   alpha = 1/2, f == 1, omega0 = 1,

@@ -140,6 +140,27 @@ class TestBracketPreconditions:
             bracket_maximal(constant_forcing_spec(), grid=Grid(1.0, 8), **args)
 
     @pytest.mark.parametrize("bracket", [bracket_maximal, bracket_minimal])
+    def test_unresolvable_levels_refused_before_solving(self, bracket, monkeypatch):
+        # the last of 64 levels sits 1.1e-20 below the one before, far under
+        # tol = 1e-10; 30 levels end on a step of 1.9e-10
+        import abcfde.extremal as ext
+
+        class Solved(Exception):
+            pass
+
+        def no_solve(*args, **kwargs):
+            raise Solved
+
+        monkeypatch.setattr(ext, "picard_stack", no_solve)
+        spec, grid = load_problem(MANUFACTURED_TEXT), Grid(1.0, 4096)
+        with pytest.raises(ValueError, match="of 64 eps levels, 1.08e-20, is below tol=1e-10"):
+            bracket(spec, grid, levels=64)
+        with pytest.raises(ValueError, match="levels, 0.0125, is below tol=0.02"):
+            bracket(spec, grid, levels=4, tol=0.02)
+        with pytest.raises(Solved):
+            bracket(spec, grid, levels=30)
+
+    @pytest.mark.parametrize("bracket", [bracket_maximal, bracket_minimal])
     def test_grid_is_required(self, bracket):
         with pytest.raises(TypeError, match="grid"):
             bracket(constant_forcing_spec())
@@ -291,10 +312,14 @@ class TestOneStack:
         assert_same_outcome(per_level(*args), stacked(*args))
 
     def test_an_underflowed_eps_keeps_its_sign(self):
-        # eps0 * ratio^2 is 0.0, so the last level shifts by -0.0
+        # eps0 * ratio^2 is 0.0, so the last level shifts by -0.0; the
+        # bracket refuses a last step below tol, so the stack is called
+        # with the shifts the bracket would form
         spec = load_problem(NONLINEAR_TEXT)
         args = (spec, Grid(spec.T, 32), -1, 1e-200, 1e-200, 3)
-        assert_same_outcome(per_level(*args), stacked(*args))
+        shifts = [-1 * 1e-200 * 1e-200**n for n in range(3)]
+        assert str(shifts[-1]) == "-0.0"
+        assert_same_outcome(per_level(*args), solver.picard_stack(spec, args[1], shifts))
 
     @pytest.mark.parametrize("sign, cap", [(+1, 43), (+1, 44), (-1, 46)])
     def test_max_sweeps_in_some_levels(self, sign, cap):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,15 @@ from scipy.special import erfc, rgamma
 
 from abcfde import ml_one, ml_prabhakar, ml_two
 from abcfde.errors import NonConvergence
-from abcfde.mittag_leffler import MAX_CONTOUR_RHO, MAX_CORRECTIONS, _contour
+from abcfde.mittag_leffler import (
+    CANCELLATION_LIMIT,
+    DEFAULT_TOL,
+    MAX_CONTOUR_RHO,
+    MAX_CORRECTIONS,
+    MAX_TERMS,
+    _contour,
+    _series_sum,
+)
 
 
 def log_peak_term(alpha, beta, rho, z):
@@ -70,6 +79,73 @@ def complex_power_rule(alpha, beta, rho, z):
     for j, c in enumerate(corrections):
         out += c * lead * z**-j
     return out
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def per_term_series(alpha, beta, rho, z):
+    """The power series summed one term at a time over the whole array,
+    as the engine summed it before its table of terms: the oracle that
+    _series_sum must match bitwise, errors included."""
+    out = np.empty(z.size)
+    lead = 1.0 / math.gamma(beta)
+    live = np.arange(z.size)
+    total = np.full(z.size, lead)
+    comp = np.zeros(z.size)
+    u = np.ones(z.size)
+    log_u = np.zeros(z.size)
+    peak = np.full(z.size, abs(lead))
+    z_max = float(np.max(np.abs(z), initial=0.0))
+    u_bound = 1.0  # >= max |u| while no log_u is set
+    for k in range(1, MAX_TERMS):
+        if live.size == 0:
+            return out
+        u = u * (z * (rho + k - 1.0) / k)
+        u_bound *= z_max * abs(rho + k - 1.0) / k
+        if u_bound > 1e290:
+            big = np.abs(u) > 1e290
+            log_u[big] += np.log(np.abs(u[big]))
+            u[big] = np.sign(u[big])
+        x = alpha * k + beta
+        if x <= 170.0 and u_bound <= 1e290:
+            term = u / math.gamma(x)
+        else:
+            term = np.sign(u) * np.exp(np.log(np.abs(u)) + log_u - math.lgamma(x))
+            if x <= 170.0:
+                term = np.where(log_u == 0.0, u / math.gamma(x), term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if u_bound > 1e290 and np.isinf(total).any():
+            bad = z[np.argmax(np.isinf(total))]
+            raise NonConvergence(
+                f"series overflow at k={k} for "
+                f"(alpha={alpha}, beta={beta}, rho={rho}, z={bad})"
+            )
+        size = np.abs(term)
+        peak = np.maximum(peak, size)
+        if z_max > k + 1:
+            size = size * np.maximum(1.0, np.abs(z) / (k + 1))
+        done = size < DEFAULT_TOL
+        if done.any():
+            cancelled = done & (z < 0.0) & (peak > CANCELLATION_LIMIT)
+            if cancelled.any():
+                bad = np.argmax(cancelled)
+                raise NonConvergence(
+                    f"series terms up to {peak[bad]:.3g} cancel for "
+                    f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[bad]})"
+                )
+            out[live[done]] = total[done]
+            keep = ~done
+            live, z, total, comp, u, log_u, peak = (
+                a[keep] for a in (live, z, total, comp, u, log_u, peak)
+            )
+    if live.size == 0:
+        return out
+    raise NonConvergence(
+        f"series did not meet tol={DEFAULT_TOL} within {MAX_TERMS} terms for "
+        f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[0]})"
+    )
 
 
 def oracle(alpha, beta, rho, z):
@@ -204,13 +280,16 @@ class TestEngine:
 
     # an integer rho takes its power by products, a non-integer one by
     # numpy's complex power; both are gated
+    # rho = 3 (beta > 1) comes from two rho = 2 rules by the Prabhakar
+    # recurrence
     @pytest.mark.parametrize(
         "alpha,beta,rho",
         list(
             itertools.product(
                 [0.3, 0.5, 0.7, 0.9, 0.99], [1.0, 1.5, 2.0], [0.5, 1.0, 1.5, 2.0]
             )
-        ),
+        )
+        + list(itertools.product([0.3, 0.5, 0.7, 0.9, 0.99], [1.5, 2.0], [3.0])),
     )
     def test_relative_error_against_oracle(self, alpha, beta, rho):
         zs = np.array(self.ZS)
@@ -261,12 +340,26 @@ class TestEngine:
         got = ml_prabhakar(alpha, beta, rho, np.array([-0.75, -3.0, -20.0]))
         assert [v.hex() for v in got] == pinned
 
-    def test_rho_cap(self):
+    @pytest.mark.parametrize("beta,rho", [(1.0, 3.0), (0.5, 3.0), (1.5, 2.5), (1.5, 4.0)])
+    def test_rho_cap(self, beta, rho):
         # the contour's error grows with rho: 6.4e-12 relative at rho = 3
-        # (alpha = 0.99, beta = 2, z = -2); the CLI tests take rho = 200, 1000
+        # (alpha = 0.99, beta = 2, z = -2), so its rule stops at rho = 2; the
+        # recurrence to rho = 3 needs beta > 1.  The CLI tests take rho =
+        # 200, 1000
         assert MAX_CONTOUR_RHO < 3.0
-        with pytest.raises(NonConvergence, match=r"\(alpha=0.5, beta=1.5, rho=3.0\)"):
-            ml_prabhakar(0.5, 1.5, 3.0, np.array([-0.1, -3.0]))
+        with pytest.raises(NonConvergence, match=rf"\(alpha=0.5, beta={beta}, rho={rho}\)"):
+            ml_prabhakar(0.5, beta, rho, np.array([-0.1, -3.0]))
+
+    def test_rho_three_keeps_the_series_radius_of_its_rules(self):
+        # at alpha = 0.22, beta = 2 the rho = 2 rule at beta needs three
+        # corrections, so the series serves |z| <= 1 for rho = 3 too
+        assert len(_contour(0.22, 2.0, 2.0)[2]) == 3
+        for z in (-0.6, -0.99):
+            (series,) = _series_sum(0.22, [(2.0, 3.0, np.array([z]))])
+            assert ml_prabhakar(0.22, 2.0, 3.0, z) == series[0]
+            assert series[0] == pytest.approx(mp_series(0.22, 2.0, 3.0, z), rel=1e-12)
+        exact = mp_talbot(0.22, 2.0, 3.0, -1.5)
+        assert ml_prabhakar(0.22, 2.0, 3.0, -1.5) == pytest.approx(exact, rel=1e-12)
 
     def test_series_serves_above_the_rho_cap(self):
         for z in (0.5, -0.1, -0.5):
@@ -419,14 +512,17 @@ class TestSeveralPairs:
              "more than 200 corrections for (alpha=0.001, beta=2.0, rho=1.0)"),
             (1e-3, [(1.1, 1.0), (1.5, 1.0)], [0.2, -3.0],
              "more than 200 corrections for (alpha=0.001, beta=1.5, rho=1.0)"),
-            # the contour refuses rho = 3
-            (0.5, [(1.5, 1.0), (1.5, 3.0)], [-0.1, -3.0],
-             "accurate only up to rho=2.0 for (alpha=0.5, beta=1.5, rho=3.0)"),
+            # the contour refuses rho = 3 at beta <= 1
+            (0.5, [(1.5, 1.0), (1.0, 3.0)], [-0.1, -3.0],
+             "accurate only up to rho=2.0 for (alpha=0.5, beta=1.0, rho=3.0)"),
             # a series that overflows before a later pair's refusal, and after
+            (0.5, [(1.5, 1.0), (1.0, 3.0)], [1000.0, -3.0],
+             "series overflow at k=135 for (alpha=0.5, beta=1.5, rho=1.0, z=1000.0)"),
+            (0.5, [(1.0, 3.0), (1.5, 1.0)], [1000.0, -3.0],
+             "accurate only up to rho=2.0 for (alpha=0.5, beta=1.0, rho=3.0)"),
+            # the series of a later pair overflows first, at a smaller k
             (0.5, [(1.5, 1.0), (1.5, 3.0)], [1000.0, -3.0],
              "series overflow at k=135 for (alpha=0.5, beta=1.5, rho=1.0, z=1000.0)"),
-            (0.5, [(1.5, 3.0), (1.5, 1.0)], [1000.0, -3.0],
-             "accurate only up to rho=2.0 for (alpha=0.5, beta=1.5, rho=3.0)"),
             # a bad parameter after a pair that needs the contour
             (0.5, [(1.5, 1.0), (-1.0, 1.0)], [-3.0], "beta must be > 0, got -1.0"),
         ],
@@ -440,3 +536,169 @@ class TestSeveralPairs:
     def test_pairs_need_two_sequences_of_one_length(self, beta, rho):
         with pytest.raises(ValueError, match="sequences of one length"):
             ml_prabhakar(0.5, beta, rho, -1.0)
+
+
+def assert_series_as_per_term(alpha, jobs):
+    """_series_sum on the jobs (beta, rho, z) gives bitwise what summing
+    each job alone term by term gives, or what the first failing job
+    raises."""
+    want = []
+    for beta, rho, z in jobs:
+        got = outcome(lambda: per_term_series(alpha, beta, rho, z))
+        if isinstance(got, tuple):
+            want = got
+            break
+        want.append(got)
+    got = outcome(lambda: _series_sum(alpha, jobs))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def series_jobs(z, max_jobs=3):
+    """Hypothesis jobs (beta, rho, z) on the arrays drawn by z."""
+    return st.lists(
+        st.tuples(
+            st.floats(0.2, 3.5),
+            st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0)),
+            z,
+        ),
+        min_size=1,
+        max_size=max_jobs,
+    )
+
+
+def arrays(elements, min_size, max_size):
+    return st.lists(elements, min_size=min_size, max_size=max_size).map(
+        lambda xs: np.array(xs, dtype=float)
+    )
+
+
+class TestSeriesTable:
+    """The series runs on a table of terms, a block of rows at a time, for
+    the elements of several (beta, rho) jobs at once; each value and each
+    error is bitwise that of the term-by-term loop on the job alone."""
+
+    ALPHAS = st.one_of(st.just(1.0), st.floats(0.05, 1.0), st.floats(1.0, 2.0))
+
+    @given(
+        alpha=ALPHAS,
+        jobs=series_jobs(
+            arrays(
+                st.one_of(st.floats(-6.0, 6.0), st.sampled_from([0.0, -0.0, 0.5, -0.5])), 0, 40
+            )
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_of_length_up_to_40(self, alpha, jobs):
+        assert_series_as_per_term(alpha, jobs)
+
+    @given(
+        alpha=st.floats(0.3, 0.7),
+        n=st.integers(4096, 6000),
+        jobs=series_jobs(st.floats(-4.0, 4.0), max_jobs=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_sums_cross_block_boundaries(self, alpha, n, jobs, seed):
+        # a block holds at most 2^16 table entries, so 16 rows here, and a
+        # sum at |z| = 4 needs more
+        rng = np.random.default_rng(seed)
+        drawn = []
+        for beta, rho, edge in jobs:
+            z = rng.uniform(-abs(edge), abs(edge), n)
+            z[:2] = -4.0, 4.0
+            drawn.append((beta, rho, z))
+        assert_series_as_per_term(alpha, drawn)
+
+    @given(
+        alpha=st.floats(0.4, 1.3),
+        jobs=series_jobs(arrays(st.floats(300.0, 1000.0), 1, 6), max_jobs=2),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_large_positive_z_hands_over_to_the_overflow_safe_step(self, alpha, jobs):
+        # past u_bound = 1e290 and alpha k + beta = 170 each row takes the
+        # step that carries log|u|; some sums end, some overflow
+        assert_series_as_per_term(alpha, jobs)
+
+    @pytest.mark.parametrize(
+        "alpha,jobs",
+        [
+            # u_bound passes 1e290, then alpha k + beta 170, while the sums
+            # at 700 and 650 run on; E_1(700) = e^700 is finite
+            (1.0, [(1.0, 1.0, np.array([700.0, 650.0, 2.0]))]),
+            # the first job overflows, the second would not
+            (0.5, [(1.5, 2.0, np.array([500.0])), (1.5, 1.0, np.array([100.0, -0.3]))]),
+            # below |z| = k + 1 the stop rule scales |term_k| by |z|/(k+1):
+            # the first terms here are below DEFAULT_TOL, but not so scaled
+            (1.5, [(17.5, 1.0, np.array([40.0, -40.0, 25.0, 3.0]))]),
+            # a NaN never stops: its sum runs through every safe row to MAX_TERMS
+            (2.0, [(1.5, 1.0, np.array([0.3, np.nan, -0.0]))]),
+            (0.01, [(1.5, 1.0, np.array([np.nan, 0.0]))]),
+        ],
+    )
+    def test_overflow_safe_cases(self, alpha, jobs):
+        assert_series_as_per_term(alpha, jobs)
+
+    @pytest.mark.parametrize(
+        "alpha,jobs,message",
+        [
+            # alpha > 1 cancels terms of 1e8 at z = -100
+            (1.5, [(1.0, 1.0, np.array([-0.5, -100.0, -90.0]))], "cancel for (alpha=1.5"),
+            # the first job's error, though the second fails at a smaller k
+            (1.5, [(1.0, 1.0, np.array([0.2, -100.0])), (1.0, 1.0, np.array([-60.0]))],
+             "z=-100.0"),
+            (0.5, [(1.5, 1.0, np.array([1000.0, 3.0]))], "series overflow at k=135"),
+            (0.5, [(1.5, 1.0, np.array([3.0])), (1.5, 1.0, np.array([-3.0, 1000.0]))],
+             "series overflow at k=135"),
+            # in one job and one block, whichever of an overflow and a
+            # cancellation comes first
+            (0.7, [(1.0, 1.0, np.array([-12.5, 800.0]))], "series overflow at k=178"),
+            (0.7, [(1.0, 1.0, np.array([-12.5, 700.0]))], "cancel for (alpha=0.7"),
+            (2.0, [(1.0, 1.0, np.array([np.nan]))], "within 10000 terms"),
+            # a NaN beside a cancelling sum does not hide it
+            (1.5, [(1.0, 1.0, np.array([np.nan, -100.0]))], "cancel for (alpha=1.5"),
+        ],
+    )
+    def test_errors(self, alpha, jobs, message):
+        with pytest.raises(NonConvergence) as info:
+            _series_sum(alpha, jobs)
+        assert message in str(info.value)
+        assert_series_as_per_term(alpha, jobs)
+
+    @pytest.mark.parametrize("z", [1000.0, 3000.0])
+    def test_overflow_raises_quickly(self, z):
+        # past u_bound = 1e290 a block ends every 64 rows, so a sum that
+        # overflows raises soon after; one block to MAX_TERMS took 0.4 s
+        ml_one(0.5, 0.1)
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence, match="series overflow"):
+            ml_one(0.5, z)
+        assert time.perf_counter() - start < 0.1
+
+    def test_empty(self):
+        assert _series_sum(0.5, []) == []
+        got = _series_sum(0.5, [(1.5, 1.0, np.empty(0)), (1.5, 2.0, np.empty(0))])
+        assert [g.shape for g in got] == [(0,), (0,)]
+        assert_series_as_per_term(0.5, [(1.5, 1.0, np.empty(0)), (2.0, 1.0, np.array([0.3]))])
+
+    def test_signed_zeros(self):
+        zs = np.array([0.0, -0.0, 1e-300, -1e-300])
+        assert_series_as_per_term(0.7, [(1.5, 1.0, zs), (1.0, 0.0, zs)])
+        (got,) = _series_sum(0.7, [(1.5, 1.0, zs)])
+        assert np.all(got == 1.0 / math.gamma(1.5))
+
+    def test_table_memory_is_bounded(self):
+        # a block holds at most 2^16 table entries: one row at 65536
+        # elements, where a whole sum of 20 rows would take 10 MB a table
+        z = np.random.default_rng(5).uniform(-0.5, 0.5, 65536)
+        _series_sum(0.5, [(1.5, 1.0, z[:64])])
+        tracemalloc.start()
+        try:
+            _series_sum(0.5, [(1.5, 1.0, z)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * z.size
