@@ -2,18 +2,24 @@
 
 One engine evaluates the one-parameter function E_a(z), the two-parameter
 function E_{a,b}(z) and the three-parameter (Prabhakar) function
-E^r_{a,b}(z) at a float or at a whole array of arguments, by one of two
+E^r_{a,b}(z) at a float or at a whole array of arguments, by one of three
 paths per argument:
 
-* Series, for z >= 0 and for |z| <= SERIES_RADIUS (up to 1 where the
-  contour needs more than two corrections, see _contour): the power
+* Disc, for |z| <= SERIES_RADIUS (up to 1 where the contour needs more
+  than two corrections, see _contour): Horner's rule on the power
+  series' coefficients c_k = (rho)_k / (k! Gamma(alpha k + beta)) up to
+  the first k the table below would stop at on the disc's rim, cached
+  per (alpha, beta, rho, radius).  A pair takes the disc only where
+  Horner's rounding bound gamma_2K sum_k |c_k| r^k (Higham, Accuracy and
+  Stability of Numerical Algorithms, 2002, section 5.1) is within
+  DEFAULT_TOL; see _disc_coefficients.
+* Table, for the rest of z >= 0, for the disc of a pair the bound
+  refuses, and for z < 0 that the contour does not take: the power
   series with compensated accumulation, summed on a table of terms a
-  block of rows at a time (see _series_sum).  The table's columns are
-  the series elements of every (beta, rho) pair of a call, so the numpy
-  calls per term are paid once per call, not once per pair and element.
-  On the negative axis the terms alternate; a sum whose largest term
-  exceeds CANCELLATION_LIMIT would lose more than about 1e-12 to
-  rounding and raises :class:`~abcfde.errors.NonConvergence` instead.
+  block of rows at a time (see _series_sum).  On the negative axis the
+  terms alternate; a sum whose largest term exceeds CANCELLATION_LIMIT
+  would lose more than about 1e-12 to rounding and raises
+  :class:`~abcfde.errors.NonConvergence` instead.
 * Contour, for the rest of z < 0 when 0 < alpha <= 1 and rho <=
   MAX_CONTOUR_RHO: Garrappa's trapezoidal rule for the inverse Laplace
   transform on the optimal parabolic contour (R. Garrappa, SIAM J.
@@ -32,7 +38,7 @@ paths per argument:
   for all of them.
 
 On the rest of the negative axis (alpha > 1, where s^alpha = z has
-roots the contour does not take) the series is used while its
+roots the contour does not take) the table is used while its
 cancellation check allows, so a value there is accurate or raises
 quickly.  Large positive arguments raise once a term or the sum
 overflows.
@@ -41,7 +47,6 @@ overflows.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -54,7 +59,7 @@ DEFAULT_TOL = 1e-13
 #: Hard cap on the number of series terms.
 MAX_TERMS = 10_000
 
-#: The series serves |z| up to this, or up to 1 where the contour needs
+#: The disc serves |z| up to this, or up to 1 where the contour needs
 #: more than two corrections (see _contour).  The contour is less accurate near 0
 #: (7e-13 relative at z = -1e-3, alpha = 0.9, beta = 2); near |z| = 0.5
 #: both are within about 4e-14.
@@ -84,6 +89,9 @@ _W = math.sqrt(_LOG_EPS / (_LOG_EPS - _LOG_TARGET))
 _N = math.ceil(-_W * _LOG_TARGET / (2 * math.pi))
 _H = _W / _N
 
+#: Unit roundoff of a double, for Horner's rounding bound.
+_UNIT_ROUNDOFF = 2.0**-53
+
 
 def ml_prabhakar(alpha: float, beta, rho, z):
     """Three-parameter Mittag-Leffler function E^rho_{alpha,beta}(z).
@@ -96,11 +104,10 @@ def ml_prabhakar(alpha: float, beta, rho, z):
 
     beta and rho may also be tuples or lists of one length: the result is
     then a list with the value at z of each pair (beta[i], rho[i]), each
-    bitwise what the call for that pair alone gives.  The pairs share one
-    table for the series and, on the contour, the per-node terms
-    s_k^alpha - z and their reciprocals, which depend on alpha and z
-    only.  The call raises what the first failing per-pair call would
-    raise.
+    bitwise what the call for that pair alone gives.  On the contour the
+    pairs share the per-node terms s_k^alpha - z and their reciprocals,
+    which depend on alpha and z only.  The call raises what the first
+    failing per-pair call would raise.
     """
     sequences = isinstance(beta, (tuple, list)), isinstance(rho, (tuple, list))
     if not any(sequences):
@@ -113,63 +120,61 @@ def ml_prabhakar(alpha: float, beta, rho, z):
 def _ml_pairs(alpha, pairs, z):
     """E^rho_{alpha,beta}(z) for each (beta, rho) in pairs, as a list.
 
-    The pairs are set up in order, each one's contour tables built; then
-    one series table takes the series elements of every pair set up, and
-    one contour pass their contour elements.  A pair that fails its set-up
-    ends the set-up, and is raised unless the series of a pair before it
-    fails first, so the call raises what the per-pair calls would.
+    Each pair in turn is checked, its contour tables built and its disc
+    and table elements summed, so the call raises what the first failing
+    per-pair call would; then one contour pass takes the contour elements
+    of every pair.
     """
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
     nan = np.isnan(flat)
-    outs, series, contours, lifts = [], [], [], []
-    failure = None
-    try:
-        for beta, rho in pairs:
-            if not alpha > 0:
-                raise ValueError(f"alpha must be > 0, got {alpha}")
-            if not beta > 0:
-                raise ValueError(f"beta must be > 0, got {beta}")
-            if rho < 0:
-                raise ValueError(f"rho must be >= 0, got {rho}")
-            for name, value in (("alpha", alpha), ("beta", beta), ("rho", rho)):
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
-            try:
-                lead = 1.0 / math.gamma(beta)
-            except OverflowError:
-                raise ValueError(f"Gamma(beta) overflows at beta = {beta}") from None
-            out = np.full(flat.shape, lead)
-            outs.append(out)
-            # rho = 0 kills every k >= 1 term through (rho)_k
-            if rho == 0.0:
-                continue
-            out[nan] = np.nan
-            # rho = 3 with beta > 1 comes from two rho = 2 rules (see below)
-            lift = rho == 3.0 and beta > 1.0
-            # the series serves |z| <= 1 where the contour needs over two corrections
-            rule_rho = 2.0 if lift else rho
-            radius = 1.0 if alpha * (rule_rho + 2) - beta < -1.0 else SERIES_RADIUS
-            contour = (flat < -radius) & (alpha <= 1.0)
-            if contour.any() and lift:
-                # 2 alpha E^3_{a,b} = E^2_{a,b-1} + (1 - b + 2 alpha) E^2_{a,b}
-                # (Giusti et al., Fract. Calc. Appl. Anal. 23(1), 2020)
-                low, high = np.empty(flat.shape), np.empty(flat.shape)
-                contours.append((low, contour, 2.0, _contour(alpha, beta - 1.0, 2.0)))
-                contours.append((high, contour, 2.0, _contour(alpha, beta, 2.0)))
-                lifts.append((out, contour, low, high, 1.0 - beta + 2.0 * alpha))
-            elif contour.any():
-                contours.append((out, contour, rho, _contour(alpha, beta, rho)))
-            mask = ~contour & (flat != 0.0) & ~nan
-            if mask.any():
-                series.append((out, mask, beta, rho))
-    except Exception as exc:  # raised below, after the series of the pairs before it
-        failure = exc
-    sums = _series_sum(alpha, [(beta, rho, flat[mask]) for _, mask, beta, rho in series])
-    for (out, mask, _, _), values in zip(series, sums):
-        out[mask] = values
-    if failure is not None:
-        raise failure
+    outs, contours, lifts = [], [], []
+    for beta, rho in pairs:
+        if not alpha > 0:
+            raise ValueError(f"alpha must be > 0, got {alpha}")
+        if not beta > 0:
+            raise ValueError(f"beta must be > 0, got {beta}")
+        if rho < 0:
+            raise ValueError(f"rho must be >= 0, got {rho}")
+        for name, value in (("alpha", alpha), ("beta", beta), ("rho", rho)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        try:
+            lead = 1.0 / math.gamma(beta)
+        except OverflowError:
+            raise ValueError(f"Gamma(beta) overflows at beta = {beta}") from None
+        out = np.full(flat.shape, lead)
+        outs.append(out)
+        # rho = 0 kills every k >= 1 term through (rho)_k
+        if rho == 0.0:
+            continue
+        out[nan] = np.nan
+        # rho = 3 with beta > 1 comes from two rho = 2 rules (see below)
+        lift = rho == 3.0 and beta > 1.0
+        # the disc serves |z| <= 1 where the contour needs over two corrections
+        rule_rho = 2.0 if lift else rho
+        radius = 1.0 if alpha * (rule_rho + 2) - beta < -1.0 else SERIES_RADIUS
+        contour = (flat < -radius) & (alpha <= 1.0)
+        if contour.any() and lift:
+            # 2 alpha E^3_{a,b} = E^2_{a,b-1} + (1 - b + 2 alpha) E^2_{a,b}
+            # (Giusti et al., Fract. Calc. Appl. Anal. 23(1), 2020)
+            low, high = np.empty(flat.shape), np.empty(flat.shape)
+            contours.append((low, contour, 2.0, _contour(alpha, beta - 1.0, 2.0)))
+            contours.append((high, contour, 2.0, _contour(alpha, beta, 2.0)))
+            lifts.append((out, contour, low, high, 1.0 - beta + 2.0 * alpha))
+        elif contour.any():
+            contours.append((out, contour, rho, _contour(alpha, beta, rho)))
+        mask = ~contour & (flat != 0.0) & ~nan
+        if not mask.any():
+            continue
+        coefficients = _disc_coefficients(alpha, beta, rho, radius)
+        if coefficients is not None:
+            disc = mask & (np.abs(flat) <= radius)
+            if disc.any():
+                out[disc] = _horner(coefficients, flat[disc])
+                mask &= ~disc
+        if mask.any():
+            out[mask] = _series_sum(alpha, [(beta, rho, flat[mask])])[0]
     if contours:
         _contour_sums(flat, contours)
     for out, mask, low, high, c in lifts:
@@ -179,88 +184,123 @@ def _ml_pairs(alpha, pairs, z):
     return [out.reshape(zs.shape) for out in outs]
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+@functools.lru_cache(maxsize=64)
+def _disc_coefficients(alpha, beta, rho, radius):
+    """The series' coefficients c_k = (rho)_k / (k! Gamma(alpha k + beta))
+    for k = K down to 0, for Horner's rule on |z| <= radius <= 1; or None
+    where that rule's rounding may exceed DEFAULT_TOL.
+
+    K is the first k >= 1 with |c_k| radius^k < DEFAULT_TOL: the row at
+    which the table's stop rule ends a sum at |z| = radius, and past which
+    it ends every sum inside.  Horner's rule errs by at most gamma_2K
+    sum_k |c_k| |z|^k, with gamma_n = n u / (1 - n u) and u the unit
+    roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 5.1).  Both factors grow with K, so the coefficients
+    stop, as None, at the first k whose partial bound exceeds DEFAULT_TOL,
+    and at MAX_TERMS.  That also keeps out every sum the table's
+    cancellation check would refuse.
+    """
+    coefficients = [1.0 / math.gamma(beta)]
+    weight = abs(coefficients[0])  # sum_k |c_k| radius^k
+    pochhammer = 1.0  # (rho)_k / k!
+    for k in range(1, MAX_TERMS):
+        pochhammer *= (rho + k - 1.0) / k
+        x = alpha * k + beta
+        if x <= 170.0:
+            c = pochhammer / math.gamma(x)
+        else:
+            c = math.exp(math.log(pochhammer) - math.lgamma(x))
+        coefficients.append(c)
+        term = abs(c) * radius**k
+        weight += term
+        n_u = 2 * k * _UNIT_ROUNDOFF
+        if not n_u / (1.0 - n_u) * weight <= DEFAULT_TOL:
+            return None
+        if term < DEFAULT_TOL:
+            return tuple(reversed(coefficients))
+    return None
+
+
+def _horner(coefficients, z):
+    """sum_k c_k z^k at each element of z by Horner's rule, highest
+    coefficient first.  Each step is one correctly rounded product and
+    sum per element, so each value depends on its own z only."""
+    out = np.full(z.shape, coefficients[0])
+    for c in coefficients[1:]:
+        out *= z
+        out += c
+    return out
+
+
 def _series_sum(alpha, jobs):
     """sum_k (rho)_k z^k / (k! Gamma(alpha k + beta)) at each element of z,
-    for each job (beta, rho, z): a list with one array per job.
+    for each job (beta, rho, z): a list with one array per job.  The jobs
+    are summed one at a time, in order, by :func:`_series_table`, so a job
+    that fails raises before later jobs run."""
+    return [_series_table(alpha, beta, rho, z) for beta, rho, z in jobs]
 
-    The elements of all jobs are the columns of one table of terms, built a
-    block of rows k at a time.  A block forms the factors z (rho + k - 1) /
-    k and their running product u = (rho)_k z^k / k! from the u carried in,
-    and divides each row by Gamma(alpha k + beta) from a table indexed by
-    (row, job).  Kahan compensated accumulation then runs row by row, in
-    place, so that row k holds the totals after term k.  Each sum stops at
-    its first row with ``|term_k| * max(1, |z|/(k+1)) < DEFAULT_TOL`` and
-    takes the total there; one on the negative axis whose largest term up
-    to that row exceeds CANCELLATION_LIMIT raises NonConvergence instead.
-    The arrays are compacted once per block.  The scalar u_bound >= |u| of
-    each job, on its largest |z|, sizes a block to end where every sum must
-    have stopped, within 2^16 table entries, so one block usually covers
-    the whole sum.
 
-    Where a job's u_bound exceeds 1e290, the running product carries the
-    log of each |u| that nears overflow in log_u, row by row, and the term
-    is formed from logs wherever log_u is set or alpha k + beta exceeds 170,
-    since it can stay representable where u or Gamma would not.  A sum that
-    then overflows raises; such blocks end every 64 rows, so it raises soon.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _series_table(alpha, beta, rho, z):
+    """sum_k (rho)_k z^k / (k! Gamma(alpha k + beta)) at each element of z.
 
-    Each value and each error is bitwise what the job summed alone, term by
-    term, gives; the call raises what the first failing job would raise.
+    The elements are the columns of a table of terms, built a block of
+    rows k at a time.  A block forms the factors z (rho + k - 1) / k and
+    their running product u = (rho)_k z^k / k! from the u carried in, and
+    divides each row by Gamma(alpha k + beta).  Kahan compensated
+    accumulation then runs row by row, in place, so that row k holds the
+    totals after term k.  Each sum stops at its first row with
+    ``|term_k| * max(1, |z|/(k+1)) < DEFAULT_TOL`` and takes the total
+    there; one on the negative axis whose largest term up to that row
+    exceeds CANCELLATION_LIMIT raises NonConvergence instead.  The arrays
+    are compacted once per block.  The scalar u_bound >= |u|, on the
+    largest |z|, sizes a block to end where every sum must have stopped,
+    within 2^16 table entries, so one block usually covers the whole sum.
+
+    Where u_bound exceeds 1e290, the running product carries the log of
+    each |u| that nears overflow in log_u, row by row, and the term is
+    formed from logs wherever log_u is set or alpha k + beta exceeds 170,
+    since it can stay representable where u or Gamma would not.  A sum
+    that then overflows raises; such blocks end every 64 rows, so it
+    raises soon.
+
+    Each value and each error is bitwise what summing term by term gives.
     """
-    if not jobs:
-        return []
-    sizes = [z.size for _, _, z in jobs]
-    ends = list(itertools.accumulate(sizes))
-    out = np.empty(ends[-1])
-    betas = [beta for beta, _, _ in jobs]
-    rhos = [rho for _, rho, _ in jobs]
-    z_maxes = [float(np.abs(z).max(initial=0.0)) for _, _, z in jobs]
-    bounds = [1.0] * len(jobs)  # u_bound of each job
-    # the stop rule scales by |z|/(k+1) below the largest z_max; a NaN one never
-    far = max((m for m in z_maxes if not math.isnan(m)), default=0.0)
-    job = np.repeat(np.arange(len(jobs)), sizes)
-    z = np.concatenate([z for _, _, z in jobs])
+    out = np.empty(z.size)
+    z_max = float(np.abs(z).max(initial=0.0))
+    # the stop rule scales by |z|/(k+1) below z_max; a NaN one never
+    far = 0.0 if math.isnan(z_max) else z_max
+    u_bound = 1.0
     live = np.arange(out.size)
-    total = np.array([1.0 / math.gamma(beta) for beta in betas])[job]
+    total = np.full(out.size, 1.0 / math.gamma(beta))
     comp, u, log_u = np.zeros(out.size), np.ones(out.size), np.zeros(out.size)
     peak = np.abs(total)
-    failures = {}  # job -> its error
-    stacked = len(jobs) > 1
     k0 = 1
     while live.size and k0 < MAX_TERMS:
-        running = np.flatnonzero(np.bincount(job)).tolist() if stacked else [0]
-        # a per-job table's column for each element; one running job broadcasts
-        by_job = job if len(running) > 1 else slice(running[0], running[0] + 1)
-        # per row, for each running job: rho + k - 1, Gamma(alpha k + beta)
-        # (inf past 170) and whether u_bound exceeds 1e290; and whether the
-        # row needs logs for some job
+        # per row: rho + k - 1, Gamma(alpha k + beta) (inf past 170), whether
+        # u_bound exceeds 1e290, and whether the row needs logs
         rows = []
         for k in range(k0, min(k0 + max(1, (1 << 16) // live.size), MAX_TERMS)):
-            cs, gs, hot = [0.0] * len(jobs), [1.0] * len(jobs), [False] * len(jobs)
-            more = special = False
-            for j in running:
-                cs[j] = c = rhos[j] + k - 1.0
-                bounds[j] = b = bounds[j] * (z_maxes[j] * abs(c) / k)
-                hot[j] = b > 1e290
-                x = alpha * k + betas[j]
-                if x <= 170.0:
-                    gs[j] = math.gamma(x)
-                    b /= gs[j]
-                else:
-                    gs[j] = math.inf
-                    b = b and math.exp(math.log(b) - math.lgamma(x))
-                special = special or hot[j] or x > 170.0
-                more = more or not b * max(1.0, z_maxes[j] / (k + 1)) < DEFAULT_TOL
-            rows.append((cs, gs, hot, special))
+            c = rho + k - 1.0
+            u_bound *= z_max * abs(c) / k
+            hot = u_bound > 1e290
+            x = alpha * k + beta
+            if x <= 170.0:
+                gamma = math.gamma(x)
+                b = u_bound / gamma
+            else:
+                gamma = math.inf
+                b = u_bound and math.exp(math.log(u_bound) - math.lgamma(x))
+            rows.append((c, gamma, hot, hot or x > 170.0))
             # a sum may overflow past u_bound = 1e290: check it every 64 rows
-            if not more or special and len(rows) >= 64:
+            if b * max(1.0, z_max / (k + 1)) < DEFAULT_TOL or rows[-1][3] and len(rows) >= 64:
                 break
         ks = np.arange(k0, k0 + len(rows), dtype=float)[:, None]
-        table = z * np.array([row[0] for row in rows])[:, by_job]
+        table = z * np.array([[row[0]] for row in rows])
         table /= ks
         table[0] *= u
-        gammas = np.array([row[1] for row in rows])[:, by_job]
-        hot_rows = {r: np.array(row[2])[by_job] for r, row in enumerate(rows) if any(row[2])}
+        gammas = np.array([[row[1]] for row in rows])
+        hot_rows = {r for r, row in enumerate(rows) if row[2]}
         log_us = [log_u] * len(rows)  # log_u at each row; a rescale copies it
         if live.size < 64 and not hot_rows:
             np.multiply.accumulate(table, axis=0, out=table)
@@ -269,7 +309,7 @@ def _series_sum(alpha, jobs):
                 if r:
                     np.multiply(table[r - 1], row, out=row)
                 if r in hot_rows:
-                    big = hot_rows[r] & (np.abs(row) > 1e290)
+                    big = np.abs(row) > 1e290
                     if big.any():
                         log_u = log_u.copy()
                         log_u[big] += np.log(np.abs(row[big]))
@@ -281,11 +321,10 @@ def _series_sum(alpha, jobs):
         if special:
             spare = table[special]
             logs = np.array([log_us[r] for r in special])
-            hot = np.array([rows[r][2] for r in special])[:, by_job]
+            hot = np.array([[rows[r][2]] for r in special])
             plain = np.isfinite(gammas[special]) & (~hot | (logs == 0.0))
-            lgammas = [[math.lgamma(alpha * (k0 + r) + beta) for beta in betas] for r in special]
             logs += np.log(np.abs(spare))
-            logs -= np.array(lgammas)[:, by_job]
+            logs -= np.array([[math.lgamma(alpha * (k0 + r) + beta)] for r in special])
             logs = np.sign(spare) * np.exp(logs)
         table /= gammas
         if special:
@@ -303,63 +342,55 @@ def _series_sum(alpha, jobs):
         stopped = size < DEFAULT_TOL
         if far > k0 + 1:
             m = np.count_nonzero(ks[:, 0] + 1.0 < far)
-            reach = np.where(np.isnan(z_maxes)[by_job], 0.0, np.abs(z))
-            stopped[:m] = size[:m] * np.maximum(1.0, reach / (ks[:m] + 1.0)) < DEFAULT_TOL
+            stopped[:m] = size[:m] * np.maximum(1.0, np.abs(z) / (ks[:m] + 1.0)) < DEFAULT_TOL
         # each sum's first stopping row, len(rows) where it has none; numpy's
         # argmax along axis 0 runs one column at a time (rows < MAX_TERMS < 2^16)
         countdown = np.arange(len(rows), 0, -1, dtype=np.uint16)[:, None]
         stop = len(rows) - (stopped * countdown).max(axis=0).astype(int)
         done = stop < len(rows)
-        # each job's first error in this block: (row, overflow before cancel)
-        errors = {}
+        # the block's errors as (row, overflow before cancel, error)
+        errors = []
         if hot_rows:
             # terms below 1e290 / Gamma(x) cannot overflow the sum
-            rs = list(hot_rows)
-            over = np.isinf(table[rs]) & np.array(list(hot_rows.values()))
-            over &= stop >= np.array(rs)[:, None]
-            for j in np.unique(job[over.any(axis=0)]).tolist():
-                h = np.argmax(over[:, job == j].any(axis=1))
-                i = np.argmax(over[h] & (job == j))
-                errors[j] = (rs[h], 0, NonConvergence(
+            rs = sorted(hot_rows)
+            over = np.isinf(table[rs]) & (stop >= np.array(rs)[:, None])
+            if over.any():
+                h = np.argmax(over.any(axis=1))
+                errors.append((rs[h], 0, NonConvergence(
                     f"series overflow at k={k0 + rs[h]} for "
-                    f"(alpha={alpha}, beta={betas[j]}, rho={rhos[j]}, z={z[i]})"
-                ))
+                    f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[np.argmax(over[h])]})"
+                )))
         before, peak = peak, np.maximum(peak, size.max(axis=0))
         if (peak > CANCELLATION_LIMIT).any():
             # the largest term up to each stop row
             upto = np.arange(len(rows))[:, None] <= stop
             at_stop = np.maximum(before, size.max(axis=0, where=upto, initial=0.0))
-            cancelled = done & (z < 0.0) & (at_stop > CANCELLATION_LIMIT)
-            for j in np.unique(job[cancelled]).tolist():
-                mine = np.flatnonzero(cancelled & (job == j))
-                i = mine[np.argmin(stop[mine])]
-                errors[j] = min(errors.get(j, (math.inf,)), (stop[i], 1, NonConvergence(
+            cancelled = np.flatnonzero(done & (z < 0.0) & (at_stop > CANCELLATION_LIMIT))
+            if cancelled.size:
+                i = cancelled[np.argmin(stop[cancelled])]
+                errors.append((stop[i], 1, NonConvergence(
                     f"series terms up to {at_stop[i]:.3g} cancel for "
-                    f"(alpha={alpha}, beta={betas[j]}, rho={rhos[j]}, z={z[i]})"
+                    f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[i]})"
                 )))
-        failures.update((j, error) for j, (_, _, error) in errors.items())
+        if errors:
+            raise min(errors, key=lambda error: error[:2])[2]
         ends_at = np.flatnonzero(done)
         out[live[ends_at]] = table.ravel()[stop[ends_at] * live.size + ends_at]
-        keep = ~done
-        if failures:
-            keep &= job < min(failures)
-        if keep.all():
-            total = table[-1].copy()
-        else:
+        if done.any():
+            keep = ~done
             live = live[keep]
             if live.size:
                 total, peak = table[-1][keep], peak[keep]
-                job, z, u, log_u, comp = (a[keep] for a in (job, z, u, log_u, comp))
+                z, u, log_u, comp = (a[keep] for a in (z, u, log_u, comp))
+        else:
+            total = table[-1].copy()
         k0 += len(rows)
     if live.size:
-        j = job[0]
-        failures.setdefault(j, NonConvergence(
+        raise NonConvergence(
             f"series did not meet tol={DEFAULT_TOL} within {MAX_TERMS} terms for "
-            f"(alpha={alpha}, beta={betas[j]}, rho={rhos[j]}, z={z[0]})"
-        ))
-    if failures:
-        raise failures[min(failures)]
-    return [out[a:b] for a, b in zip([0, *ends], ends)]
+            f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[0]})"
+        )
+    return out
 
 
 @functools.lru_cache(maxsize=16)

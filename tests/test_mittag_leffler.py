@@ -19,6 +19,8 @@ from abcfde.mittag_leffler import (
     MAX_CORRECTIONS,
     MAX_TERMS,
     _contour,
+    _disc_coefficients,
+    _horner,
     _series_sum,
 )
 
@@ -702,3 +704,100 @@ class TestSeriesTable:
         finally:
             tracemalloc.stop()
         assert peak < 256 * z.size
+
+
+def disc_radius(alpha, beta, rho):
+    """The radius of the disc the engine gives (alpha, beta, rho): 1 where
+    the contour rule it takes needs more than two corrections, else 0.5."""
+    rule_rho = 2.0 if rho == 3.0 and beta > 1.0 else rho
+    return 1.0 if alpha * (rule_rho + 2) - beta < -1.0 else 0.5
+
+
+def assert_same_outcome(call, want_call):
+    """call() gives bitwise the array want_call() gives, or raises what it
+    raises."""
+    got, want = outcome(call), outcome(want_call)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert got.tobytes() == want.tobytes()
+
+
+class TestDisc:
+    """|z| <= r takes Horner's rule on coefficients cached per (alpha,
+    beta, rho, r) where its rounding bound is within DEFAULT_TOL; a pair
+    the bound refuses keeps the table."""
+
+    @given(
+        alpha=st.floats(0.0, 2.0, exclude_min=True),
+        beta=st.floats(0.0, 3.0, exclude_min=True),
+        rho=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        unit=st.lists(
+            st.one_of(st.floats(-1.0, 1.0), st.sampled_from([1.0, -1.0, 0.0, -0.0, math.nan])),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_disc(self, alpha, beta, rho, unit):
+        radius = disc_radius(alpha, beta, rho)
+        zs = radius * np.array(unit)
+        want = [outcome(lambda: ml_prabhakar(alpha, beta, rho, float(z))) for z in zs]
+        errors = [w for w in want if isinstance(w, tuple)]
+        # the array gives each element's value, or raises what the first
+        # failing element raises
+        assert_same_outcome(
+            lambda: ml_prabhakar(alpha, beta, rho, zs),
+            lambda: errors[0] if errors else np.array(want),
+        )
+        # beside pairs of the other radius and of the contour
+        assert_same_as_per_pair(alpha, [(beta, rho), (1.5, 1.0), (2.5, 1.0)], zs)
+        assert_same_as_per_pair(alpha, [(2.0, 2.0), (beta, rho)], zs)
+        if errors and errors[0][0] is ValueError:
+            return  # Gamma(beta) overflows
+        finite = zs[~np.isnan(zs)]
+        coefficients = _disc_coefficients(alpha, beta, rho, radius)
+        if coefficients is None:
+            assert_same_outcome(
+                lambda: ml_prabhakar(alpha, beta, rho, finite),
+                lambda: per_term_series(alpha, beta, rho, finite),
+            )
+            return
+        got = ml_prabhakar(alpha, beta, rho, finite)
+        inside = finite != 0.0
+        assert got[inside].tobytes() == _horner(coefficients, finite[inside]).tobytes()
+        for z, value in zip(finite, got):
+            exact = mp_series(alpha, beta, rho, z)
+            assert abs(value - exact) <= max(1e-12 * abs(exact), DEFAULT_TOL)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,rho",
+        [
+            # sum |c_k| is 758 at r = 1 over K = 346 terms: a bound of 5.8e-11
+            (0.05, 1.5, 2.0),
+            # (rho)_k / k! outgrows 2^k
+            (0.5, 1.5, 200.0),
+        ],
+    )
+    def test_refused_pair_keeps_the_table(self, alpha, beta, rho):
+        radius = disc_radius(alpha, beta, rho)
+        assert _disc_coefficients(alpha, beta, rho, radius) is None
+        zs = radius * np.linspace(-1.0, 1.0, 41)
+        assert_same_outcome(
+            lambda: ml_prabhakar(alpha, beta, rho, zs),
+            lambda: per_term_series(alpha, beta, rho, zs),
+        )
+
+    def test_coefficients_end_where_the_table_stops_on_the_rim(self):
+        alpha, beta, rho = 0.65, 2.0, 1.0
+        coefficients = _disc_coefficients(alpha, beta, rho, 0.5)
+        K = len(coefficients) - 1
+        terms = [abs(c) * 0.5 ** (K - i) for i, c in enumerate(coefficients)]
+        assert terms[0] < DEFAULT_TOL <= min(terms[1:])
+        assert coefficients[-1] == 1.0 / math.gamma(beta)
+        # the bench kernel: the disc serves its |z| <= 0.5
+        z = -np.linspace(0.0, 0.5, 257)
+        np.testing.assert_array_equal(
+            ml_two(alpha, beta, z)[1:], _horner(coefficients, z[1:])
+        )

@@ -25,7 +25,12 @@ from abcfde import (
 )
 from abcfde.errors import MaxSweepsExceeded, NonFiniteIterate, ValidationError
 from abcfde.expression import BUILTINS, takes_arrays
-from abcfde.solver import max_pair_slope, perturbed, singular_integral_coefficient
+from abcfde.solver import (
+    MAX_GROWING_SWEEPS,
+    max_pair_slope,
+    perturbed,
+    singular_integral_coefficient,
+)
 
 from conftest import (
     MANUFACTURED_TEXT,
@@ -154,6 +159,24 @@ class TestValidate:
         )
         with pytest.raises(ValidationError, match="T: must be finite"):
             s.validate()
+
+    @pytest.mark.parametrize(
+        "f0,g0,field",
+        [(math.nan, 0.0, "f"), (math.inf, 0.0, "f"), (-math.inf, 0.0, "f"), (1.0, math.nan, "g")],
+    )
+    def test_start_values_must_be_finite(self, f0, g0, field):
+        # abs(nan) > G0_TOL is False: such a spec got through, then failed
+        # at sweep 1 with NonFiniteIterate
+        s = ProblemSpec(
+            T=1.0,
+            omega0=0.5,
+            f=lambda t, w: f0 if t == 0.0 else 1.0,
+            g=lambda t, w: g0 if t == 0.0 else t,
+            cfg=OperatorConfig(0.5),
+        )
+        with pytest.raises(ValidationError) as info:
+            s.validate()
+        assert info.value.field == field
 
 
 class TestMonotoneQuotient:
@@ -295,6 +318,38 @@ class TestPicard:
         assert not trace.converged
         assert trace.iterations == 10
         assert len(trace.iterate_diffs) == 10
+
+    def test_blow_up_stops_on_growing_diffs(self):
+        # the solution blows up before tau = 0.57: every diff grows, up to
+        # 1e89 at sweep 200
+        spec = load_problem(
+            "alpha=0.5\nT=1\nomega0=0.5\nf=1\ng=tau*cos(omega) + 5*omega*tau"
+        )
+        with pytest.raises(MaxSweepsExceeded) as exc:
+            picard_solve(spec, Grid(1.0, 1024))
+        assert type(exc.value) is MaxSweepsExceeded
+        diffs = exc.value.trace.iterate_diffs
+        assert len(diffs) == MAX_GROWING_SWEEPS + 1
+        assert all(b > a for a, b in zip(diffs, diffs[1:]))
+        assert str(exc.value).startswith(
+            f"no convergence in {MAX_GROWING_SWEEPS + 1} sweeps, "
+            f"the diff growing over the last {MAX_GROWING_SWEEPS} (last diff "
+        )
+
+    def test_slow_start_is_not_stopped(self):
+        # the long-horizon benchmark corner: alpha = 0.5, lam T^alpha = 3;
+        # its diffs grow 3 sweeps in a row before they contract
+        spec = load_problem(
+            "alpha=0.5\nT=9\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
+        )
+        trace = picard_solve(spec, Grid(9.0, 256))
+        assert trace.converged and trace.iterations == 69
+        run = longest = 0
+        for a, b in zip(trace.iterate_diffs, trace.iterate_diffs[1:]):
+            run = run + 1 if b > a else 0
+            longest = max(longest, run)
+        assert longest == 3
+        assert MAX_GROWING_SWEEPS >= 3 * longest
 
     def test_non_finite_iterate_stops_the_solve(self):
         @takes_arrays
