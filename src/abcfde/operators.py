@@ -236,8 +236,10 @@ class Discretization:
 
 
 #: The shared Discretization of (grid, alpha).  Callers work on one grid
-#: at a time and at N = 65536 one spectrum alone is 1 MB, so two stay.
-discretization = functools.lru_cache(maxsize=2)(Discretization)
+#: at a time, but a Picard solve on N = 65536 restarts from solves on 8192
+#: and 1024 (:data:`abcfde.solver.COARSEN`), so three stay; at N = 65536
+#: one spectrum alone is 1 MB.
+discretization = functools.lru_cache(maxsize=3)(Discretization)
 
 
 def rl_integral(samples, grid: Grid, alpha: float) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import EvalError, MaxSweepsExceeded, NonFiniteIterate, ValidationError
 from .expression import Expression, sample, takes_arrays
 from .operators import (
+    FFT_MIN_LENGTH,
     BConvention,
     Grid,
     KernelConvention,
@@ -323,6 +324,27 @@ def stack_rows(grid: Grid) -> int:
     return max(1, STACK_ELEMENTS // (grid.N + 1))
 
 
+#: A slow row on a grid of N nodes restarts from a solve on N // COARSEN,
+#: when that coarse grid still convolves by FFT (N >= 4096).
+COARSEN = 8
+#: Further sweeps a row must be predicted to need after its second, at
+#: its observed ratio, to restart.  Nonlinear benchmark rows predict 31-40
+#: and long-horizon ones about 5; such a long-horizon row at N = 4096
+#: sweeps 7 times in 3.7 ms, and restarted took 6 sweeps and 4.8 ms.
+RESTART_MIN_SWEEPS = 16
+
+
+def _restarts(diffs: list[float], tol: float) -> bool:
+    """Whether a row still sweeping after its second sweep, with these
+    diffs, restarts from a coarse solve: its diffs shrink, and at their
+    ratio it would need more than RESTART_MIN_SWEEPS further sweeps."""
+    ratio = diffs[1] / diffs[0]
+    # log(tol / d2) / log(d2 / d1), free of the underflow of tol / d2
+    return 0.0 < ratio < 1.0 and (
+        (math.log(tol) - math.log(diffs[1])) / math.log(ratio) > RESTART_MIN_SWEEPS
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class _Stack(ProblemSpec):
     """Rows of :func:`picard_stack` as one spec for :func:`rhs_operator`:
@@ -352,8 +374,10 @@ def picard_stack(
 
     Row r gives bitwise the trace of :func:`picard_solve` on its own
     problem, ``perturbed(spec, |s|, sign of s)``: it starts from its own
-    omega0, keeps its own diffs, stops at its own sweep and then stops
-    changing, and its residuals ride on the next sweep of the stack.  f,
+    omega0, restarts on its own diffs, keeps its own diffs, stops at its
+    own sweep and then stops changing, and its residuals ride on the next
+    sweep of the stack.  The rows that restart after their second sweep
+    are solved as one stack on the coarse grid.  f,
     g and the operator are called once per sweep on all rows still in the
     stack, in blocks of :func:`stack_rows` rows.  Raises what that
     per-row loop would raise first: the error of the first row that
@@ -373,22 +397,48 @@ def picard_stack(
     traces: list[SolutionTrace] = []
     size = stack_rows(grid)
     for lo in range(0, len(rows), size):
-        block = rows[lo : lo + size]
-        outcomes = _solve_block(spec, block, shifts[lo : lo + size], grid, tol, max_sweeps)
-        if outcomes is None:  # a stacked sweep raised
-            outcomes = [picard_solve(row, grid, tol, max_sweeps) for row in block]
-        for outcome in outcomes:
+        for outcome in _solve_rows(spec, rows[lo : lo + size], shifts[lo : lo + size],
+                                   grid, tol, max_sweeps):
             if isinstance(outcome, Exception):
                 raise outcome
             traces.append(outcome)
     return traces
 
 
+def _solve_rows(spec, rows, shifts, grid, tol, max_sweeps):
+    """Yield the outcome of each row of one block, in row order: its trace,
+    or the error that ends it.  A block whose stacked sweep raises is
+    solved again row by row, each row only once the one before it is
+    taken."""
+    if len(rows) > 1:
+        outcomes = _solve_block(spec, rows, shifts, grid, tol, max_sweeps)
+        if outcomes is not None:
+            yield from outcomes
+            return
+    for row, shift in zip(rows, shifts):
+        try:
+            yield _solve_block(spec, [row], [shift], grid, tol, max_sweeps)[0]
+        except Exception as exc:  # f and g are the caller's: a row may raise anything
+            yield exc
+
+
+def _coarse_starts(spec, rows, shifts, grid, tol, max_sweeps) -> list:
+    """For each row, the interpolated iterate of its solve on a grid
+    COARSEN times coarser, or None where that solve fails."""
+    coarse = Grid(grid.T, grid.N // COARSEN)
+    return [
+        None if isinstance(outcome, Exception)
+        else np.interp(grid.nodes, coarse.nodes, outcome.omega)
+        for outcome in _solve_rows(spec, rows, shifts, coarse, tol, max_sweeps)
+    ]
+
+
 def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
     """The trace of each row of one block of :func:`picard_stack`, or the
     MaxSweepsExceeded or NonFiniteIterate that ends it, in row order.
     None when a sweep of several rows raises; a sweep of one row
-    raises."""
+    raises.  Rows that :func:`_restarts` picks after their second sweep
+    go on from :func:`_coarse_starts`, where it has a start for them."""
     live = list(range(len(rows)))
     omega = np.full((len(rows), grid.N + 1), [[row.omega0] for row in rows])
     diffs: list[list[float]] = [[] for _ in rows]
@@ -396,6 +446,7 @@ def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
     due: dict[int, bool] = {}  # row -> converged, for rows whose residuals are next
     outcomes: list = [None] * len(rows)
     stack = None
+    may_restart = grid.N // COARSEN >= FFT_MIN_LENGTH
     while live:
         if stack is None:  # the first sweep, or rows left
             stack = rows[live[0]] if len(live) == 1 else _Stack(
@@ -430,10 +481,13 @@ def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
                 outcomes[r] = trace
             elif r in due:
                 blowing_up = growing[r] == MAX_GROWING_SWEEPS
+                last = f"last diff {diffs[r][-1]:.3e}"
+                if len(diffs[r]) > 1:  # the observed ratio; diffs[r][-2] > tol kept the row going
+                    last += f", last ratio {diffs[r][-1] / diffs[r][-2]:.3g}"
                 outcomes[r] = MaxSweepsExceeded(
                     f"no convergence in {len(diffs[r])} sweeps"
                     + (f", the diff growing over the last {MAX_GROWING_SWEEPS}" if blowing_up else "")
-                    + f" (last diff {diffs[r][-1]:.3e})",
+                    + f" ({last})",
                     trace=trace,
                 )
             else:
@@ -444,6 +498,15 @@ def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
         if len(keep) < len(live):
             live = [live[i] for i in keep]
             omega, stack = omega[keep], None
+        slow = [i for i, r in enumerate(live) if may_restart and r not in due
+                and len(diffs[r]) == 2 and _restarts(diffs[r], tol)]
+        if slow:
+            picked = [live[i] for i in slow]
+            starts = _coarse_starts(spec, [rows[r] for r in picked], [shifts[r] for r in picked],
+                                    grid, tol, max_sweeps)
+            for i, start in zip(slow, starts):
+                if start is not None:
+                    omega[i] = start
     return outcomes
 
 
@@ -455,8 +518,20 @@ def picard_solve(
 ) -> SolutionTrace:
     """Iterate the integral-equation operator from omega == omega0.
 
+    On N >= 4096 nodes (N // COARSEN >= FFT_MIN_LENGTH), a slow solve
+    restarts after its second sweep: when its diffs d1, d2 shrink and
+    log(tol / d2) / log(d2 / d1) predicts more than RESTART_MIN_SWEEPS
+    further sweeps, the same problem is solved on N // COARSEN nodes
+    (restarting there in turn) and, if that solve converges, its iterate
+    interpolated to the nodes replaces the current one.  The fixed point
+    and the stop rules are the same either way.  The trace keeps one diff
+    per sweep on this grid, so ``iterations`` counts the sweeps on this
+    grid only.  A solve whose coarse solve fails sweeps on as if it had
+    none.
+
     Stops when the sup-norm iterate difference drops to tol; raises
-    :class:`MaxSweepsExceeded` (carrying the best trace) after max_sweeps
+    :class:`MaxSweepsExceeded` (carrying the best trace, and stating the
+    last diff and the last ratio diffs[-1] / diffs[-2]) after max_sweeps
     sweeps, or after MAX_GROWING_SWEEPS sweeps in a row whose diff grew, and
     its subclass :class:`NonFiniteIterate` at the first sweep whose
     iterate is not finite.  That trace keeps the iterate before it, and

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from abcfde import Grid, OperatorConfig, ProblemSpec, ml_two
+from abcfde import Discretization, Grid, OperatorConfig, ProblemSpec, ml_two, operators
+from abcfde.errors import MaxSweepsExceeded
 
 # CI sets HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
 # failing one printed with the blob that reproduces it
@@ -68,3 +70,49 @@ def perturbed_closed_form(grid: Grid, cfg: OperatorConfig, omega0, eps, sign):
     return (omega0 + sign * eps) + sign * eps * (
         (1.0 - a) / B + t**a / (B * math.gamma(a))
     )
+
+
+@pytest.fixture
+def weight_builds(monkeypatch):
+    """A fresh shared-Discretization cache of the library's size, and the
+    sizes of the weight vectors convolved with, one entry per build."""
+    sizes = []
+
+    class Counted(operators._Convolution):
+        def __init__(self, weights):
+            sizes.append(weights.size)
+            super().__init__(weights)
+
+    monkeypatch.setattr(operators, "_Convolution", Counted)
+    maxsize = operators.discretization.cache_info().maxsize
+    monkeypatch.setattr(operators, "discretization", functools.lru_cache(maxsize)(Discretization))
+    return sizes
+
+
+def outcome(solve):
+    """solve(), or the exception that it raises."""
+    try:
+        return solve()
+    except Exception as exc:
+        return exc
+
+
+def trace_bytes(trace):
+    return (
+        trace.omega.tobytes(),
+        trace.residuals.tobytes(),
+        np.array(trace.iterate_diffs).tobytes(),
+        trace.converged,
+    )
+
+
+def assert_same_outcome(want, got):
+    """Bitwise the same traces, or the same error with the same trace."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        if isinstance(want, MaxSweepsExceeded):
+            assert trace_bytes(got.trace) == trace_bytes(want.trace)
+        return
+    assert not isinstance(got, Exception), got
+    assert [trace_bytes(t) for t in got] == [trace_bytes(t) for t in want]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from abcfde.operators import FFT_MIN_LENGTH
 from conftest import (
     MANUFACTURED_TEXT,
     NONLINEAR_TEXT,
+    assert_same_outcome,
     constant_forcing_spec,
     perturbed_closed_form,
 )
@@ -251,27 +253,6 @@ def stacked(spec, grid, sign, eps0=0.1, ratio=0.5, levels=4, max_sweeps=200):
         return exc
 
 
-def trace_bytes(trace):
-    return (
-        trace.omega.tobytes(),
-        trace.residuals.tobytes(),
-        np.array(trace.iterate_diffs).tobytes(),
-        trace.converged,
-    )
-
-
-def assert_same_outcome(want, got):
-    """Bitwise the same traces, or the same error with the same trace."""
-    if isinstance(want, Exception):
-        assert type(got) is type(want)
-        assert str(got) == str(want)
-        if isinstance(want, MaxSweepsExceeded):
-            assert trace_bytes(got.trace) == trace_bytes(want.trace)
-        return
-    assert not isinstance(got, Exception), got
-    assert [trace_bytes(t) for t in got] == [trace_bytes(t) for t in want]
-
-
 def scalar_spec(alpha):
     """math callables, which sample calls once per node."""
     return ProblemSpec(
@@ -405,6 +386,46 @@ class TestOneStack:
         monkeypatch.setattr(solver, "STACK_ELEMENTS", 1)
         assert solver.stack_rows(grid) == 1
         assert_same_outcome(want, stacked(spec, grid, +1, levels=5))
+
+    def cold_sweeps(self, monkeypatch, spec, grid, sign):
+        """The sweeps of each level with the coarse-grid restart off."""
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "COARSEN", 2**40)
+            return [t.iterations for t in stacked(spec, grid, sign)]
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_restarted_levels_are_bitwise_the_per_level_solves(self, monkeypatch, sign):
+        # 4096 nodes restart every level from a solve on 512
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, 4096)
+        cold = self.cold_sweeps(monkeypatch, spec, grid, sign)
+        want = per_level(spec, grid, sign)
+        assert all(t.iterations < 0.7 * n for t, n in zip(want, cold))
+        assert_same_outcome(want, stacked(spec, grid, sign))
+
+    def test_a_level_whose_coarse_solve_raises_sweeps_on_cold(self, monkeypatch):
+        # the stacked coarse sweep raises, so the coarse levels are solved
+        # again one by one, and only the third level's raises
+        base = load_problem(NONLINEAR_TEXT)
+        third = base.omega0 + 1 * (0.1 * 0.5**2)
+
+        @takes_arrays
+        def g(t, w):
+            if np.shape(w)[-1] == 513 and np.any(w == third):
+                raise ValueError("the third level on the coarse grid")
+            return base.g(t, w)
+
+        spec = replace(base, g=g)
+        grid = Grid(spec.T, 4096)
+        cold = self.cold_sweeps(monkeypatch, spec, grid, +1)
+        want = per_level(spec, grid, +1)
+        assert [t.iterations == n for t, n in zip(want, cold)] == [False, False, True, False]
+        assert_same_outcome(want, stacked(spec, grid, +1))
+
+    def test_restarted_levels_build_each_grid_once(self, weight_builds):
+        spec = load_problem(NONLINEAR_TEXT)
+        bracket_maximal(spec, Grid(spec.T, 4096), levels=4)
+        assert weight_builds == [4096, 512]
 
     def test_one_rhs_operator_call_per_sweep_of_the_stack(self, monkeypatch):
         spec = load_problem(NONLINEAR_TEXT)

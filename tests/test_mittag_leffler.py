@@ -580,8 +580,9 @@ def arrays(elements, min_size, max_size):
 
 class TestSeriesTable:
     """The series runs on a table of terms, a block of rows at a time, for
-    the elements of several (beta, rho) jobs at once; each value and each
-    error is bitwise that of the term-by-term loop on the job alone."""
+    the elements of one (beta, rho) job at a time, the jobs in order; each
+    value and each error is bitwise that of the term-by-term loop on the
+    job alone."""
 
     ALPHAS = st.one_of(st.just(1.0), st.floats(0.05, 1.0), st.floats(1.0, 2.0))
 
@@ -649,7 +650,8 @@ class TestSeriesTable:
         [
             # alpha > 1 cancels terms of 1e8 at z = -100
             (1.5, [(1.0, 1.0, np.array([-0.5, -100.0, -90.0]))], "cancel for (alpha=1.5"),
-            # the first job's error, though the second fails at a smaller k
+            # the first job's error: the jobs run in order, so the second,
+            # which would fail at a smaller k, never runs
             (1.5, [(1.0, 1.0, np.array([0.2, -100.0])), (1.0, 1.0, np.array([-60.0]))],
              "z=-100.0"),
             (0.5, [(1.5, 1.0, np.array([1000.0, 3.0]))], "series overflow at k=135"),

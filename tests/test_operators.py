@@ -333,23 +333,6 @@ def convolution_data(grid: Grid) -> list[np.ndarray]:
     return [np.sin(3.0 * t) + np.sqrt(t), np.cos(t) * t**0.3, noise]
 
 
-@pytest.fixture
-def weight_builds(monkeypatch):
-    """A fresh shared-Discretization cache, and the sizes of the weight
-    vectors convolved with, one entry per build."""
-    sizes = []
-
-    class Counted(operators._Convolution):
-        def __init__(self, weights):
-            sizes.append(weights.size)
-            super().__init__(weights)
-
-    monkeypatch.setattr(operators, "_Convolution", Counted)
-    fresh_cache = functools.lru_cache(maxsize=2)(Discretization)
-    monkeypatch.setattr(operators, "discretization", fresh_cache)
-    return sizes
-
-
 NONLINEAR_TEXT = (
     "alpha = 0.65\nT = 2\nomega0 = 0\n"
     "f = 1 + 0.1*sin(omega)\ng = tau*cos(omega) + 0.5*omega*tau\n"

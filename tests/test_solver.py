@@ -23,6 +23,7 @@ from abcfde import (
     sample_box,
     solve_majorant,
 )
+from abcfde import solver
 from abcfde.errors import MaxSweepsExceeded, NonFiniteIterate, ValidationError
 from abcfde.expression import BUILTINS, takes_arrays
 from abcfde.solver import (
@@ -35,8 +36,10 @@ from abcfde.solver import (
 from conftest import (
     MANUFACTURED_TEXT,
     NONLINEAR_TEXT,
+    assert_same_outcome,
     constant_forcing_spec,
     manufactured_exact_nodes,
+    outcome,
     perturbed_closed_form,
 )
 
@@ -318,6 +321,16 @@ class TestPicard:
         assert not trace.converged
         assert trace.iterations == 10
         assert len(trace.iterate_diffs) == 10
+        d = trace.iterate_diffs
+        assert str(exc.value) == (
+            f"no convergence in 10 sweeps (last diff {d[-1]:.3e}, last ratio {d[-1] / d[-2]:.3g})"
+        )
+
+    def test_one_sweep_has_no_ratio(self):
+        with pytest.raises(MaxSweepsExceeded) as exc:
+            picard_solve(load_problem(NONLINEAR_TEXT), Grid(2.0, 16), max_sweeps=1)
+        d = exc.value.trace.iterate_diffs
+        assert str(exc.value) == f"no convergence in 1 sweeps (last diff {d[-1]:.3e})"
 
     def test_blow_up_stops_on_growing_diffs(self):
         # the solution blows up before tau = 0.57: every diff grows, up to
@@ -331,9 +344,10 @@ class TestPicard:
         diffs = exc.value.trace.iterate_diffs
         assert len(diffs) == MAX_GROWING_SWEEPS + 1
         assert all(b > a for a, b in zip(diffs, diffs[1:]))
-        assert str(exc.value).startswith(
+        assert str(exc.value) == (
             f"no convergence in {MAX_GROWING_SWEEPS + 1} sweeps, "
-            f"the diff growing over the last {MAX_GROWING_SWEEPS} (last diff "
+            f"the diff growing over the last {MAX_GROWING_SWEEPS} "
+            f"(last diff {diffs[-1]:.3e}, last ratio {diffs[-1] / diffs[-2]:.3g})"
         )
 
     def test_slow_start_is_not_stopped(self):
@@ -429,6 +443,124 @@ class TestPicard:
         a = picard_solve(manufactured_spec, Grid(1.0, 64)).omega
         b = picard_solve(manufactured_spec, Grid(1.0, 64)).omega
         assert np.array_equal(a, b)
+
+
+# the shortest grid on which Picard restarts: 4096 // COARSEN == FFT_MIN_LENGTH
+N_RESTART = 4096
+NO_RESTART = 2**40  # a COARSEN that leaves no coarse grid, for the cold path
+LONG_HORIZON_TEXT = (  # lam T^alpha = 1.5; predicts 4 more sweeps after its second
+    "alpha=0.6\nT={T!r}\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
+).format(T=(1.5 * 0.4 / 0.6) ** (1 / 0.6))
+CORNER_TEXT = "alpha=0.5\nT=9\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
+BLOW_UP_TEXT = "alpha=0.5\nT=1\nomega0=0.5\nf=1\ng=tau*cos(omega) + 5*omega*tau"
+# from omega0 = 0 the nonlinear problem predicts 14 more sweeps after its second
+FAST_START_TEXT = NONLINEAR_TEXT.replace("alpha = 0.6", "alpha = 0.65").replace(
+    "omega0 = 0.5", "omega0 = 0"
+)
+SLOW_ALPHA_TEXT = NONLINEAR_TEXT.replace("alpha = 0.6", "alpha = 0.3").replace(
+    "omega0 = 0.5", "omega0 = 0"
+)
+
+
+@pytest.fixture
+def sweep_grids(monkeypatch):
+    """The N of the grid of each rhs_operator call of the solver."""
+    calls = []
+    rhs = solver.rhs_operator
+
+    def counted(spec, omega, grid):
+        calls.append(grid.N)
+        return rhs(spec, omega, grid)
+
+    monkeypatch.setattr(solver, "rhs_operator", counted)
+    return calls
+
+
+def cold(monkeypatch, solve):
+    """The outcome of solve() with the coarse-grid restart off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "COARSEN", NO_RESTART)
+        return outcome(solve)
+
+
+class TestCoarseRestart:
+    """A slow row on N >= 4096 nodes restarts from a solve on N // 8
+    nodes after its second sweep; every other row sweeps as before."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: load_problem(MANUFACTURED_TEXT),  # converges in 2 sweeps
+            lambda: constant_forcing_spec(omega0=1.5),
+            lambda: load_problem(LONG_HORIZON_TEXT),
+            lambda: load_problem(CORNER_TEXT),  # its diffs grow at first
+            lambda: load_problem(FAST_START_TEXT),
+            lambda: load_problem(BLOW_UP_TEXT),
+        ],
+        ids=["manufactured", "constant", "long-horizon", "corner", "fast-start", "blow-up"],
+    )
+    def test_rows_that_do_not_restart_sweep_as_cold(self, monkeypatch, sweep_grids, make):
+        spec = make()
+        grid = Grid(spec.T, N_RESTART)
+        want = cold(monkeypatch, lambda: [picard_solve(spec, grid)])
+        del sweep_grids[:]
+        assert_same_outcome(want, outcome(lambda: [picard_solve(spec, grid)]))
+        assert set(sweep_grids) == {N_RESTART}
+
+    @pytest.mark.parametrize("text", [NONLINEAR_TEXT, SLOW_ALPHA_TEXT], ids=["nonlinear", "alpha-0.3"])
+    def test_slow_rows_restart_to_the_same_fixed_point(self, monkeypatch, sweep_grids, text):
+        spec = load_problem(text)
+        grid = Grid(spec.T, N_RESTART)
+        want = cold(monkeypatch, lambda: picard_solve(spec, grid))
+        del sweep_grids[:]
+        got = picard_solve(spec, grid)
+        assert got.converged and got.residual_sup <= 1e-9
+        assert np.max(np.abs(got.omega - want.omega)) <= 1e-9
+        # the same first two sweeps; the third starts from the coarse solve,
+        # at its grid's error (about 1e-5 here), and then fewer: 45 -> 26
+        # and 189 -> 103
+        assert got.iterate_diffs[:2] == want.iterate_diffs[:2]
+        assert got.iterate_diffs[2] < 1e-3 * want.iterate_diffs[2]
+        assert got.iterations < 0.6 * want.iterations
+        # iterations counts every sweep on the grid, and the residuals take one more
+        assert sweep_grids.count(N_RESTART) == got.iterations + 1
+        assert set(sweep_grids) == {N_RESTART, N_RESTART // solver.COARSEN}
+
+    def test_a_failing_coarse_solve_leaves_the_row_cold(self, monkeypatch, sweep_grids):
+        # alpha = 0.9, T = 10 predicts 20 more sweeps after its second, but
+        # no Picard sweep converges on it, on either grid
+        spec = load_problem(
+            "alpha=0.9\nT=10\nomega0=0\nf=1 + 0.1*sin(omega)\ng=tau*cos(omega) + 0.05*omega*tau"
+        )
+        grid = Grid(spec.T, N_RESTART)
+        want = cold(monkeypatch, lambda: picard_solve(spec, grid))
+        assert type(want) is MaxSweepsExceeded and want.trace.iterations == 200
+        del sweep_grids[:]
+        assert_same_outcome(want, outcome(lambda: picard_solve(spec, grid)))
+        # all its sweeps, and the residuals of the last, on the coarse grid
+        assert sweep_grids.count(N_RESTART // solver.COARSEN) == 201
+
+    def test_a_raising_coarse_solve_leaves_the_row_cold(self, monkeypatch, sweep_grids):
+        @takes_arrays
+        def g(t, w):
+            if np.shape(w)[-1] == N_RESTART // solver.COARSEN + 1:
+                raise ValueError("on the coarse grid")
+            return t * np.cos(w) + 0.5 * w * t
+
+        spec = ProblemSpec(T=2.0, omega0=0.5, f=load_problem(NONLINEAR_TEXT).f, g=g,
+                           cfg=OperatorConfig(0.6))
+        grid = Grid(spec.T, N_RESTART)
+        want = cold(monkeypatch, lambda: [picard_solve(spec, grid)])
+        del sweep_grids[:]
+        assert_same_outcome(want, outcome(lambda: [picard_solve(spec, grid)]))
+        assert sweep_grids.count(N_RESTART // solver.COARSEN) == 1
+
+    def test_three_nested_grids_build_their_weights_once(self, weight_builds, sweep_grids):
+        # 32768 restarts from 4096, which restarts from 512
+        spec = load_problem(NONLINEAR_TEXT)
+        picard_solve(spec, Grid(spec.T, 8 * N_RESTART))
+        assert set(sweep_grids) == {8 * N_RESTART, N_RESTART, N_RESTART // 8}
+        assert weight_builds == [8 * N_RESTART, N_RESTART, N_RESTART // 8]
 
 
 class TestExistenceCondition:
