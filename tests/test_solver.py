@@ -448,7 +448,7 @@ class TestPicard:
 # the shortest grid on which Picard restarts: 4096 // COARSEN == FFT_MIN_LENGTH
 N_RESTART = 4096
 NO_RESTART = 2**40  # a COARSEN that leaves no coarse grid, for the cold path
-LONG_HORIZON_TEXT = (  # lam T^alpha = 1.5; predicts 4 more sweeps after its second
+LONG_HORIZON_TEXT = (  # lam T^alpha = 1.5; predicts about 4 more sweeps after its second
     "alpha=0.6\nT={T!r}\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
 ).format(T=(1.5 * 0.4 / 0.6) ** (1 / 0.6))
 CORNER_TEXT = "alpha=0.5\nT=9\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
@@ -528,7 +528,7 @@ class TestCoarseRestart:
 
     def test_a_failing_coarse_solve_leaves_the_row_cold(self, monkeypatch, sweep_grids):
         # alpha = 0.9, T = 10 predicts 20 more sweeps after its second, but
-        # no Picard sweep converges on it, on either grid
+        # Picard converges on neither grid
         spec = load_problem(
             "alpha=0.9\nT=10\nomega0=0\nf=1 + 0.1*sin(omega)\ng=tau*cos(omega) + 0.05*omega*tau"
         )
