@@ -8,15 +8,15 @@ paths per argument:
 * Disc, for |z| <= SERIES_RADIUS (up to 1 where the contour needs more
   than two corrections, see _contour): Horner's rule on the power
   series' coefficients c_k = (rho)_k / (k! Gamma(alpha k + beta)) up to
-  the first k the table below would stop at on the disc's rim, cached
-  per (alpha, beta, rho, radius).  A pair takes the disc only where
-  Horner's rounding bound gamma_2K sum_k |c_k| r^k (Higham, Accuracy and
-  Stability of Numerical Algorithms, 2002, section 5.1) is within
-  DEFAULT_TOL; see _disc_coefficients.
-* Table, for the rest of z >= 0, for the disc of a pair the bound
+  the first k past which the terms on the disc's rim are bounded below
+  DEFAULT_TOL, cached per (alpha, beta, rho, radius).  A pair takes the
+  disc only where Horner's rounding bound gamma_2K sum_k |c_k| r^k
+  (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section
+  5.1) is within DEFAULT_TOL; see _disc_coefficients.
+* Series, for the rest of z >= 0, for the disc of a pair the bound
   refuses, and for z < 0 that the contour does not take: the power
-  series with compensated accumulation, summed on a table of terms a
-  block of rows at a time (see _series_sum).  On the negative axis the
+  series with compensated accumulation, summed term by term over the
+  elements still running (see _series).  On the negative axis the
   terms alternate; a sum whose largest term exceeds CANCELLATION_LIMIT
   would lose more than about 1e-12 to rounding and raises
   :class:`~abcfde.errors.NonConvergence` instead.
@@ -38,7 +38,7 @@ paths per argument:
   for all of them.
 
 On the rest of the negative axis (alpha > 1, where s^alpha = z has
-roots the contour does not take) the table is used while its
+roots the contour does not take) the series is used while its
 cancellation check allows, so a value there is accurate or raises
 quickly.  Large positive arguments raise once a term or the sum
 overflows.
@@ -121,7 +121,7 @@ def _ml_pairs(alpha, pairs, z):
     """E^rho_{alpha,beta}(z) for each (beta, rho) in pairs, as a list.
 
     Each pair in turn is checked, its contour tables built and its disc
-    and table elements summed, so the call raises what the first failing
+    and series elements summed, so the call raises what the first failing
     per-pair call would; then one contour pass takes the contour elements
     of every pair.
     """
@@ -174,7 +174,7 @@ def _ml_pairs(alpha, pairs, z):
                 out[disc] = _horner(coefficients, flat[disc])
                 mask &= ~disc
         if mask.any():
-            out[mask] = _series_sum(alpha, [(beta, rho, flat[mask])])[0]
+            out[mask] = _series(alpha, beta, rho, flat[mask])
     if contours:
         _contour_sums(flat, contours)
     for out, mask, low, high, c in lifts:
@@ -190,18 +190,25 @@ def _disc_coefficients(alpha, beta, rho, radius):
     for k = K down to 0, for Horner's rule on |z| <= radius <= 1; or None
     where that rule's rounding may exceed DEFAULT_TOL.
 
-    K is the first k >= 1 with |c_k| radius^k < DEFAULT_TOL: the row at
-    which the table's stop rule ends a sum at |z| = radius, and past which
-    it ends every sum inside.  Horner's rule errs by at most gamma_2K
-    sum_k |c_k| |z|^k, with gamma_n = n u / (1 - n u) and u the unit
-    roundoff (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, section 5.1).  Both factors grow with K, so the coefficients
-    stop, as None, at the first k whose partial bound exceeds DEFAULT_TOL,
-    and at MAX_TERMS.  That also keeps out every sum the table's
-    cancellation check would refuse.
+    On the disc the terms past K sum to less than DEFAULT_TOL.  With
+    t_k = |c_k| radius^k, t_{k+1} / t_k = radius (rho + k) / (k + 1)
+    Gamma(alpha k + beta) / Gamma(alpha k + alpha + beta).  The Gamma
+    ratio never grows with k, as log Gamma is convex, and (rho + k) /
+    (k + 1) moves monotonically towards 1, so every ratio from k = K on is
+    at most Q = t_K / t_{K-1} max(1, K / (rho + K - 1)).  Where Q < 1 the
+    terms from K on sum to at most t_K / (1 - Q); K is the first k >= 1
+    where that is below DEFAULT_TOL.
+
+    Horner's rule errs by at most gamma_2K sum_k |c_k| |z|^k, with
+    gamma_n = n u / (1 - n u) and u the unit roundoff (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, section 5.1).  Both
+    factors grow with K, so the coefficients stop, as None, at the first
+    k whose partial bound exceeds DEFAULT_TOL, and at MAX_TERMS.  That
+    also keeps out every sum whose terms would cancel past
+    CANCELLATION_LIMIT.
     """
     coefficients = [1.0 / math.gamma(beta)]
-    weight = abs(coefficients[0])  # sum_k |c_k| radius^k
+    weight = term = abs(coefficients[0])  # sum_k t_k, and t_k
     pochhammer = 1.0  # (rho)_k / k!
     for k in range(1, MAX_TERMS):
         pochhammer *= (rho + k - 1.0) / k
@@ -211,12 +218,14 @@ def _disc_coefficients(alpha, beta, rho, radius):
         else:
             c = math.exp(math.log(pochhammer) - math.lgamma(x))
         coefficients.append(c)
-        term = abs(c) * radius**k
+        term, previous = abs(c) * radius**k, term
         weight += term
         n_u = 2 * k * _UNIT_ROUNDOFF
         if not n_u / (1.0 - n_u) * weight <= DEFAULT_TOL:
             return None
-        if term < DEFAULT_TOL:
+        # the bound Q on every later ratio (see above); rho = 0 ends at k = 1
+        q = term / previous * max(1.0, k / (rho + k - 1.0)) if term else 0.0
+        if q < 1.0 and term / (1.0 - q) < DEFAULT_TOL:
             return tuple(reversed(coefficients))
     return None
 
@@ -232,159 +241,74 @@ def _horner(coefficients, z):
     return out
 
 
-def _series_sum(alpha, jobs):
-    """sum_k (rho)_k z^k / (k! Gamma(alpha k + beta)) at each element of z,
-    for each job (beta, rho, z): a list with one array per job.  The jobs
-    are summed one at a time, in order, by :func:`_series_table`, so a job
-    that fails raises before later jobs run."""
-    return [_series_table(alpha, beta, rho, z) for beta, rho, z in jobs]
-
-
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _series_table(alpha, beta, rho, z):
+def _series(alpha, beta, rho, z):
     """sum_k (rho)_k z^k / (k! Gamma(alpha k + beta)) at each element of z.
 
-    The elements are the columns of a table of terms, built a block of
-    rows k at a time.  A block forms the factors z (rho + k - 1) / k and
-    their running product u = (rho)_k z^k / k! from the u carried in, and
-    divides each row by Gamma(alpha k + beta).  Kahan compensated
-    accumulation then runs row by row, in place, so that row k holds the
-    totals after term k.  Each sum stops at its first row with
-    ``|term_k| * max(1, |z|/(k+1)) < DEFAULT_TOL`` and takes the total
-    there; one on the negative axis whose largest term up to that row
-    exceeds CANCELLATION_LIMIT raises NonConvergence instead.  The arrays
-    are compacted once per block.  The scalar u_bound >= |u|, on the
-    largest |z|, sizes a block to end where every sum must have stopped,
-    within 2^16 table entries, so one block usually covers the whole sum.
+    One step per k over the elements still running: the running product
+    u = (rho)_k z^k / k! takes the factor z (rho + k - 1) / k, the term
+    is u / Gamma(alpha k + beta), and Kahan compensated accumulation adds
+    it.  Each sum stops at its first k with
+    ``|term_k| * max(1, |z|/(k+1)) < DEFAULT_TOL`` and leaves the running
+    set; one on the negative axis whose largest term up to there exceeds
+    CANCELLATION_LIMIT raises NonConvergence instead.
 
-    Where u_bound exceeds 1e290, the running product carries the log of
-    each |u| that nears overflow in log_u, row by row, and the term is
-    formed from logs wherever log_u is set or alpha k + beta exceeds 170,
-    since it can stay representable where u or Gamma would not.  A sum
-    that then overflows raises; such blocks end every 64 rows, so it
-    raises soon.
-
-    Each value and each error is bitwise what summing term by term gives.
+    The scalar u_bound >= |u| on the largest |z|.  Once it exceeds 1e290,
+    each |u| above 1e290 moves its log into log_u, and the term is formed
+    from logs wherever log_u is set or alpha k + beta exceeds 170, since
+    it can stay representable where u or Gamma would not.  A sum that
+    then overflows raises at that k.
     """
     out = np.empty(z.size)
-    z_max = float(np.abs(z).max(initial=0.0))
-    # the stop rule scales by |z|/(k+1) below z_max; a NaN one never
-    far = 0.0 if math.isnan(z_max) else z_max
+    lead = 1.0 / math.gamma(beta)
+    live = np.arange(z.size)
+    total, peak = np.full(z.size, lead), np.full(z.size, abs(lead))
+    comp, u, log_u = np.zeros(z.size), np.ones(z.size), np.zeros(z.size)
+    z_max = float(np.max(np.abs(z), initial=0.0))
     u_bound = 1.0
-    live = np.arange(out.size)
-    total = np.full(out.size, 1.0 / math.gamma(beta))
-    comp, u, log_u = np.zeros(out.size), np.ones(out.size), np.zeros(out.size)
-    peak = np.abs(total)
-    k0 = 1
-    while live.size and k0 < MAX_TERMS:
-        # per row: rho + k - 1, Gamma(alpha k + beta) (inf past 170), whether
-        # u_bound exceeds 1e290, and whether the row needs logs
-        rows = []
-        for k in range(k0, min(k0 + max(1, (1 << 16) // live.size), MAX_TERMS)):
-            c = rho + k - 1.0
-            u_bound *= z_max * abs(c) / k
-            hot = u_bound > 1e290
-            x = alpha * k + beta
-            if x <= 170.0:
-                gamma = math.gamma(x)
-                b = u_bound / gamma
-            else:
-                gamma = math.inf
-                b = u_bound and math.exp(math.log(u_bound) - math.lgamma(x))
-            rows.append((c, gamma, hot, hot or x > 170.0))
-            # a sum may overflow past u_bound = 1e290: check it every 64 rows
-            if b * max(1.0, z_max / (k + 1)) < DEFAULT_TOL or rows[-1][3] and len(rows) >= 64:
-                break
-        ks = np.arange(k0, k0 + len(rows), dtype=float)[:, None]
-        table = z * np.array([[row[0]] for row in rows])
-        table /= ks
-        table[0] *= u
-        gammas = np.array([[row[1]] for row in rows])
-        hot_rows = {r for r, row in enumerate(rows) if row[2]}
-        log_us = [log_u] * len(rows)  # log_u at each row; a rescale copies it
-        if live.size < 64 and not hot_rows:
-            np.multiply.accumulate(table, axis=0, out=table)
-        else:  # numpy accumulates along axis 0 one column at a time
-            for r, row in enumerate(table):
-                if r:
-                    np.multiply(table[r - 1], row, out=row)
-                if r in hot_rows:
-                    big = np.abs(row) > 1e290
-                    if big.any():
-                        log_u = log_u.copy()
-                        log_u[big] += np.log(np.abs(row[big]))
-                        row[big] = np.sign(row[big])
-                log_us[r] = log_u
-        u = table[-1].copy()
-        # the term from logs where log_u is set or alpha k + beta exceeds 170
-        special = [r for r, row in enumerate(rows) if row[3]]
-        if special:
-            spare = table[special]
-            logs = np.array([log_us[r] for r in special])
-            hot = np.array([[rows[r][2]] for r in special])
-            plain = np.isfinite(gammas[special]) & (~hot | (logs == 0.0))
-            logs += np.log(np.abs(spare))
-            logs -= np.array([[math.lgamma(alpha * (k0 + r) + beta)] for r in special])
-            logs = np.sign(spare) * np.exp(logs)
-        table /= gammas
-        if special:
-            table[special] = np.where(plain, table[special], logs)
-        size = np.abs(table)
-        # Kahan compensated accumulation; row r becomes the totals after it
-        y = np.empty(live.size)
-        prev = total
-        for row in table:
-            np.subtract(row, comp, out=y)
-            np.add(prev, y, out=row)
-            np.subtract(row, prev, out=comp)
-            np.subtract(comp, y, out=comp)
-            prev = row
-        stopped = size < DEFAULT_TOL
-        if far > k0 + 1:
-            m = np.count_nonzero(ks[:, 0] + 1.0 < far)
-            stopped[:m] = size[:m] * np.maximum(1.0, np.abs(z) / (ks[:m] + 1.0)) < DEFAULT_TOL
-        # each sum's first stopping row, len(rows) where it has none; numpy's
-        # argmax along axis 0 runs one column at a time (rows < MAX_TERMS < 2^16)
-        countdown = np.arange(len(rows), 0, -1, dtype=np.uint16)[:, None]
-        stop = len(rows) - (stopped * countdown).max(axis=0).astype(int)
-        done = stop < len(rows)
-        # the block's errors as (row, overflow before cancel, error)
-        errors = []
-        if hot_rows:
-            # terms below 1e290 / Gamma(x) cannot overflow the sum
-            rs = sorted(hot_rows)
-            over = np.isinf(table[rs]) & (stop >= np.array(rs)[:, None])
-            if over.any():
-                h = np.argmax(over.any(axis=1))
-                errors.append((rs[h], 0, NonConvergence(
-                    f"series overflow at k={k0 + rs[h]} for "
-                    f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[np.argmax(over[h])]})"
-                )))
-        before, peak = peak, np.maximum(peak, size.max(axis=0))
-        if (peak > CANCELLATION_LIMIT).any():
-            # the largest term up to each stop row
-            upto = np.arange(len(rows))[:, None] <= stop
-            at_stop = np.maximum(before, size.max(axis=0, where=upto, initial=0.0))
-            cancelled = np.flatnonzero(done & (z < 0.0) & (at_stop > CANCELLATION_LIMIT))
-            if cancelled.size:
-                i = cancelled[np.argmin(stop[cancelled])]
-                errors.append((stop[i], 1, NonConvergence(
-                    f"series terms up to {at_stop[i]:.3g} cancel for "
-                    f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[i]})"
-                )))
-        if errors:
-            raise min(errors, key=lambda error: error[:2])[2]
-        ends_at = np.flatnonzero(done)
-        out[live[ends_at]] = table.ravel()[stop[ends_at] * live.size + ends_at]
-        if done.any():
-            keep = ~done
-            live = live[keep]
-            if live.size:
-                total, peak = table[-1][keep], peak[keep]
-                z, u, log_u, comp = (a[keep] for a in (z, u, log_u, comp))
+    for k in range(1, MAX_TERMS):
+        if live.size == 0:
+            break
+        u = u * (z * (rho + k - 1.0) / k)
+        u_bound *= z_max * abs(rho + k - 1.0) / k
+        if u_bound > 1e290:
+            big = np.abs(u) > 1e290
+            log_u[big] += np.log(np.abs(u[big]))
+            u[big] = np.sign(u[big])
+        x = alpha * k + beta
+        if x <= 170.0 and u_bound <= 1e290:
+            term = u / math.gamma(x)
         else:
-            total = table[-1].copy()
-        k0 += len(rows)
+            term = np.sign(u) * np.exp(np.log(np.abs(u)) + log_u - math.lgamma(x))
+            if x <= 170.0:
+                term = np.where(log_u == 0.0, u / math.gamma(x), term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if u_bound > 1e290 and np.isinf(total).any():
+            raise NonConvergence(
+                f"series overflow at k={k} for "
+                f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[np.argmax(np.isinf(total))]})"
+            )
+        size = np.abs(term)
+        peak = np.maximum(peak, size)
+        if z_max > k + 1:
+            size = size * np.maximum(1.0, np.abs(z) / (k + 1))
+        done = size < DEFAULT_TOL
+        if done.any():
+            cancelled = done & (z < 0.0) & (peak > CANCELLATION_LIMIT)
+            if cancelled.any():
+                bad = np.argmax(cancelled)
+                raise NonConvergence(
+                    f"series terms up to {peak[bad]:.3g} cancel for "
+                    f"(alpha={alpha}, beta={beta}, rho={rho}, z={z[bad]})"
+                )
+            out[live[done]] = total[done]
+            keep = ~done
+            live, z, total, comp, u, log_u, peak = (
+                a[keep] for a in (live, z, total, comp, u, log_u, peak)
+            )
     if live.size:
         raise NonConvergence(
             f"series did not meet tol={DEFAULT_TOL} within {MAX_TERMS} terms for "

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, rgamma
 
@@ -21,7 +21,7 @@ from abcfde.mittag_leffler import (
     _contour,
     _disc_coefficients,
     _horner,
-    _series_sum,
+    _series,
 )
 
 
@@ -85,9 +85,9 @@ def complex_power_rule(alpha, beta, rho, z):
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def per_term_series(alpha, beta, rho, z):
-    """The power series summed one term at a time over the whole array,
-    as the engine summed it before its table of terms: the oracle that
-    _series_sum must match bitwise, errors included."""
+    """The power series summed one term at a time over the whole array: a
+    frozen copy of the loop that _series must match bitwise, errors
+    included."""
     out = np.empty(z.size)
     lead = 1.0 / math.gamma(beta)
     live = np.arange(z.size)
@@ -357,7 +357,7 @@ class TestEngine:
         # corrections, so the series serves |z| <= 1 for rho = 3 too
         assert len(_contour(0.22, 2.0, 2.0)[2]) == 3
         for z in (-0.6, -0.99):
-            (series,) = _series_sum(0.22, [(2.0, 3.0, np.array([z]))])
+            series = _series(0.22, 2.0, 3.0, np.array([z]))
             assert ml_prabhakar(0.22, 2.0, 3.0, z) == series[0]
             assert series[0] == pytest.approx(mp_series(0.22, 2.0, 3.0, z), rel=1e-12)
         exact = mp_talbot(0.22, 2.0, 3.0, -1.5)
@@ -541,22 +541,16 @@ class TestSeveralPairs:
 
 
 def assert_series_as_per_term(alpha, jobs):
-    """_series_sum on the jobs (beta, rho, z) gives bitwise what summing
-    each job alone term by term gives, or what the first failing job
-    raises."""
-    want = []
+    """_series on each job (beta, rho, z) gives bitwise what summing it
+    term by term gives, or raises what that raises."""
     for beta, rho, z in jobs:
-        got = outcome(lambda: per_term_series(alpha, beta, rho, z))
-        if isinstance(got, tuple):
-            want = got
-            break
-        want.append(got)
-    got = outcome(lambda: _series_sum(alpha, jobs))
-    if isinstance(want, tuple):
-        assert got == want
-        return
-    assert not isinstance(got, tuple), got
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        want = outcome(lambda: per_term_series(alpha, beta, rho, z))
+        got = outcome(lambda: _series(alpha, beta, rho, z))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert not isinstance(got, tuple), got
+            assert got.tobytes() == want.tobytes()
 
 
 def series_jobs(z, max_jobs=3):
@@ -578,11 +572,10 @@ def arrays(elements, min_size, max_size):
     )
 
 
-class TestSeriesTable:
-    """The series runs on a table of terms, a block of rows at a time, for
-    the elements of one (beta, rho) job at a time, the jobs in order; each
-    value and each error is bitwise that of the term-by-term loop on the
-    job alone."""
+class TestSeries:
+    """The series sums one (beta, rho) job term by term over the elements
+    still running; each value and each error is bitwise that of the
+    frozen term-by-term loop on the job."""
 
     ALPHAS = st.one_of(st.just(1.0), st.floats(0.05, 1.0), st.floats(1.0, 2.0))
 
@@ -605,9 +598,8 @@ class TestSeriesTable:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=15, deadline=None)
-    def test_sums_cross_block_boundaries(self, alpha, n, jobs, seed):
-        # a block holds at most 2^16 table entries, so 16 rows here, and a
-        # sum at |z| = 4 needs more
+    def test_arrays_of_4096_to_6000(self, alpha, n, jobs, seed):
+        # thousands of sums that stop at different k, out to |z| = 4
         rng = np.random.default_rng(seed)
         drawn = []
         for beta, rho, edge in jobs:
@@ -622,8 +614,8 @@ class TestSeriesTable:
     )
     @settings(max_examples=20, deadline=None)
     def test_large_positive_z_hands_over_to_the_overflow_safe_step(self, alpha, jobs):
-        # past u_bound = 1e290 and alpha k + beta = 170 each row takes the
-        # step that carries log|u|; some sums end, some overflow
+        # past u_bound = 1e290 and alpha k + beta = 170 each term is formed
+        # from the log|u| carried along; some sums end, some overflow
         assert_series_as_per_term(alpha, jobs)
 
     @pytest.mark.parametrize(
@@ -637,7 +629,7 @@ class TestSeriesTable:
             # below |z| = k + 1 the stop rule scales |term_k| by |z|/(k+1):
             # the first terms here are below DEFAULT_TOL, but not so scaled
             (1.5, [(17.5, 1.0, np.array([40.0, -40.0, 25.0, 3.0]))]),
-            # a NaN never stops: its sum runs through every safe row to MAX_TERMS
+            # a NaN never stops: its sum runs through every term to MAX_TERMS
             (2.0, [(1.5, 1.0, np.array([0.3, np.nan, -0.0]))]),
             (0.01, [(1.5, 1.0, np.array([np.nan, 0.0]))]),
         ],
@@ -650,15 +642,15 @@ class TestSeriesTable:
         [
             # alpha > 1 cancels terms of 1e8 at z = -100
             (1.5, [(1.0, 1.0, np.array([-0.5, -100.0, -90.0]))], "cancel for (alpha=1.5"),
-            # the first job's error: the jobs run in order, so the second,
-            # which would fail at a smaller k, never runs
+            # the first job's error, though the second would fail at a
+            # smaller k
             (1.5, [(1.0, 1.0, np.array([0.2, -100.0])), (1.0, 1.0, np.array([-60.0]))],
              "z=-100.0"),
             (0.5, [(1.5, 1.0, np.array([1000.0, 3.0]))], "series overflow at k=135"),
             (0.5, [(1.5, 1.0, np.array([3.0])), (1.5, 1.0, np.array([-3.0, 1000.0]))],
              "series overflow at k=135"),
-            # in one job and one block, whichever of an overflow and a
-            # cancellation comes first
+            # in one job, whichever of an overflow and a cancellation comes
+            # first
             (0.7, [(1.0, 1.0, np.array([-12.5, 800.0]))], "series overflow at k=178"),
             (0.7, [(1.0, 1.0, np.array([-12.5, 700.0]))], "cancel for (alpha=0.7"),
             (2.0, [(1.0, 1.0, np.array([np.nan]))], "within 10000 terms"),
@@ -668,14 +660,15 @@ class TestSeriesTable:
     )
     def test_errors(self, alpha, jobs, message):
         with pytest.raises(NonConvergence) as info:
-            _series_sum(alpha, jobs)
+            for beta, rho, z in jobs:
+                _series(alpha, beta, rho, z)
         assert message in str(info.value)
         assert_series_as_per_term(alpha, jobs)
 
     @pytest.mark.parametrize("z", [1000.0, 3000.0])
     def test_overflow_raises_quickly(self, z):
-        # past u_bound = 1e290 a block ends every 64 rows, so a sum that
-        # overflows raises soon after; one block to MAX_TERMS took 0.4 s
+        # a sum that overflows raises at the k where it does; running on
+        # past it to MAX_TERMS took 0.4 s
         ml_one(0.5, 0.1)
         start = time.perf_counter()
         with pytest.raises(NonConvergence, match="series overflow"):
@@ -683,25 +676,24 @@ class TestSeriesTable:
         assert time.perf_counter() - start < 0.1
 
     def test_empty(self):
-        assert _series_sum(0.5, []) == []
-        got = _series_sum(0.5, [(1.5, 1.0, np.empty(0)), (1.5, 2.0, np.empty(0))])
-        assert [g.shape for g in got] == [(0,), (0,)]
+        for rho in (1.0, 2.0):
+            assert _series(0.5, 1.5, rho, np.empty(0)).shape == (0,)
         assert_series_as_per_term(0.5, [(1.5, 1.0, np.empty(0)), (2.0, 1.0, np.array([0.3]))])
 
     def test_signed_zeros(self):
         zs = np.array([0.0, -0.0, 1e-300, -1e-300])
         assert_series_as_per_term(0.7, [(1.5, 1.0, zs), (1.0, 0.0, zs)])
-        (got,) = _series_sum(0.7, [(1.5, 1.0, zs)])
+        got = _series(0.7, 1.5, 1.0, zs)
         assert np.all(got == 1.0 / math.gamma(1.5))
 
-    def test_table_memory_is_bounded(self):
-        # a block holds at most 2^16 table entries: one row at 65536
-        # elements, where a whole sum of 20 rows would take 10 MB a table
+    def test_memory_is_bounded(self):
+        # a few arrays over the running elements, where a table of the
+        # whole sum's 20 terms at 65536 elements would take 10 MB
         z = np.random.default_rng(5).uniform(-0.5, 0.5, 65536)
-        _series_sum(0.5, [(1.5, 1.0, z[:64])])
+        _series(0.5, 1.5, 1.0, z[:64])
         tracemalloc.start()
         try:
-            _series_sum(0.5, [(1.5, 1.0, z)])
+            _series(0.5, 1.5, 1.0, z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -729,7 +721,7 @@ def assert_same_outcome(call, want_call):
 class TestDisc:
     """|z| <= r takes Horner's rule on coefficients cached per (alpha,
     beta, rho, r) where its rounding bound is within DEFAULT_TOL; a pair
-    the bound refuses keeps the table."""
+    the bound refuses keeps the series."""
 
     @given(
         alpha=st.floats(0.0, 2.0, exclude_min=True),
@@ -741,6 +733,9 @@ class TestDisc:
             max_size=12,
         ),
     )
+    # on this disc's rim the terms past the first one below DEFAULT_TOL
+    # sum to 1.03e-13
+    @example(alpha=6.103515625e-05, beta=6.103515625e-05, rho=2.0, unit=[1.0])
     @settings(max_examples=150, deadline=None)
     def test_disc(self, alpha, beta, rho, unit):
         radius = disc_radius(alpha, beta, rho)
@@ -782,7 +777,7 @@ class TestDisc:
             (0.5, 1.5, 200.0),
         ],
     )
-    def test_refused_pair_keeps_the_table(self, alpha, beta, rho):
+    def test_refused_pair_keeps_the_series(self, alpha, beta, rho):
         radius = disc_radius(alpha, beta, rho)
         assert _disc_coefficients(alpha, beta, rho, radius) is None
         zs = radius * np.linspace(-1.0, 1.0, 41)
@@ -791,14 +786,47 @@ class TestDisc:
             lambda: per_term_series(alpha, beta, rho, zs),
         )
 
-    def test_coefficients_end_where_the_table_stops_on_the_rim(self):
-        alpha, beta, rho = 0.65, 2.0, 1.0
-        coefficients = _disc_coefficients(alpha, beta, rho, 0.5)
+    @pytest.mark.parametrize(
+        "alpha,beta,rho",
+        [
+            # the bench kernel and its calibration pairs
+            (0.65, 2.0, 1.0),
+            (0.65, 1.65, 2.0),
+            (0.5, 1.5, 2.0),
+            # the first term below DEFAULT_TOL left a tail of 1.03e-13
+            (6.103515625e-05, 6.103515625e-05, 2.0),
+            # (rho + k) / (k + 1) grows towards 1: without the factor
+            # K / (rho + K - 1) the bound would stop one term early
+            (0.55, 1.3, 0.5),
+            # alpha > 1 and beta < 1
+            (1.7, 0.4, 3.0),
+        ],
+    )
+    def test_coefficients_end_where_the_tail_bound_falls_below_tol(self, alpha, beta, rho):
+        radius = disc_radius(alpha, beta, rho)
+        coefficients = _disc_coefficients(alpha, beta, rho, radius)
         K = len(coefficients) - 1
-        terms = [abs(c) * 0.5 ** (K - i) for i, c in enumerate(coefficients)]
-        assert terms[0] < DEFAULT_TOL <= min(terms[1:])
         assert coefficients[-1] == 1.0 / math.gamma(beta)
-        # the bench kernel: the disc serves its |z| <= 0.5
+        terms = [abs(c) * radius**k for k, c in enumerate(reversed(coefficients))]
+
+        def tail_bound(k):
+            q = terms[k] / terms[k - 1] * max(1.0, k / (rho + k - 1.0))
+            return terms[k] / (1.0 - q) if q < 1.0 else math.inf
+
+        assert tail_bound(K) < DEFAULT_TOL
+        assert all(tail_bound(k) >= DEFAULT_TOL for k in range(1, K))
+        # the terms past K, in extended precision, sum below DEFAULT_TOL
+        with mp.workdps(30):
+            a, b, r = mp.mpf(alpha), mp.mpf(beta), mp.mpf(rho)
+            tail = mp.nsum(
+                lambda k: mp.rf(r, k) / mp.factorial(k) / mp.gamma(a * k + b) * radius**k,
+                [K + 1, mp.inf],
+            )
+        assert 0.0 < tail < DEFAULT_TOL
+
+    def test_bench_kernel_takes_the_disc(self):
+        alpha, beta = 0.65, 2.0
+        coefficients = _disc_coefficients(alpha, beta, 1.0, 0.5)
         z = -np.linspace(0.0, 0.5, 257)
         np.testing.assert_array_equal(
             ml_two(alpha, beta, z)[1:], _horner(coefficients, z[1:])
