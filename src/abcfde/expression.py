@@ -16,7 +16,15 @@ Variables may be bound to floats or to numpy arrays: one call evaluates a
 whole array of samples, and a domain error names the first bad sample.
 
 An :class:`Expression` compiles its tree once into nested closures (see
-:func:`_compile`) and enters ``np.errstate`` once per call.  Each largest
+:func:`_compile`) and enters ``np.errstate`` once per call, set to raise
+on overflow, division by zero and invalid operations.  A numpy operation
+that raises no such flag made no infinity from finite samples and no NaN
+from non-NaN ones, so its result is not scanned for non-finite samples;
+one that raises is evaluated again under ``ignore`` and scanned, which
+names the first bad sample (see :func:`_unless_flagged`).  Python-float
+results are checked by ``math.isfinite``, and builtins that are not
+numpy ufuncs (gamma, the Mittag-Leffler functions, a replaced entry)
+run under ``ignore`` and are always scanned.  Each largest
 subtree whose only variable is ``tau`` is evaluated once per read-only
 ``tau`` array (a :attr:`~abcfde.operators.Grid.nodes`, say) and reused
 until another ``tau`` comes, so the tau-only part of f and g costs one
@@ -298,8 +306,13 @@ def sample(fn: Callable, *args):
     through.  A ValueError, OverflowError or ZeroDivisionError it
     raises becomes an EvalError naming the sample.
     """
-    if isinstance(fn, np.ufunc) or getattr(fn, "takes_arrays", False):
-        shape = np.broadcast_shapes(*map(np.shape, args))
+    if isinstance(fn, np.ufunc):
+        out = fn(*args)
+        if type(out) is np.ndarray and out.dtype == np.float64:
+            return out  # a ufunc's result is a fresh array of the broadcast shape
+        return np.broadcast_to(out, np.shape(out)).astype(float)[()]
+    if getattr(fn, "takes_arrays", False):
+        shape = np.broadcast(*args).shape
         out = fn(*args)
         if (
             type(out) is np.ndarray
@@ -378,6 +391,23 @@ def _checked(out, name: str, args):
     return out
 
 
+def _unless_flagged(name: str, args, fn: Callable, *lead):
+    """fn(*lead, *args) for an operator or a numpy ufunc, which raises a
+    FloatingPointError under the errstate of :func:`_call` where it
+    overflows, divides by zero or makes NaN from a non-NaN value.  Only
+    then, or for a scalar that is not finite (Python float arithmetic
+    sets no flag), is it evaluated again under ``ignore`` and
+    :func:`_checked`: the same value, the same error."""
+    try:
+        out = fn(*lead, *args)
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            return _checked(fn(*lead, *args), name, args)
+    if type(out) is np.ndarray or math.isfinite(out):
+        return out
+    return _checked(out, name, args)
+
+
 def _immutable(a) -> bool:
     """a is an array no one can write to: it and every array it views are
     read-only, down to one that owns its data."""
@@ -425,7 +455,9 @@ def _compile(node: Node) -> tuple[Callable, frozenset]:
     """A closure bindings -> value of the tree, and its variable names.
 
     The closure does what the tree walk of :func:`evaluate` did node by
-    node, without entering ``np.errstate``; the caller enters it once.
+    node, under the raising ``np.errstate`` that :func:`_call` enters
+    once; only builtins that are not ufuncs enter ``ignore`` for
+    themselves.
     Within a tree that uses other variables too, each largest subtree
     whose only variable is tau is :func:`_memoised`.  Builtins are looked
     up in BUILTINS at call time, so a replaced entry takes effect.
@@ -469,7 +501,7 @@ def _compile(node: Node) -> tuple[Callable, frozenset]:
             args = a, b = left(bindings), right(bindings)
             if name == "/" and np.any(b == 0.0):
                 raise _first_bad("division by zero", b == 0.0, "/", args)
-            return _checked(op(a, b), name, args)
+            return _unless_flagged(name, args, op)
 
         return binary, names
     func = node.func
@@ -478,20 +510,26 @@ def _compile(node: Node) -> tuple[Callable, frozenset]:
     def call(bindings):
         args = [run(bindings) for run in runs]
         fn = BUILTINS[func][1]
-        if by_parameters:
-            out = _sample_by_parameters(fn, func, args)
-        else:
-            out = sample(fn, *args)
-        return _checked(out, func, args)
+        if isinstance(fn, np.ufunc):
+            return _unless_flagged(func, args, sample, fn)
+        # the Mittag-Leffler engine clears the flags, and other functions
+        # need not set them
+        with np.errstate(all="ignore"):
+            if by_parameters:
+                out = _sample_by_parameters(fn, func, args)
+            else:
+                out = sample(fn, *args)
+            return _checked(out, func, args)
 
     return call, names
 
 
 def _call(run: Callable, bindings):
-    """run(bindings) under one ``np.errstate``; a read-only array result
-    (a memoised value, or a read-only binding returned as it is) is
-    copied, so callers may write to what they get."""
-    with np.errstate(all="ignore"):
+    """run(bindings) under one ``np.errstate`` that raises on overflow,
+    division by zero and invalid operations (see :func:`_unless_flagged`);
+    a read-only array result (a memoised value, or a read-only binding
+    returned as it is) is copied, so callers may write to what they get."""
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
         out = run(bindings)
     if isinstance(out, np.ndarray) and not out.flags.writeable:
         return out.copy()

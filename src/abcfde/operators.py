@@ -170,11 +170,12 @@ class Discretization:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
     @functools.cached_property
-    def rl(self) -> tuple[np.ndarray, _Convolution]:
+    def rl(self) -> tuple[np.ndarray, float, _Convolution]:
         """The RL integral tau_n^alpha / Gamma(alpha+1) of the constant 1,
-        n = 1 .. N, which weights the start value, and the convolution of
-        the slopes with the increments W[m] = (m+1)^(alpha+1) - m^(alpha+1),
-        m = 0 .. N-1, of its antiderivative in units of h^(alpha+1) / Gamma(alpha+2)."""
+        n = 1 .. N, which weights the start value; the unit
+        h^alpha / Gamma(alpha+2) of the steps' term; and the convolution of
+        the steps with the increments W[m] = (m+1)^(alpha+1) - m^(alpha+1),
+        m = 0 .. N-1, of the antiderivative in units of h^(alpha+1) / Gamma(alpha+2)."""
         a = self.alpha
         start = self.grid.nodes[1:] ** a / math.gamma(a + 1.0)
         start.flags.writeable = False
@@ -182,7 +183,7 @@ class Discretization:
         W = np.ones_like(m)
         # m^(a+1) ((1 + 1/m)^(a+1) - 1), free of the cancellation of the difference
         W[1:] = m[1:] ** (a + 1.0) * np.expm1((a + 1.0) * np.log1p(1.0 / m[1:]))
-        return start, _Convolution(W)
+        return start, self.grid.h**a / math.gamma(a + 2.0), _Convolution(W)
 
     @functools.cached_property
     def kernel_argument(self) -> np.ndarray:
@@ -249,12 +250,12 @@ def rl_integral(samples, grid: Grid, alpha: float) -> np.ndarray:
     piecewise linear; exact kernel moments, output[0] = 0.  Along the
     last axis of a stack, each row as it would be alone.
     """
-    start, W = discretization(grid, alpha).rl
+    start, unit, W = discretization(grid, alpha).rl
     arr = _check_samples(samples, grid)
     out = np.zeros(arr.shape)
     # out[n] = arr[0] start[n-1] + h^a / Gamma(a+2) sum_{j<n} (arr[j+1] - arr[j]) W[n-1-j]
     steps = arr[..., 1:] - arr[..., :-1]  # np.diff(arr), without its Python overhead
-    out[..., 1:] = arr[..., :1] * start + grid.h**alpha / math.gamma(alpha + 2.0) * W(steps)
+    out[..., 1:] = arr[..., :1] * start + unit * W(steps)
     return out
 
 

@@ -75,6 +75,13 @@ class ProblemSpec:
         """f(0, omega0), evaluated once per spec."""
         return self.f(0.0, self.omega0)
 
+    @functools.cached_property
+    def _sweep_constants(self) -> tuple:
+        """(omega0 / f00, (1 - alpha) / B, :func:`singular_integral_coefficient`):
+        the constants of :func:`rhs_operator`, formed once per spec."""
+        cfg = self.cfg
+        return self.omega0 / self.f00, (1.0 - cfg.alpha) / cfg.b, singular_integral_coefficient(cfg)
+
     def validate(self) -> None:
         if not 0 < self.T < math.inf:
             raise ValidationError("T", f"must be finite and > 0, got {self.T}")
@@ -300,16 +307,13 @@ def rhs_operator(spec: ProblemSpec, omega: np.ndarray, grid: Grid) -> np.ndarray
     """One application of the fixed-point operator to a node vector, or
     to each row of a stack of them (along the last axis)."""
     omega = np.asarray(omega, dtype=float)
-    taus = grid.nodes
-    cfg = spec.cfg
-    a, B = cfg.alpha, cfg.b
-    f_vals = spec.f_samples(taus, omega)
-    g_vals = spec.g_samples(taus, omega)
-    head = spec.omega0 / spec.f00
+    f_vals = spec.f_samples(grid.nodes, omega)
+    g_vals = spec.g_samples(grid.nodes, omega)
+    head, g_weight, c = spec._sweep_constants
     # an overflow leaves a non-finite iterate, which picard_stack reports
     with np.errstate(over="ignore", invalid="ignore"):
-        integral = singular_integral_coefficient(cfg) * rl_integral(g_vals, grid, a)
-        return f_vals * (head + (1.0 - a) / B * g_vals + integral)
+        integral = c * rl_integral(g_vals, grid, spec.alpha)
+        return f_vals * (head + g_weight * g_vals + integral)
 
 
 #: Iterate elements that one stack of :func:`picard_stack` holds, one row

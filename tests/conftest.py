@@ -39,6 +39,38 @@ g = tau * cos(omega) + 0.5 * omega * tau
 """
 
 
+def plain_nonlinear_sweep(omega, T, alpha, omega0, b_convention, kernel_convention, shift=None):
+    """One application of the fixed-point operator for the NONLINEAR_TEXT
+    f and g (with g + shift and omega0 + shift, as a row of a stack), in
+    plain numpy on a 1-D omega: a frozen copy of the arithmetic, in its
+    order, that rhs_operator must match bitwise.  The RL integral is
+    convolved directly below 512 steps and by FFT from there on."""
+    N = omega.size - 1
+    a = alpha
+    nodes = np.linspace(0.0, T, N + 1)
+    B = 1.0 if b_convention == "UNIT" else 1.0 - a + a / math.gamma(a)
+    c = a / B if kernel_convention == "GAMMA" else a * math.gamma(a) / (B * (1.0 - a))
+    f = 1.0 + 0.1 * np.sin(omega)
+    g = nodes * np.cos(omega) + 0.5 * omega * nodes
+    if shift is not None:
+        g, omega0 = g + shift, omega0 + shift
+    head = omega0 / (1.0 + 0.1 * np.sin(omega0))
+    # Riemann-Liouville integral of the piecewise linear g
+    start = nodes[1:] ** a / math.gamma(a + 1.0)
+    m = np.arange(N, dtype=float)
+    W = np.ones_like(m)
+    W[1:] = m[1:] ** (a + 1.0) * np.expm1((a + 1.0) * np.log1p(1.0 / m[1:]))
+    steps = g[1:] - g[:-1]
+    if N < 512:
+        conv = np.convolve(steps, W)[:N]
+    else:
+        nfft = 1 << (2 * N - 2).bit_length()
+        conv = np.fft.irfft(np.fft.rfft(steps, nfft) * np.fft.rfft(W, nfft), nfft)[:N]
+    rl = np.zeros(N + 1)
+    rl[1:] = g[:1] * start + (T / N) ** a / math.gamma(a + 2.0) * conv
+    return f * (head + (1.0 - a) / B * g + c * rl)
+
+
 def manufactured_exact_nodes(grid: Grid) -> np.ndarray:
     root = np.sqrt(grid.nodes)
     return 1.0 + root * ml_two(0.5, 1.5, -root)

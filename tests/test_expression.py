@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abcfde import ml_one, ml_prabhakar, ml_two
@@ -22,6 +22,7 @@ from abcfde.expression import (
     evaluate,
     parse,
     sample,
+    takes_arrays,
     to_source,
     tokenize,
     variables,
@@ -531,6 +532,15 @@ def _outcome(fn):
 
 @given(_TREES, _BINDINGS, _BINDINGS)
 @settings(max_examples=300, deadline=None)
+# an overflow of Python floats, which sets no flag, hidden by a later division
+@example(
+    Binary("+", Binary("/", Num(1.0), Binary("*", Num(1e200), Num(1e200))), Var("omega")),
+    0.5,
+    np.array([1.0, 2.0, 3.0, 4.0]),
+)
+# NaN and inf samples through pow(omega, 0), which is 1 at each
+@example(Call("pow", (Var("omega"), Num(0.0))), 0.5, np.array([math.nan, 1.0, math.inf, -2.0]))
+@example(Call("pow", (Var("omega"), Num(0.0))), 0.5, math.nan)
 def test_compiled_evaluation_matches_the_tree_walk(ast, tau, omega):
     # bitwise values and the same EvalError messages, on the first call
     # and on a second one that may reuse memoised tau subtrees
@@ -539,6 +549,22 @@ def test_compiled_evaluation_matches_the_tree_walk(ast, tau, omega):
     assert _outcome(lambda: evaluate(ast, bindings)) == want
     expr = Expression(to_source(ast), {"tau", "omega"})
     assert _outcome(lambda: expr(**bindings)) == want
+    assert _outcome(lambda: expr(**bindings)) == want
+
+
+@pytest.mark.parametrize(
+    "fn", [lambda x: math.inf, takes_arrays(lambda x: np.full(np.shape(x), math.inf))]
+)
+def test_replaced_builtin_is_scanned_without_flags(monkeypatch, fn):
+    # a replaced entry returns inf at finite samples without setting a
+    # flag, so its result is scanned as the tree walk scans it
+    monkeypatch.setitem(BUILTINS, "sin", (1, fn))
+    ast = Binary("+", Call("sin", (Var("omega"),)), Var("tau"))
+    bindings = {"tau": 0.5, "omega": np.array([1.0, 2.0, 3.0, 4.0])}
+    want = _outcome(lambda: tree_walk(ast, bindings))
+    assert want == (EvalError, "not a real number: sin(1.0) at sample 0")
+    assert _outcome(lambda: evaluate(ast, bindings)) == want
+    expr = Expression(to_source(ast), {"tau", "omega"})
     assert _outcome(lambda: expr(**bindings)) == want
 
 

@@ -23,8 +23,8 @@ from abcfde import (
     sample_box,
     solve_majorant,
 )
-from abcfde import solver
-from abcfde.errors import MaxSweepsExceeded, NonFiniteIterate, ValidationError
+from abcfde import expression, solver
+from abcfde.errors import EvalError, MaxSweepsExceeded, NonFiniteIterate, ValidationError
 from abcfde.expression import BUILTINS, takes_arrays
 from abcfde.solver import (
     MAX_GROWING_SWEEPS,
@@ -41,6 +41,7 @@ from conftest import (
     manufactured_exact_nodes,
     outcome,
     perturbed_closed_form,
+    plain_nonlinear_sweep,
 )
 
 
@@ -279,6 +280,53 @@ class TestRhsOperator:
         assert out.shape == stack.shape
         for row, got in zip(stack, out):
             assert rhs_operator(spec, row, grid).tobytes() == got.tobytes()
+
+
+    @pytest.mark.parametrize("N", [256, 4096])  # direct convolution, then FFT
+    @pytest.mark.parametrize("b, kernel", [("UNIT", "GAMMA"), ("AB", "PAPER_HYBRID")])
+    def test_sweep_is_bitwise_the_plain_numpy_sweep(self, b, kernel, N):
+        spec = load_problem(NONLINEAR_TEXT + f"B = {b}\nkernel = {kernel}\n")
+        grid = Grid(spec.T, N)
+        problem = (spec.T, spec.alpha, spec.omega0, b, kernel)
+        omega = spec.omega0 + 0.3 * np.sin(grid.nodes)
+        want = plain_nonlinear_sweep(omega, *problem)
+        assert rhs_operator(spec, omega, grid).tobytes() == want.tobytes()
+        # a stack of four rows, as picard_stack builds it for these shifts
+        shifts = [0.1, 0.05, -0.1, -0.05]
+        rows = [perturbed(spec, abs(s), int(math.copysign(1.0, s))) for s in shifts]
+        stack = solver._Stack(
+            spec.T, np.array([[row.omega0] for row in rows]), spec.f, spec.g, spec.cfg,
+            rows=tuple(rows), shifts=np.array([[s] for s in shifts]),
+        )
+        omegas = np.array([row.omega0 + 0.3 * np.sin(grid.nodes + k) for k, row in enumerate(rows)])
+        out = rhs_operator(stack, omegas, grid)
+        for omega, s, got in zip(omegas, shifts, out):
+            assert got.tobytes() == plain_nonlinear_sweep(omega, *problem, shift=s).tobytes()
+
+    def test_a_finite_sweep_scans_no_ufunc_result(self, monkeypatch):
+        # a structural check, not a timing one: f and g are checked by the
+        # floating-point flags, so a finite sweep broadcasts no shapes and
+        # scans no result of an operator or ufunc for non-finite samples
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(np, "broadcast_shapes", counted("broadcast_shapes", np.broadcast_shapes))
+        monkeypatch.setattr(expression, "_checked", counted("_checked", expression._checked))
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, 4096)
+        omega = spec.omega0 + 0.3 * np.sin(grid.nodes)
+        assert np.isfinite(rhs_operator(spec, omega, grid)).all()
+        assert calls == []
+        # the counters see a scan: sin raises the invalid flag at inf
+        omega[7] = np.inf
+        with pytest.raises(EvalError, match=r"sin\(inf\) at sample 7$"):
+            rhs_operator(spec, omega, grid)
+        assert calls == ["_checked"]
 
 
 class TestPicard:
