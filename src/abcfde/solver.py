@@ -336,17 +336,23 @@ COARSEN = 8
 #: and long-horizon ones about 5; such a long-horizon row at N = 4096
 #: sweeps 7 times in 3.7 ms, and restarted took 6 sweeps and 4.8 ms.
 RESTART_MIN_SWEEPS = 16
+#: The coarse solve of a restart on Nc nodes stops at the diff
+#: COARSE_TOL (FFT_MIN_LENGTH / Nc)^2, or at tol when that is looser.  The
+#: fine sweeps go on from the gap between the two grids' solutions, which
+#: is about 1e-5 on the nonlinear benchmark problems at Nc = 512 and
+#: shrinks like Nc^-2 there; a coarse solve far below it saves no fine
+#: sweep.
+COARSE_TOL = 1e-6
 
 
-def _restarts(diffs: list[float], tol: float) -> bool:
-    """Whether a row still sweeping after its second sweep, with these
-    diffs, restarts from a coarse solve: its diffs shrink, and at their
-    ratio it would need more than RESTART_MIN_SWEEPS further sweeps."""
+def _predicted_sweeps(diffs: list[float], tol: float) -> float:
+    """The further sweeps that a row with these first two diffs would need
+    to reach tol at their ratio, or 0 when its diffs do not shrink."""
     ratio = diffs[1] / diffs[0]
+    if not 0.0 < ratio < 1.0:
+        return 0.0
     # log(tol / d2) / log(d2 / d1), free of the underflow of tol / d2
-    return 0.0 < ratio < 1.0 and (
-        (math.log(tol) - math.log(diffs[1])) / math.log(ratio) > RESTART_MIN_SWEEPS
-    )
+    return (math.log(tol) - math.log(diffs[1])) / math.log(ratio)
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,51 +404,56 @@ def picard_stack(
     else:
         shifts = [float(s) for s in shifts]
         rows = [perturbed(spec, abs(s), int(math.copysign(1.0, s))) for s in shifts]
+    caps = [max_sweeps] * len(rows)
     traces: list[SolutionTrace] = []
     size = stack_rows(grid)
     for lo in range(0, len(rows), size):
-        for outcome in _solve_rows(spec, rows[lo : lo + size], shifts[lo : lo + size],
-                                   grid, tol, max_sweeps):
+        block = slice(lo, lo + size)
+        for outcome in _solve_rows(spec, rows[block], shifts[block], grid, tol, caps[block]):
             if isinstance(outcome, Exception):
                 raise outcome
             traces.append(outcome)
     return traces
 
 
-def _solve_rows(spec, rows, shifts, grid, tol, max_sweeps):
+def _solve_rows(spec, rows, shifts, grid, tol, caps):
     """Yield the outcome of each row of one block, in row order: its trace,
-    or the error that ends it.  A block whose stacked sweep raises is
-    solved again row by row, each row only once the one before it is
-    taken."""
+    or the error that ends it; caps holds each row's max_sweeps.  A block
+    whose stacked sweep raises is solved again row by row, each row only
+    once the one before it is taken."""
     if len(rows) > 1:
-        outcomes = _solve_block(spec, rows, shifts, grid, tol, max_sweeps)
+        outcomes = _solve_block(spec, rows, shifts, grid, tol, caps)
         if outcomes is not None:
             yield from outcomes
             return
-    for row, shift in zip(rows, shifts):
+    for row, shift, cap in zip(rows, shifts, caps):
         try:
-            yield _solve_block(spec, [row], [shift], grid, tol, max_sweeps)[0]
+            yield _solve_block(spec, [row], [shift], grid, tol, [cap])[0]
         except Exception as exc:  # f and g are the caller's: a row may raise anything
             yield exc
 
 
-def _coarse_starts(spec, rows, shifts, grid, tol, max_sweeps) -> list:
+def _coarse_starts(spec, rows, shifts, grid, tol, caps) -> list:
     """For each row, the interpolated iterate of its solve on a grid
-    COARSEN times coarser, or None where that solve fails."""
+    COARSEN times coarser, to the tol that COARSE_TOL sets and in at most
+    its cap of sweeps, or None where that solve fails."""
     coarse = Grid(grid.T, grid.N // COARSEN)
+    coarse_tol = max(tol, COARSE_TOL * (FFT_MIN_LENGTH / coarse.N) ** 2)
     return [
         None if isinstance(outcome, Exception)
         else np.interp(grid.nodes, coarse.nodes, outcome.omega)
-        for outcome in _solve_rows(spec, rows, shifts, coarse, tol, max_sweeps)
+        for outcome in _solve_rows(spec, rows, shifts, coarse, coarse_tol, caps)
     ]
 
 
-def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
+def _solve_block(spec, rows, shifts, grid, tol, caps) -> Optional[list]:
     """The trace of each row of one block of :func:`picard_stack`, or the
-    MaxSweepsExceeded or NonFiniteIterate that ends it, in row order.
-    None when a sweep of several rows raises; a sweep of one row
-    raises.  Rows that :func:`_restarts` picks after their second sweep
-    go on from :func:`_coarse_starts`, where it has a start for them."""
+    MaxSweepsExceeded or NonFiniteIterate that ends it, in row order;
+    caps holds each row's max_sweeps.  None when a sweep of several rows
+    raises; a sweep of one row raises.  A row whose first two diffs
+    predict more than RESTART_MIN_SWEEPS further sweeps
+    (:func:`_predicted_sweeps`) goes on from :func:`_coarse_starts`, where
+    it has a start for it, capped at COARSEN times that many."""
     live = list(range(len(rows)))
     omega = np.full((len(rows), grid.N + 1), [[row.omega0] for row in rows])
     diffs: list[list[float]] = [[] for _ in rows]
@@ -474,7 +485,7 @@ def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
                 if math.isfinite(diff) or np.isfinite(new[i]).all():
                     grew = len(diffs[r]) > 1 and diff > diffs[r][-2]
                     growing[r] = growing[r] + 1 if grew else 0
-                    stuck = len(diffs[r]) == max_sweeps or growing[r] == MAX_GROWING_SWEEPS
+                    stuck = len(diffs[r]) == caps[r] or growing[r] == MAX_GROWING_SWEEPS
                     if diff <= tol or stuck:
                         due[r] = diff <= tol
                     keep.append(i)
@@ -502,12 +513,15 @@ def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
         if len(keep) < len(live):
             live = [live[i] for i in keep]
             omega, stack = omega[keep], None
-        slow = [i for i, r in enumerate(live) if may_restart and r not in due
-                and len(diffs[r]) == 2 and _restarts(diffs[r], tol)]
+        predicted = [_predicted_sweeps(diffs[r], tol) if may_restart and r not in due
+                     and len(diffs[r]) == 2 else 0.0 for r in live]
+        slow = [i for i, sweeps in enumerate(predicted) if sweeps > RESTART_MIN_SWEEPS]
         if slow:
             picked = [live[i] for i in slow]
-            starts = _coarse_starts(spec, [rows[r] for r in picked], [shifts[r] for r in picked],
-                                    grid, tol, max_sweeps)
+            starts = _coarse_starts(
+                spec, [rows[r] for r in picked], [shifts[r] for r in picked], grid, tol,
+                [min(caps[live[i]], math.ceil(COARSEN * predicted[i])) for i in slow],
+            )
             for i, start in zip(slow, starts):
                 if start is not None:
                     omega[i] = start
@@ -525,13 +539,18 @@ def picard_solve(
     On N >= 4096 nodes (N // COARSEN >= FFT_MIN_LENGTH), a slow solve
     restarts after its second sweep: when its diffs d1, d2 shrink and
     log(tol / d2) / log(d2 / d1) predicts more than RESTART_MIN_SWEEPS
-    further sweeps, the same problem is solved on N // COARSEN nodes
+    further sweeps, the same problem is solved on Nc = N // COARSEN nodes
     (restarting there in turn) and, if that solve converges, its iterate
-    interpolated to the nodes replaces the current one.  The fixed point
-    and the stop rules are the same either way.  The trace keeps one diff
-    per sweep on this grid, so ``iterations`` counts the sweeps on this
-    grid only.  A solve whose coarse solve fails sweeps on as if it had
-    none.
+    interpolated to the nodes replaces the current one.  The coarse solve
+    stops at the looser of tol and COARSE_TOL (FFT_MIN_LENGTH / Nc)^2,
+    near the gap between the two grids' solutions from which the sweeps
+    here go on, and fails after min(max_sweeps, ceil(COARSEN * the
+    predicted further sweeps)) sweeps: at about 1/COARSEN of the cost of
+    a sweep here, that is about the cost of the sweeps it was to save.
+    The fixed point and the stop rules here are the same either way.  The
+    trace keeps one diff per sweep on this grid, so ``iterations`` counts
+    the sweeps on this grid only.  A solve whose coarse solve fails sweeps
+    on as if it had none.
 
     Stops when the sup-norm iterate difference drops to tol; raises
     :class:`MaxSweepsExceeded` (carrying the best trace, and stating the

@@ -585,8 +585,26 @@ class TestCoarseRestart:
         assert type(want) is MaxSweepsExceeded and want.trace.iterations == 200
         del sweep_grids[:]
         assert_same_outcome(want, outcome(lambda: picard_solve(spec, grid)))
-        # all its sweeps, and the residuals of the last, on the coarse grid
-        assert sweep_grids.count(N_RESTART // solver.COARSEN) == 201
+        # the coarse solve gives up after COARSEN times the predicted sweeps
+        # (160 of the 200 it may take), and the residuals of the last
+        predicted = solver._predicted_sweeps(want.trace.iterate_diffs[:2], solver.DEFAULT_TOL)
+        assert 19 < predicted < 20
+        cap = math.ceil(solver.COARSEN * predicted)
+        assert sweep_grids.count(N_RESTART // solver.COARSEN) == cap + 1
+
+    @pytest.mark.parametrize("N", [N_RESTART, 8 * N_RESTART])
+    def test_the_coarse_solve_stops_near_the_gap_between_the_grids(self, sweep_grids, N):
+        # on Nc nodes at COARSE_TOL (512 / Nc)^2: 1e-6 on 512 nodes, and
+        # 1e-6 / 64 on 4096, which restarts from 512 in turn
+        spec = load_problem(NONLINEAR_TEXT)
+        got = picard_solve(spec, Grid(spec.T, N))
+        coarse = Grid(spec.T, N // solver.COARSEN)
+        coarse_tol = solver.COARSE_TOL * (512 / coarse.N) ** 2
+        counts = [sweep_grids.count(n) for n in (N, coarse.N)]
+        del sweep_grids[:]
+        alone = picard_solve(spec, coarse, tol=coarse_tol)
+        assert counts == [got.iterations + 1, sweep_grids.count(coarse.N)]
+        assert alone.iterate_diffs[-1] <= coarse_tol < alone.iterate_diffs[-2]
 
     def test_a_raising_coarse_solve_leaves_the_row_cold(self, monkeypatch, sweep_grids):
         @takes_arrays
