@@ -568,6 +568,34 @@ def test_replaced_builtin_is_scanned_without_flags(monkeypatch, fn):
     assert _outcome(lambda: expr(**bindings)) == want
 
 
+@pytest.mark.parametrize("at", [0, 2048, 4096])
+@pytest.mark.parametrize(
+    "src, bad",
+    [
+        ("sin(omega)", math.inf),
+        ("cos(omega)", -math.inf),
+        ("exp(omega)", 1000.0),
+        ("log(omega)", 0.0),
+        ("log(omega)", -1.0),
+        ("sqrt(omega)", -1.0),
+        ("omega^-1", 0.0),
+        ("omega^0.5", -2.0),
+        ("pow(omega, 2)", 1e200),
+        ("omega * omega", 1e200),
+        ("omega - omega", math.inf),
+        ("0 * omega", math.inf),
+    ],
+)
+def test_flags_find_one_bad_sample_in_a_long_array(src, bad, at):
+    # numpy's vector loops must raise the flag that the scan rests on, at
+    # any place of an array as long as a sweep's; each CI job checks its numpy
+    omega = np.full(4097, 0.5)
+    omega[at] = bad
+    want = _outcome(lambda: tree_walk(parse(src), {"omega": omega}))
+    assert want[0] is EvalError and want[1].endswith(f"at sample {at}")
+    assert _outcome(lambda: Expression(src, {"omega"})(omega=omega)) == want
+
+
 @given(st.text(max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_parser_never_crashes(source):
