@@ -395,9 +395,10 @@ def _unless_flagged(name: str, args, fn: Callable, *lead):
     """fn(*lead, *args) for an operator or a numpy ufunc, which raises a
     FloatingPointError under the errstate of :func:`_call` where it
     overflows, divides by zero or makes NaN from a non-NaN value.  Only
-    then, or for a scalar that is not finite (Python float arithmetic
-    sets no flag), is it evaluated again under ``ignore`` and
-    :func:`_checked`: the same value, the same error."""
+    then is it evaluated again under ``ignore`` and scanned by
+    :func:`_checked`, which gives the same value or the same error; a
+    scalar that is not finite is scanned too, since Python float
+    arithmetic sets no flag."""
     try:
         out = fn(*lead, *args)
     except FloatingPointError:
