@@ -13,7 +13,10 @@ the Mittag-Leffler kernel for the derivative.  One
 :class:`Discretization` per (grid, alpha) owns those increments and, on
 long grids, their spectra; :func:`discretization` shares it between
 calls, so a call costs one convolution: direct below ``FFT_MIN_LENGTH``
-weights, by FFT (O(N log N)) from there on.  Each operator takes one
+weights, by FFT (O(N log N)) from there on.  It also splits the RL
+integral at a block of nodes into the part that the nodes before the
+block make and the part of the block's own steps, for the march of
+:mod:`abcfde.solver`.  Each operator takes one
 vector of node samples or a stack of them, and acts along the last axis.
 """
 
@@ -120,9 +123,9 @@ class _Convolution:
     """Causal convolution with fixed read-only weights and, from
     FFT_MIN_LENGTH weights on, their real FFT of length
     nfft >= 2 len(weights) - 1.  Called with x no longer than the
-    weights, it returns the first len(weights) entries of x * weights,
-    along the last axis of a stack of rows; each row gets bitwise what
-    it gets alone."""
+    weights, it returns the entries lo .. hi - 1 (by default the first
+    len(weights)) of x * weights, along the last axis of a stack of
+    rows; each row gets bitwise what it gets alone."""
 
     def __init__(self, weights: np.ndarray):
         weights.flags.writeable = False
@@ -133,15 +136,15 @@ class _Convolution:
             self.spectrum = np.fft.rfft(weights, self.nfft)
             self.spectrum.flags.writeable = False
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        k = self.weights.size
+    def __call__(self, x: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        hi = self.weights.size if hi is None else hi
         if self.spectrum is not None:
-            return np.fft.irfft(np.fft.rfft(x, self.nfft) * self.spectrum, self.nfft)[..., :k]
+            return np.fft.irfft(np.fft.rfft(x, self.nfft) * self.spectrum, self.nfft)[..., lo:hi]
         if x.ndim == 1:
-            return np.convolve(x, self.weights)[:k]
+            return np.convolve(x, self.weights)[lo:hi]
         # np.convolve is 1-D only, and no stacked form sums in its order
-        rows = [np.convolve(row, self.weights)[:k] for row in x.reshape(-1, x.shape[-1])]
-        return np.reshape(rows, x.shape[:-1] + (k,))
+        rows = [np.convolve(row, self.weights)[lo:hi] for row in x.reshape(-1, x.shape[-1])]
+        return np.reshape(rows, x.shape[:-1] + (hi - lo,))
 
 
 #: (beta, rho) of E_{alpha,2} = E^1_{alpha,2}, the Mittag-Leffler function in
@@ -184,6 +187,34 @@ class Discretization:
         # m^(a+1) ((1 + 1/m)^(a+1) - 1), free of the cancellation of the difference
         W[1:] = m[1:] ** (a + 1.0) * np.expm1((a + 1.0) * np.log1p(1.0 / m[1:]))
         return start, self.grid.h**a / math.gamma(a + 2.0), _Convolution(W)
+
+    def history(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The part of :func:`rl_integral` of x at nodes lo .. hi - 1
+        (1 <= lo < hi <= N + 1) that the samples before node lo make: the
+        start value's term and the steps up to node lo - 1, by one
+        convolution.  :meth:`block` adds the steps from node lo - 1 on;
+        x holds node samples along its last axis, and only those before
+        node lo are read."""
+        start, unit, conv = self.rl
+        out = x[..., :1] * start[lo - 1 : hi - 1]
+        if lo > 1:
+            out += unit * conv(x[..., 1:lo] - x[..., : lo - 1], lo - 1, hi - 1)
+        return out
+
+    def block(self, x: np.ndarray) -> np.ndarray:
+        """The rest of :func:`rl_integral` at the m nodes of a block, from
+        x, the samples at the node before the block and at the block's
+        nodes: the term of their m steps, by a convolution with the first
+        m weights, built once per m."""
+        m = x.shape[-1] - 1
+        conv = self._blocks.get(m)
+        if conv is None:
+            conv = self._blocks[m] = _Convolution(self.rl[2].weights[:m])
+        return self.rl[1] * conv(x[..., 1:] - x[..., :-1])
+
+    @functools.cached_property
+    def _blocks(self) -> dict:
+        return {}
 
     @functools.cached_property
     def kernel_argument(self) -> np.ndarray:
@@ -237,10 +268,10 @@ class Discretization:
 
 
 #: The shared Discretization of (grid, alpha).  Callers work on one grid
-#: at a time, but a Picard solve on N = 65536 restarts from solves on 8192
-#: and 1024 (:data:`abcfde.solver.COARSEN`), so three stay; at N = 65536
-#: one spectrum alone is 1 MB.
-discretization = functools.lru_cache(maxsize=3)(Discretization)
+#: at a time, and a march's blocks take their grid's weights and block
+#: convolutions from it, so one stays; at N = 65536 one spectrum alone is
+#: 1 MB.
+discretization = functools.lru_cache(maxsize=1)(Discretization)
 
 
 def rl_integral(samples, grid: Grid, alpha: float) -> np.ndarray:

@@ -13,6 +13,13 @@ iterates the equivalent integral equation
 
 where c_alpha is alpha/(B Gamma(alpha)) under the GAMMA kernel
 convention or alpha/(B (1-alpha)) under PAPER_HYBRID.
+
+A solve that the first two Picard sweeps show to be slow marches
+instead: the grid is cut into a few blocks, solved in turn, each from the
+integral over the blocks before it (Hairer, Lubich and Schlichte's block
+structure) with a per-node secant step on the instantaneous term
+f (1-alpha)/B g, which is what holds Picard back.  The rest sweep the
+whole grid.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EvalError, MaxSweepsExceeded, NonFiniteIterate, ValidationError
+from . import operators
 from .expression import Expression, sample, takes_arrays
 from .operators import (
-    FFT_MIN_LENGTH,
     BConvention,
     Grid,
     KernelConvention,
@@ -328,31 +335,36 @@ def stack_rows(grid: Grid) -> int:
     return max(1, STACK_ELEMENTS // (grid.N + 1))
 
 
-#: A slow row on a grid of N nodes restarts from a solve on N // COARSEN,
-#: when that coarse grid still convolves by FFT (N >= 4096).
-COARSEN = 8
-#: Further sweeps a row must be predicted to need after its second, at
-#: its observed ratio, to restart.  Nonlinear benchmark rows predict 31-40
-#: and long-horizon ones about 5; such a long-horizon row at N = 4096
-#: sweeps 7 times in 3.7 ms, and restarted took 6 sweeps and 4.8 ms.
-RESTART_MIN_SWEEPS = 16
-#: The coarse solve of a restart on Nc nodes stops at the diff
-#: COARSE_TOL (FFT_MIN_LENGTH / Nc)^2, or at tol when that is looser.  The
-#: fine sweeps go on from the gap between the two grids' solutions, which
-#: is about 1e-5 on the nonlinear benchmark problems at Nc = 512 and
-#: shrinks like Nc^-2 there; a coarse solve far below it saves no fine
-#: sweep.
-COARSE_TOL = 1e-6
+#: A row whose first two diffs predict more than MARCH_MIN_SWEEPS further
+#: sweeps (:func:`_predicted_sweeps`), or whose diffs do not shrink,
+#: marches (:func:`picard_solve` gives the measurements).
+MARCH_MIN_SWEEPS = 13
+#: A march splits the grid into at most MARCH_BLOCKS blocks of at least
+#: MARCH_BLOCK_STEPS steps each, and a shorter grid into one.
+MARCH_BLOCKS = 4
+MARCH_BLOCK_STEPS = 1024
+#: A march takes a node's secant step only where its slope J exceeds this.
+SECANT_MIN_SLOPE = 0.2
 
 
 def _predicted_sweeps(diffs: list[float], tol: float) -> float:
     """The further sweeps that a row with these first two diffs would need
-    to reach tol at their ratio, or 0 when its diffs do not shrink."""
+    to reach tol at their ratio, or inf when its diffs do not shrink."""
     ratio = diffs[1] / diffs[0]
-    if not 0.0 < ratio < 1.0:
-        return 0.0
+    if not ratio < 1.0:
+        return math.inf
     # log(tol / d2) / log(d2 / d1), free of the underflow of tol / d2
     return (math.log(tol) - math.log(diffs[1])) / math.log(ratio)
+
+
+def march_blocks(N: int) -> list[tuple[int, int]]:
+    """The blocks (lo, hi) of nodes lo .. hi - 1 that a march on N + 1 nodes
+    solves in turn: node 0 and the first N // count steps, then about as
+    many steps each, count = min(MARCH_BLOCKS, N // MARCH_BLOCK_STEPS) or
+    1.  The same for every row of a stack."""
+    count = max(1, min(MARCH_BLOCKS, N // MARCH_BLOCK_STEPS))
+    edges = [0] + [k * N // count + 1 for k in range(1, count + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,10 +396,10 @@ def picard_stack(
 
     Row r gives bitwise the trace of :func:`picard_solve` on its own
     problem, ``perturbed(spec, |s|, sign of s)``: it starts from its own
-    omega0, restarts on its own diffs, keeps its own diffs, stops at its
+    omega0, marches on its own diffs, keeps its own diffs, stops at its
     own sweep and then stops changing, and its residuals ride on the next
-    sweep of the stack.  The rows that restart after their second sweep
-    are solved as one stack on the coarse grid.  f,
+    sweep of the stack.  The rows that march after their second sweep
+    march as one stack, each block in turn.  f,
     g and the operator are called once per sweep on all rows still in the
     stack, in blocks of :func:`stack_rows` rows.  Raises what that
     per-row loop would raise first: the error of the first row that
@@ -404,127 +416,189 @@ def picard_stack(
     else:
         shifts = [float(s) for s in shifts]
         rows = [perturbed(spec, abs(s), int(math.copysign(1.0, s))) for s in shifts]
-    caps = [max_sweeps] * len(rows)
     traces: list[SolutionTrace] = []
     size = stack_rows(grid)
     for lo in range(0, len(rows), size):
         block = slice(lo, lo + size)
-        for outcome in _solve_rows(spec, rows[block], shifts[block], grid, tol, caps[block]):
+        for outcome in _solve_rows(spec, rows[block], shifts[block], grid, tol, max_sweeps):
             if isinstance(outcome, Exception):
                 raise outcome
             traces.append(outcome)
     return traces
 
 
-def _solve_rows(spec, rows, shifts, grid, tol, caps):
+def _solve_rows(spec, rows, shifts, grid, tol, max_sweeps):
     """Yield the outcome of each row of one block, in row order: its trace,
-    or the error that ends it; caps holds each row's max_sweeps.  A block
-    whose stacked sweep raises is solved again row by row, each row only
-    once the one before it is taken."""
+    or the error that ends it.  A block whose stacked sweep raises is
+    solved again row by row, each row only once the one before it is
+    taken."""
     if len(rows) > 1:
-        outcomes = _solve_block(spec, rows, shifts, grid, tol, caps)
+        outcomes = _solve_block(spec, rows, shifts, grid, tol, max_sweeps)
         if outcomes is not None:
             yield from outcomes
             return
-    for row, shift, cap in zip(rows, shifts, caps):
+    for row, shift in zip(rows, shifts):
         try:
-            yield _solve_block(spec, [row], [shift], grid, tol, [cap])[0]
+            yield _solve_block(spec, [row], [shift], grid, tol, max_sweeps)[0]
         except Exception as exc:  # f and g are the caller's: a row may raise anything
             yield exc
 
 
-def _coarse_starts(spec, rows, shifts, grid, tol, caps) -> list:
-    """For each row, the interpolated iterate of its solve on a grid
-    COARSEN times coarser, to the tol that COARSE_TOL sets and in at most
-    its cap of sweeps, or None where that solve fails."""
-    coarse = Grid(grid.T, grid.N // COARSEN)
-    coarse_tol = max(tol, COARSE_TOL * (FFT_MIN_LENGTH / coarse.N) ** 2)
-    return [
-        None if isinstance(outcome, Exception)
-        else np.interp(grid.nodes, coarse.nodes, outcome.omega)
-        for outcome in _solve_rows(spec, rows, shifts, coarse, coarse_tol, caps)
-    ]
-
-
-def _solve_block(spec, rows, shifts, grid, tol, caps) -> Optional[list]:
+def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
     """The trace of each row of one block of :func:`picard_stack`, or the
-    MaxSweepsExceeded or NonFiniteIterate that ends it, in row order;
-    caps holds each row's max_sweeps.  None when a sweep of several rows
-    raises; a sweep of one row raises.  A row whose first two diffs
-    predict more than RESTART_MIN_SWEEPS further sweeps
-    (:func:`_predicted_sweeps`) goes on from :func:`_coarse_starts`, where
-    it has a start for it, capped at COARSEN times that many."""
-    live = list(range(len(rows)))
+    MaxSweepsExceeded or NonFiniteIterate that ends it, in row order.
+    None when a sweep of several rows raises; a sweep of one row raises.
+
+    A sweep takes the image y of the iterate w under the map.  Every row
+    sweeps the whole grid, w going on from y.  A row whose first two diffs
+    predict more than MARCH_MIN_SWEEPS further sweeps
+    (:func:`_predicted_sweeps`), or do not shrink, then marches, block by
+    block of :func:`march_blocks`.  There the integral from the nodes
+    before the block comes in once per block
+    (:meth:`~abcfde.operators.Discretization.history`), and each node goes
+    on from its secant step w - (w - y) / J, with J = 1 - (y - y') /
+    (w - w') from its previous iterate w' and image y', or from y where J
+    is undefined or at most SECANT_MIN_SLOPE.  A row's diff is the largest
+    move of a node.  At a diff of at most tol the row stops (in that
+    block), after max_sweeps sweeps or MAX_GROWING_SWEEPS in a row whose
+    diff grew it fails, and one more sweep gives its residuals, and in a
+    block the g that later blocks' history needs.  A sweep that moves a
+    node to a non-finite value ends the row at once.  A march error names
+    the first node that was still to move more than tol, or to a
+    non-finite value, and its trace has NaN residuals after its block."""
     omega = np.full((len(rows), grid.N + 1), [[row.omega0] for row in rows])
     diffs: list[list[float]] = [[] for _ in rows]
-    growing = [0] * len(rows)  # sweeps in a row whose diff grew, per row
-    due: dict[int, bool] = {}  # row -> converged, for rows whose residuals are next
     outcomes: list = [None] * len(rows)
-    stack = None
-    may_restart = grid.N // COARSEN >= FFT_MIN_LENGTH
-    while live:
-        if stack is None:  # the first sweep, or rows left
-            stack = rows[live[0]] if len(live) == 1 else _Stack(
-                spec.T, np.array([[rows[r].omega0] for r in live]), spec.f, spec.g, spec.cfg,
-                spec.omega_box, rows=tuple(rows[r] for r in live),
-                shifts=np.array([[shifts[r]] for r in live]),
-            )
-        try:
-            new = rhs_operator(stack, omega[0] if len(live) == 1 else omega, grid)
-        except Exception:  # f and g are the caller's: a row may raise anything
-            if len(rows) == 1:
-                raise
-            return None
-        new = new.reshape(omega.shape)
-        gap = np.abs(omega - new)
-        keep = []
-        for i, (r, diff) in enumerate(zip(live, gap.max(axis=1).tolist())):
-            if r not in due:
-                diffs[r].append(diff)
-                # a finite diff needs a finite new; the converse can fail to overflow
-                if math.isfinite(diff) or np.isfinite(new[i]).all():
-                    grew = len(diffs[r]) > 1 and diff > diffs[r][-2]
-                    growing[r] = growing[r] + 1 if grew else 0
-                    stuck = len(diffs[r]) == caps[r] or growing[r] == MAX_GROWING_SWEEPS
-                    if diff <= tol or stuck:
-                        due[r] = diff <= tol
-                    keep.append(i)
-                    continue
-            # row r is done: gap holds its residuals, or its sweep was not finite
-            trace = SolutionTrace(grid, omega[i].copy(), diffs[r], gap[i].copy(), due.get(r, False))
-            if trace.converged:
-                outcomes[r] = trace
-            elif r in due:
-                blowing_up = growing[r] == MAX_GROWING_SWEEPS
-                last = f"last diff {diffs[r][-1]:.3e}"
-                if len(diffs[r]) > 1:  # the observed ratio; diffs[r][-2] > tol kept the row going
-                    last += f", last ratio {diffs[r][-1] / diffs[r][-2]:.3g}"
-                outcomes[r] = MaxSweepsExceeded(
-                    f"no convergence in {len(diffs[r])} sweeps"
-                    + (f", the diff growing over the last {MAX_GROWING_SWEEPS}" if blowing_up else "")
-                    + f" ({last})",
-                    trace=trace,
-                )
-            else:
-                outcomes[r] = NonFiniteIterate(
-                    f"sweep {len(diffs[r])} gave a non-finite iterate (diff {diff})", trace=trace
-                )
-        omega = new
-        if len(keep) < len(live):
-            live = [live[i] for i in keep]
-            omega, stack = omega[keep], None
-        predicted = [_predicted_sweeps(diffs[r], tol) if may_restart and r not in due
-                     and len(diffs[r]) == 2 else 0.0 for r in live]
-        slow = [i for i, sweeps in enumerate(predicted) if sweeps > RESTART_MIN_SWEEPS]
-        if slow:
-            picked = [live[i] for i in slow]
-            starts = _coarse_starts(
-                spec, [rows[r] for r in picked], [shifts[r] for r in picked], grid, tol,
-                [min(caps[live[i]], math.ceil(COARSEN * predicted[i])) for i in slow],
-            )
-            for i, start in zip(slow, starts):
-                if start is not None:
-                    omega[i] = start
+    residuals = np.empty_like(omega)
+    live = list(range(len(rows)))
+    for march in (False, True):
+        if not live:
+            break
+        if march:
+            disc = operators.discretization(grid, spec.alpha)  # the one rl_integral shares
+            start = disc.rl[0]
+            known = np.empty_like(omega)  # g at each row's marched iterate
+        slow = []  # the rows that leave the whole grid to march
+        for lo, hi in march_blocks(grid.N) if march else [(0, grid.N + 1)]:
+            taus = grid.nodes[lo:hi]
+            w = omega[live, lo:hi] if march else omega  # every row sweeps the whole grid
+            if march and lo:
+                history = disc.history(known[live], lo, hi)
+                before = known[live, lo - 1 : lo]
+            sweeping = list(range(len(live)))  # the positions in live still in the block
+            block_diffs: list[list[float]] = [[] for _ in live]
+            growing = [0] * len(live)  # sweeps in a row whose diff grew
+            due: dict[int, bool] = {}  # position -> converged, for rows whose residuals are next
+            node: dict[int, int] = {}  # position -> the node that a failing row names
+            left = set()
+            stack = w_prev = y_prev = None
+            while True:
+                if stack is None:  # the first sweep, or rows left
+                    picked = [live[b] for b in sweeping]
+                    stack = rows[picked[0]] if len(picked) == 1 else _Stack(
+                        spec.T, np.array([[rows[r].omega0] for r in picked]), spec.f, spec.g,
+                        spec.cfg, spec.omega_box, rows=tuple(rows[r] for r in picked),
+                        shifts=np.array([[shifts[r]] for r in picked]),
+                    )
+                try:
+                    if march:
+                        f = stack.f_samples(taus, w)
+                        g = stack.g_samples(taus, w)
+                    else:
+                        y = rhs_operator(stack, w[0] if len(sweeping) == 1 else w, grid)
+                except Exception:  # f and g are the caller's: a row may raise anything
+                    if len(rows) == 1:
+                        raise
+                    return None
+                if not march:
+                    step = y = y.reshape(w.shape)
+                else:
+                    head, g_weight, c = stack._sweep_constants
+                    # an overflow leaves a non-finite step, which ends the row, and
+                    # a 0/0 secant an undefined J
+                    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                        if lo:
+                            steps = np.concatenate([before[sweeping], g], axis=-1)
+                            integral = history[sweeping] + disc.block(steps)
+                        else:
+                            integral = np.zeros(g.shape)
+                            integral[:, 1:] = g[:, :1] * start[: hi - 1] + disc.block(g)
+                        step = y = f * (head + g_weight * g + c * integral)
+                        if w_prev is not None:
+                            slope = 1.0 - (y - y_prev) / (w - w_prev)
+                            step = np.where(np.isfinite(slope) & (slope > SECANT_MIN_SLOPE),
+                                            w - (w - y) / slope, y)
+                moves = np.abs(w - step)
+                keep = []
+                for i, (b, diff) in enumerate(zip(sweeping, moves.max(axis=1).tolist())):
+                    r = live[b]
+                    if b not in due:
+                        diffs[r].append(diff)
+                        block_diffs[b].append(diff)
+                        # a finite diff needs a finite step; the converse can fail to overflow
+                        if math.isfinite(diff) or np.isfinite(step[i]).all():
+                            grew = len(block_diffs[b]) > 1 and diff > block_diffs[b][-2]
+                            growing[b] = growing[b] + 1 if grew else 0
+                            stuck = (len(block_diffs[b]) == max_sweeps
+                                     or growing[b] == MAX_GROWING_SWEEPS)
+                            if diff <= tol or stuck:
+                                due[b] = diff <= tol
+                                if march and not due[b]:  # the first node still to move
+                                    node[b] = lo + int(np.argmax(~(moves[i] <= tol)))
+                            elif (not march and len(diffs[r]) == 2
+                                  and _predicted_sweeps(diffs[r], tol) > MARCH_MIN_SWEEPS):
+                                omega[r] = step[i]
+                                slow.append(r)
+                                left.add(b)
+                                continue
+                            keep.append(i)
+                            continue
+                    # row r is done here: y is the image of its last iterate, or
+                    # its step was not finite
+                    omega[r, lo:hi], residuals[r, lo:hi] = w[i], np.abs(w[i] - y[i])
+                    if due.get(b, False):
+                        if march:
+                            known[r, lo:hi] = g[i]
+                        continue
+                    left.add(b)
+                    residuals[r, hi:] = np.nan  # the nodes after the block were not reached
+                    trace = SolutionTrace(
+                        grid, omega[r].copy(), diffs[r], residuals[r].copy(), False
+                    )
+                    at = of = ""
+                    if march:
+                        n = node.get(b, lo + int(np.argmax(~np.isfinite(step[i]))))
+                        at = f" at node {n} (tau = {grid.nodes[n]:.6g})"
+                        of = f" of the march block of nodes {lo}..{hi - 1}"
+                    done = block_diffs[b]
+                    if b in due:
+                        last = f"last diff {done[-1]:.3e}"
+                        if len(done) > 1:  # the observed ratio; done[-2] > tol kept the row going
+                            last += f", last ratio {done[-1] / done[-2]:.3g}"
+                        if growing[b] == MAX_GROWING_SWEEPS:
+                            of += f", the diff growing over the last {MAX_GROWING_SWEEPS}"
+                        outcomes[r] = MaxSweepsExceeded(
+                            f"no convergence{at} in {len(done)} sweeps{of} ({last})", trace=trace
+                        )
+                    else:
+                        outcomes[r] = NonFiniteIterate(
+                            f"sweep {len(done)}{of} gave a non-finite iterate{at} (diff {diff})",
+                            trace=trace,
+                        )
+                if not keep:
+                    break
+                if len(keep) < len(sweeping):
+                    sweeping = [sweeping[i] for i in keep]
+                    w, y, step, stack = w[keep], y[keep], step[keep], None
+                    if w_prev is not None:
+                        w_prev, y_prev = w_prev[keep], y_prev[keep]
+                w_prev, y_prev, w = w, y, step
+            live = [r for b, r in enumerate(live) if b not in left]
+            if not live:
+                break
+        for r in live:
+            outcomes[r] = SolutionTrace(grid, omega[r], diffs[r], residuals[r])
+        live = slow
     return outcomes
 
 
@@ -536,21 +610,24 @@ def picard_solve(
 ) -> SolutionTrace:
     """Iterate the integral-equation operator from omega == omega0.
 
-    On N >= 4096 nodes (N // COARSEN >= FFT_MIN_LENGTH), a slow solve
-    restarts after its second sweep: when its diffs d1, d2 shrink and
-    log(tol / d2) / log(d2 / d1) predicts more than RESTART_MIN_SWEEPS
-    further sweeps, the same problem is solved on Nc = N // COARSEN nodes
-    (restarting there in turn) and, if that solve converges, its iterate
-    interpolated to the nodes replaces the current one.  The coarse solve
-    stops at the looser of tol and COARSE_TOL (FFT_MIN_LENGTH / Nc)^2,
-    near the gap between the two grids' solutions from which the sweeps
-    here go on, and fails after min(max_sweeps, ceil(COARSEN * the
-    predicted further sweeps)) sweeps: at about 1/COARSEN of the cost of
-    a sweep here, that is about the cost of the sweeps it was to save.
-    The fixed point and the stop rules here are the same either way.  The
-    trace keeps one diff per sweep on this grid, so ``iterations`` counts
-    the sweeps on this grid only.  A solve whose coarse solve fails sweeps
-    on as if it had none.
+    Every row sweeps the whole grid twice.  A row whose diffs d1, d2 then
+    do not shrink, or predict log(tol / d2) / log(d2 / d1) > MARCH_MIN_SWEEPS
+    further sweeps, marches (:func:`_solve_block`): block by block of
+    :func:`march_blocks`, with a per-node secant step on the map, and
+    from the block's part of its second iterate.  Every other row goes on
+    with plain Picard sweeps of the whole grid.  Both stop on the same
+    tol, at the same fixed point.  The rule and its numbers come from
+    medians of 5 in-process solves of the nonlinear and long-horizon
+    problems (alpha 0.3-0.9, T 0.5-9) on a 2-core VM.  At N = 4096,
+    where a march is 4 blocks and costs 4-10 ms, 12 of the 14 rows
+    predicting 9-13.8 further sweeps ran faster cold (3.0-7.3 ms against
+    4.4-8.9 ms marched).  The nonlinear problem from omega0 = 0 at
+    alpha 0.65, predicting 14.1, took 17.4 ms (38 sweeps) cold and 9.4 ms
+    marched, and the 12 rows predicting 17.6 or more gained 1.3-73 ms
+    each.  On fewer than 2 MARCH_BLOCK_STEPS steps a march is one block,
+    and 29 of the 30 rows predicting more than 13 ran faster marched
+    (0.7-3.5 ms against 1.1-27 ms cold, N = 256 and 1024).  Long-horizon
+    benchmark rows predict 4-9 further sweeps, and sweep cold.
 
     Stops when the sup-norm iterate difference drops to tol; raises
     :class:`MaxSweepsExceeded` (carrying the best trace, and stating the
@@ -559,7 +636,11 @@ def picard_solve(
     its subclass :class:`NonFiniteIterate` at the first sweep whose
     iterate is not finite.  That trace keeps the iterate before it, and
     its last diff and its residuals are those of the sweep that failed.
-    The one-row case of :func:`picard_stack`.
+    A marched row counts those sweeps in its block, and its error names
+    the first node of the block that has not converged, and its tau.
+    ``iterations`` counts a marched row's sweeps on the whole grid and in
+    every block, one diff each, but not the sweep per block that gives
+    its residuals.  The one-row case of :func:`picard_stack`.
     """
     return picard_stack(spec, grid, tol=tol, max_sweeps=max_sweeps)[0]
 

@@ -201,6 +201,23 @@ class TestSolve:
         summary = (tmp_path / "trace.csv.summary.txt").read_text()
         assert "converged=False" in summary
 
+    def test_blow_up_names_where_it_fails(self, tmp_path, capsys):
+        # the solution blows up before tau = 0.57; the march fails in its
+        # second block
+        path = tmp_path / "blow_up.txt"
+        path.write_text("alpha=0.5\nT=1\nomega0=0.5\nf=1\ng=tau*cos(omega) + 5*omega*tau\n")
+        out = tmp_path / "trace.csv"
+        code = main(["solve", str(path), "--n", "4096", "--out", str(out)])
+        assert code == EXIT_MAX_SWEEPS
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "E_MAXSWEEPS: no convergence at node 1186 (tau = 0.289551) in 31 sweeps of the "
+            "march block of nodes 1025..2048, the diff growing over the last 30"
+        )
+        summary = (tmp_path / "trace.csv.summary.txt").read_text()
+        assert "converged=False" in summary and "iterations=46" in summary
+
     @pytest.mark.parametrize(
         "argv", [["solve", "--out", "t.csv"], ["extremal", "--out-prefix", "lv"]],
         ids=["solve", "extremal"],

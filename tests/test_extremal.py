@@ -302,11 +302,12 @@ class TestOneStack:
         assert str(shifts[-1]) == "-0.0"
         assert_same_outcome(per_level(*args), solver.picard_stack(spec, args[1], shifts))
 
-    @pytest.mark.parametrize("sign, cap", [(+1, 43), (+1, 44), (-1, 46)])
+    @pytest.mark.parametrize("sign, cap", [(+1, 10), (+1, 9), (-1, 9)])
     def test_max_sweeps_in_some_levels(self, sign, cap):
-        # the levels take 43, 44, 45, 45 sweeps above and 47, 46, 46, 46 below
+        # the levels march in one block after 2 whole-grid sweeps, and take
+        # 9, 10, 10, 11 sweeps there above and 10, 8, 10, 10 below
         spec = load_problem(NONLINEAR_TEXT)
-        args = (spec, Grid(spec.T, 64), sign, 0.1, 0.5, 4, cap)
+        args = (spec, Grid(spec.T, 16), sign, 0.1, 0.5, 4, cap)
         want = per_level(*args)
         assert isinstance(want, MaxSweepsExceeded)
         assert_same_outcome(want, stacked(*args))
@@ -354,8 +355,8 @@ class TestOneStack:
 
     def test_an_earlier_level_fails_first_in_level_order(self):
         # the third level fails at its first sweep, but the first level
-        # comes first and runs out of sweeps at its 40th
-        args = (self.band_spec(), Grid(1.0, 16), +1, 0.1, 0.5, 4, 40)
+        # comes first and runs out of sweeps at the 8th of its march
+        args = (self.band_spec(), Grid(1.0, 16), +1, 0.1, 0.5, 4, 8)
         want = per_level(*args)
         assert type(want) is MaxSweepsExceeded
         assert_same_outcome(want, stacked(*args))
@@ -388,47 +389,75 @@ class TestOneStack:
         assert_same_outcome(want, stacked(spec, grid, +1, levels=5))
 
     def cold_sweeps(self, monkeypatch, spec, grid, sign):
-        """The sweeps of each level with the coarse-grid restart off."""
+        """The sweeps of each level with every level on whole-grid sweeps."""
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "COARSEN", 2**40)
+            patch.setattr(solver, "MARCH_MIN_SWEEPS", math.inf)
             return [t.iterations for t in stacked(spec, grid, sign)]
 
-    @pytest.mark.parametrize("sign", [+1, -1])
-    def test_restarted_levels_are_bitwise_the_per_level_solves(self, monkeypatch, sign):
-        # 4096 nodes restart every level from a solve on 512
+    @pytest.mark.parametrize(
+        "sign, sweeps", [(+1, [37, 36, 35, 35]), (-1, [38, 38, 35, 35])]
+    )
+    def test_marched_levels_are_bitwise_the_per_level_solves(self, monkeypatch, sign, sweeps):
+        # 4096 nodes march every level in 4 blocks; on the whole grid the
+        # levels take 43-47 sweeps
         spec = load_problem(NONLINEAR_TEXT)
         grid = Grid(spec.T, 4096)
         cold = self.cold_sweeps(monkeypatch, spec, grid, sign)
+        assert all(43 <= n <= 47 for n in cold)
         want = per_level(spec, grid, sign)
-        assert all(t.iterations < 0.7 * n for t, n in zip(want, cold))
+        assert [t.iterations for t in want] == sweeps
+        assert all(t.residual_sup <= 1e-10 for t in want)
         assert_same_outcome(want, stacked(spec, grid, sign))
 
-    def test_a_level_whose_coarse_solve_raises_sweeps_on_cold(self, monkeypatch):
-        # the stacked coarse sweep raises, so the coarse levels are solved
-        # again one by one, and only the third level's raises
+    def test_a_level_whose_block_sweep_raises_fails_in_level_order(self):
+        # the stacked sweep of the first block raises, so the levels are
+        # solved again one by one, and the third raises there: its node 0
+        # alone sits in [0.53, 0.54) in that block
         base = load_problem(NONLINEAR_TEXT)
-        third = base.omega0 + 1 * (0.1 * 0.5**2)
 
         @takes_arrays
         def g(t, w):
-            if np.shape(w)[-1] == 513 and np.any(w == third):
-                raise ValueError("the third level on the coarse grid")
+            if np.shape(w)[-1] == 1025 and np.any((0.53 <= w[..., 0]) & (w[..., 0] < 0.54)):
+                raise ValueError("the third level in the first block")
             return base.g(t, w)
 
         spec = replace(base, g=g)
         grid = Grid(spec.T, 4096)
-        cold = self.cold_sweeps(monkeypatch, spec, grid, +1)
         want = per_level(spec, grid, +1)
-        assert [t.iterations == n for t, n in zip(want, cold)] == [False, False, True, False]
+        assert str(want) == "the third level in the first block"
         assert_same_outcome(want, stacked(spec, grid, +1))
+        assert [t.iterations for t in per_level(spec, grid, +1, levels=2)] == [37, 36]
 
-    def test_restarted_levels_build_each_grid_once(self, weight_builds):
+    def test_marched_levels_build_the_grid_once(self, weight_builds):
         spec = load_problem(NONLINEAR_TEXT)
         bracket_maximal(spec, Grid(spec.T, 4096), levels=4)
-        assert weight_builds == [4096, 512]
+        # the RL weights, and the convolution of each block's 1024 steps
+        assert weight_builds == [4096, 1024]
+
+    def test_one_g_sample_per_sweep_of_a_marched_stack(self, monkeypatch):
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, 64)
+        sweeps = [t.iterations for t in per_level(spec, grid, +1)]
+        calls = []
+        g_samples = ProblemSpec.g_samples
+
+        def counted(self, taus, omegas):
+            calls.append(np.shape(omegas))
+            return g_samples(self, taus, omegas)
+
+        monkeypatch.setattr(ProblemSpec, "g_samples", counted)
+        bracket_maximal(spec, grid, levels=4)
+        # one block on 64 nodes: each sweep, then the residuals, of the
+        # slowest level
+        assert len(calls) == max(sweeps) + 1
+        assert calls[:3] == [(4, grid.N + 1)] * 3
 
     def test_one_rhs_operator_call_per_sweep_of_the_stack(self, monkeypatch):
-        spec = load_problem(NONLINEAR_TEXT)
+        # lam T^alpha = 1.5: the levels sweep the whole grid, 7 or 8 times each
+        spec = load_problem(
+            "alpha=0.6\nT={T!r}\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)".format(
+                T=(1.5 * 0.4 / 0.6) ** (1 / 0.6))
+        )
         grid = Grid(spec.T, 64)
         sweeps = [t.iterations for t in per_level(spec, grid, +1)]
         calls = []

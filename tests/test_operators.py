@@ -397,7 +397,9 @@ class TestConvolutionPaths:
     def test_solve_builds_the_stencil_once(self, weight_builds):
         trace = picard_solve(load_problem(NONLINEAR_TEXT), Grid(2.0, 2048))
         assert trace.iterations > 10
-        assert weight_builds == [2048]  # the RL moment increments W
+        # the RL moment increments W, and the first 1024 of them, which
+        # convolve the steps of each of the march's two blocks
+        assert weight_builds == [2048, 1024]
 
     def test_comparison_builds_the_stencil_once(self, weight_builds):
         spec = load_problem("alpha = 0.5\nT = 1\nomega0 = 1\nf = 1\ng = 0\n")
@@ -437,6 +439,42 @@ class TestDiscretization:
         grid = Grid(1.5, 40)
         assert discretization(grid, 0.35) is discretization(Grid(1.5, 40), 0.35)
         assert discretization(grid, 0.35) is not discretization(grid, 0.45)
+
+    @pytest.mark.parametrize(
+        "N, blocks",
+        [
+            # the grid's convolution direct, then by FFT; blocks of fewer and
+            # of more than FFT_MIN_LENGTH steps, on both sides of node 512
+            (300, [(1, 2), (1, 50), (2, 3), (120, 301)]),
+            (1100, [(1, 101), (300, 700), (500, 1012), (600, 1101), (1100, 1101)]),
+            (4096, [(1025, 2049), (3000, 4097), (2, 600)]),
+        ],
+    )
+    def test_history_and_block_make_rl_integral(self, N, blocks):
+        grid = Grid(2.0, N)
+        disc = Discretization(grid, 0.45)
+        stack = np.array(convolution_data(grid))
+        want = rl_integral(stack, grid, 0.45)
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        for lo, hi in blocks:
+            got = disc.history(stack, lo, hi) + disc.block(stack[:, lo - 1 : hi])
+            assert np.all(np.abs(got - want[:, lo:hi]) <= 1e-12 * scale)
+            for row, out in zip(stack, got):
+                alone = disc.history(row, lo, hi) + disc.block(row[lo - 1 : hi])
+                assert alone.tobytes() == out.tobytes()
+        # the first block: node 0 and its steps alone, and the start value
+        start = disc.rl[0]
+        for hi in (2, 200, N + 1):
+            got = stack[:, :1] * start[: hi - 1] + disc.block(stack[:, :hi])
+            assert np.all(np.abs(got - want[:, 1:hi]) <= 1e-12 * scale)
+
+    def test_a_block_length_builds_its_weights_once(self, weight_builds):
+        disc = Discretization(Grid(1.0, 2048), 0.5)
+        x = np.sin(disc.grid.nodes)
+        for lo in (1025, 1, 1025):
+            disc.block(x[lo - 1 : lo + 1024])
+        disc.block(x[:600])
+        assert weight_builds == [2048, 1024, 599]
 
     def test_solve_leaves_the_kernel_unbuilt(self, weight_builds):
         spec = load_problem(NONLINEAR_TEXT)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -329,6 +330,54 @@ class TestRhsOperator:
         assert calls == ["_checked"]
 
 
+LONG_HORIZON_TEXT = (  # lam T^alpha = 1.5; predicts about 4 more sweeps after its second
+    "alpha=0.6\nT={T!r}\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
+).format(T=(1.5 * 0.4 / 0.6) ** (1 / 0.6))
+CORNER_TEXT = "alpha=0.5\nT=9\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
+BLOW_UP_TEXT = "alpha=0.5\nT=1\nomega0=0.5\nf=1\ng=tau*cos(omega) + 5*omega*tau"
+# from omega0 = 0 the nonlinear problem predicts 14.1 more sweeps after its second
+FAST_START_TEXT = NONLINEAR_TEXT.replace("alpha = 0.6", "alpha = 0.65").replace(
+    "omega0 = 0.5", "omega0 = 0"
+)
+SLOW_ALPHA_TEXT = NONLINEAR_TEXT.replace("alpha = 0.6", "alpha = 0.3").replace(
+    "omega0 = 0.5", "omega0 = 0"
+)
+# whole-grid Picard fails here (N = 1024 to 65536); the march converges
+LONG_RUN_TEXT = (
+    "alpha=0.9\nT=10\nomega0=0\nf=1 + 0.1*sin(omega)\ng=tau*cos(omega) + 0.05*omega*tau"
+)
+
+
+def cold(monkeypatch, solve):
+    """The outcome of solve() with every row on whole-grid sweeps."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "MARCH_MIN_SWEEPS", math.inf)
+        return outcome(solve)
+
+
+@pytest.fixture
+def block_sweeps(monkeypatch):
+    """Counts the solver's sweeps by their g samples: calling the result
+    gives the length of each run of sweeps over the same nodes since the
+    last call, the whole grid's and then each march block's, whose last
+    sweep gives the block's residuals."""
+    calls = []
+    g_samples = ProblemSpec.g_samples
+
+    def counted(self, taus, omegas):
+        calls.append((float(np.ravel(taus)[0]), np.shape(omegas)[-1]))
+        return g_samples(self, taus, omegas)
+
+    monkeypatch.setattr(ProblemSpec, "g_samples", counted)
+
+    def runs():
+        counts = [len(list(run)) for _, run in itertools.groupby(calls)]
+        del calls[:]
+        return counts
+
+    return runs
+
+
 class TestPicard:
     def test_constant_solution(self):
         trace = picard_solve(constant_forcing_spec(omega0=1.5), Grid(1.0, 32))
@@ -355,6 +404,9 @@ class TestPicard:
         assert trace.residual_sup <= 1e-14
 
     def test_divergence_raises_with_trace(self):
+        # the diffs grow from the second sweep, so the row marches, and its
+        # first block runs out of sweeps: (1 - alpha) dg/domega = 5 leaves
+        # the secant no slope above SECANT_MIN_SLOPE, so it sweeps Picard
         s = ProblemSpec(
             T=1.0,
             omega0=0.0,
@@ -367,11 +419,13 @@ class TestPicard:
         trace = exc.value.trace
         assert trace is not None
         assert not trace.converged
-        assert trace.iterations == 10
-        assert len(trace.iterate_diffs) == 10
+        assert trace.iterations == 2 + 10
+        assert len(trace.iterate_diffs) == 12
+        assert np.isfinite(trace.omega).all()
         d = trace.iterate_diffs
         assert str(exc.value) == (
-            f"no convergence in 10 sweeps (last diff {d[-1]:.3e}, last ratio {d[-1] / d[-2]:.3g})"
+            "no convergence at node 1 (tau = 0.0625) in 10 sweeps of the march block "
+            f"of nodes 0..16 (last diff {d[-1]:.3e}, last ratio {d[-1] / d[-2]:.3g})"
         )
 
     def test_one_sweep_has_no_ratio(self):
@@ -380,38 +434,61 @@ class TestPicard:
         d = exc.value.trace.iterate_diffs
         assert str(exc.value) == f"no convergence in 1 sweeps (last diff {d[-1]:.3e})"
 
-    def test_blow_up_stops_on_growing_diffs(self):
-        # the solution blows up before tau = 0.57: every diff grows, up to
-        # 1e89 at sweep 200
-        spec = load_problem(
-            "alpha=0.5\nT=1\nomega0=0.5\nf=1\ng=tau*cos(omega) + 5*omega*tau"
-        )
-        with pytest.raises(MaxSweepsExceeded) as exc:
-            picard_solve(spec, Grid(1.0, 1024))
-        assert type(exc.value) is MaxSweepsExceeded
-        diffs = exc.value.trace.iterate_diffs
+    def test_growing_diffs_stop_a_whole_grid_row(self, monkeypatch):
+        # the blow-up case, which marches, swept on the whole grid: every
+        # diff grows, up to 1e89 at sweep 200
+        spec = load_problem(BLOW_UP_TEXT)
+        exc = cold(monkeypatch, lambda: picard_solve(spec, Grid(1.0, 1024)))
+        assert type(exc) is MaxSweepsExceeded
+        diffs = exc.trace.iterate_diffs
         assert len(diffs) == MAX_GROWING_SWEEPS + 1
         assert all(b > a for a, b in zip(diffs, diffs[1:]))
-        assert str(exc.value) == (
+        assert str(exc) == (
             f"no convergence in {MAX_GROWING_SWEEPS + 1} sweeps, "
             f"the diff growing over the last {MAX_GROWING_SWEEPS} "
             f"(last diff {diffs[-1]:.3e}, last ratio {diffs[-1] / diffs[-2]:.3g})"
         )
 
-    def test_slow_start_is_not_stopped(self):
-        # the long-horizon benchmark corner: alpha = 0.5, lam T^alpha = 3;
-        # its diffs grow 3 sweeps in a row before they contract
-        spec = load_problem(
-            "alpha=0.5\nT=9\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
+    def test_blow_up_names_where_it_fails(self):
+        # the solution blows up before tau* = 0.57; the march solves the
+        # first block and fails in the second, at tau = 0.29, where
+        # (1 - alpha) dg/domega nears 1 - SECANT_MIN_SLOPE
+        spec = load_problem(BLOW_UP_TEXT)
+        with pytest.raises(MaxSweepsExceeded) as exc:
+            picard_solve(spec, Grid(1.0, 4096))
+        assert type(exc.value) is MaxSweepsExceeded
+        trace = exc.value.trace
+        # 2 whole-grid sweeps, 13 in the first block and 31 in the second
+        assert trace.iterations == 2 + 13 + MAX_GROWING_SWEEPS + 1
+        diffs = trace.iterate_diffs[-MAX_GROWING_SWEEPS - 1 :]
+        assert all(b > a for a, b in zip(diffs, diffs[1:]))
+        assert str(exc.value) == (
+            "no convergence at node 1186 (tau = 0.289551) in 31 sweeps of the march block "
+            f"of nodes 1025..2048, the diff growing over the last {MAX_GROWING_SWEEPS} "
+            f"(last diff {diffs[-1]:.3e}, last ratio {diffs[-1] / diffs[-2]:.3g})"
         )
-        trace = picard_solve(spec, Grid(9.0, 256))
-        assert trace.converged and trace.iterations == 69
+        # the first block converged; the nodes after the second were not reached
+        assert trace.residuals[:1025].max() <= 1e-10
+        assert np.isnan(trace.residuals[2049:]).all()
+
+    def test_slow_start_marches(self, monkeypatch):
+        # the long-horizon benchmark corner: alpha = 0.5, lam T^alpha = 3;
+        # its diffs grow 3 sweeps in a row before they contract, so it
+        # marches, in one block on 256 nodes
+        spec = load_problem(CORNER_TEXT)
+        grid = Grid(9.0, 256)
+        trace = picard_solve(spec, grid)
+        assert trace.converged and trace.iterations == 14
+        # swept on the whole grid, the growing-diff stop leaves it alone
+        cold_trace = cold(monkeypatch, lambda: picard_solve(spec, grid))
+        assert cold_trace.converged and cold_trace.iterations == 69
         run = longest = 0
-        for a, b in zip(trace.iterate_diffs, trace.iterate_diffs[1:]):
+        for a, b in zip(cold_trace.iterate_diffs, cold_trace.iterate_diffs[1:]):
             run = run + 1 if b > a else 0
             longest = max(longest, run)
         assert longest == 3
         assert MAX_GROWING_SWEEPS >= 3 * longest
+        assert np.max(np.abs(trace.omega - cold_trace.omega)) <= 1e-9
 
     def test_non_finite_iterate_stops_the_solve(self):
         @takes_arrays
@@ -493,140 +570,150 @@ class TestPicard:
         assert np.array_equal(a, b)
 
 
-# the shortest grid on which Picard restarts: 4096 // COARSEN == FFT_MIN_LENGTH
-N_RESTART = 4096
-NO_RESTART = 2**40  # a COARSEN that leaves no coarse grid, for the cold path
-LONG_HORIZON_TEXT = (  # lam T^alpha = 1.5; predicts about 4 more sweeps after its second
-    "alpha=0.6\nT={T!r}\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
-).format(T=(1.5 * 0.4 / 0.6) ** (1 / 0.6))
-CORNER_TEXT = "alpha=0.5\nT=9\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
-BLOW_UP_TEXT = "alpha=0.5\nT=1\nomega0=0.5\nf=1\ng=tau*cos(omega) + 5*omega*tau"
-# from omega0 = 0 the nonlinear problem predicts 14 more sweeps after its second
-FAST_START_TEXT = NONLINEAR_TEXT.replace("alpha = 0.6", "alpha = 0.65").replace(
-    "omega0 = 0.5", "omega0 = 0"
-)
-SLOW_ALPHA_TEXT = NONLINEAR_TEXT.replace("alpha = 0.6", "alpha = 0.3").replace(
-    "omega0 = 0.5", "omega0 = 0"
-)
-
-
-@pytest.fixture
-def sweep_grids(monkeypatch):
-    """The N of the grid of each rhs_operator call of the solver."""
-    calls = []
-    rhs = solver.rhs_operator
-
-    def counted(spec, omega, grid):
-        calls.append(grid.N)
-        return rhs(spec, omega, grid)
-
-    monkeypatch.setattr(solver, "rhs_operator", counted)
-    return calls
-
-
-def cold(monkeypatch, solve):
-    """The outcome of solve() with the coarse-grid restart off."""
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "COARSEN", NO_RESTART)
-        return outcome(solve)
-
-
-class TestCoarseRestart:
-    """A slow row on N >= 4096 nodes restarts from a solve on N // 8
-    nodes after its second sweep; every other row sweeps as before."""
+class TestMarch:
+    """A row whose first two diffs predict more than MARCH_MIN_SWEEPS
+    further sweeps, or grow, marches block by block after its second
+    sweep; every other row sweeps the whole grid as before."""
 
     @pytest.mark.parametrize(
-        "make",
+        "make, N, sweeps",
         [
-            lambda: load_problem(MANUFACTURED_TEXT),  # converges in 2 sweeps
-            lambda: constant_forcing_spec(omega0=1.5),
-            lambda: load_problem(LONG_HORIZON_TEXT),
-            lambda: load_problem(CORNER_TEXT),  # its diffs grow at first
-            lambda: load_problem(FAST_START_TEXT),
-            lambda: load_problem(BLOW_UP_TEXT),
+            (lambda: load_problem(MANUFACTURED_TEXT), 4096, 2),  # converges in 2 sweeps
+            (lambda: constant_forcing_spec(omega0=1.5), 4096, 1),
+            (lambda: load_problem(LONG_HORIZON_TEXT), 4096, 7),
+            (lambda: load_problem(LONG_HORIZON_TEXT), 256, 7),
         ],
-        ids=["manufactured", "constant", "long-horizon", "corner", "fast-start", "blow-up"],
+        ids=["manufactured", "constant", "long-horizon", "long-horizon-256"],
     )
-    def test_rows_that_do_not_restart_sweep_as_cold(self, monkeypatch, sweep_grids, make):
+    def test_fast_rows_sweep_the_whole_grid_as_before(
+        self, monkeypatch, block_sweeps, make, N, sweeps
+    ):
         spec = make()
-        grid = Grid(spec.T, N_RESTART)
+        grid = Grid(spec.T, N)
         want = cold(monkeypatch, lambda: [picard_solve(spec, grid)])
-        del sweep_grids[:]
-        assert_same_outcome(want, outcome(lambda: [picard_solve(spec, grid)]))
-        assert set(sweep_grids) == {N_RESTART}
+        block_sweeps()
+        got = outcome(lambda: [picard_solve(spec, grid)])
+        assert_same_outcome(want, got)
+        # every sweep, and the one that gives the residuals, on the whole grid
+        assert got[0].iterations == sweeps
+        assert block_sweeps() == [sweeps + 1]
 
-    @pytest.mark.parametrize("text", [NONLINEAR_TEXT, SLOW_ALPHA_TEXT], ids=["nonlinear", "alpha-0.3"])
-    def test_slow_rows_restart_to_the_same_fixed_point(self, monkeypatch, sweep_grids, text):
+    @pytest.mark.parametrize(
+        "text, runs",
+        [
+            (NONLINEAR_TEXT, [2, 9, 8, 10, 12]),
+            (SLOW_ALPHA_TEXT, [2, 7, 7, 12, 11]),
+            (FAST_START_TEXT, [2, 6, 8, 8, 16]),
+        ],
+        ids=["nonlinear", "alpha-0.3", "fast-start"],
+    )
+    def test_slow_rows_march_to_the_same_fixed_point(
+        self, monkeypatch, block_sweeps, text, runs
+    ):
         spec = load_problem(text)
-        grid = Grid(spec.T, N_RESTART)
+        grid = Grid(spec.T, 4096)
         want = cold(monkeypatch, lambda: picard_solve(spec, grid))
-        del sweep_grids[:]
+        assert want.converged  # in 45, 189 and 38 sweeps
+        predicted = solver._predicted_sweeps(want.iterate_diffs[:2], solver.DEFAULT_TOL)
+        assert predicted > solver.MARCH_MIN_SWEEPS
+        block_sweeps()
         got = picard_solve(spec, grid)
         assert got.converged and got.residual_sup <= 1e-9
         assert np.max(np.abs(got.omega - want.omega)) <= 1e-9
-        # the same first two sweeps; the third starts from the coarse solve,
-        # at its grid's error (about 1e-5 here), and then fewer: 45 -> 26
-        # and 189 -> 103
         assert got.iterate_diffs[:2] == want.iterate_diffs[:2]
-        assert got.iterate_diffs[2] < 1e-3 * want.iterate_diffs[2]
-        assert got.iterations < 0.6 * want.iterations
-        # iterations counts every sweep on the grid, and the residuals take one more
-        assert sweep_grids.count(N_RESTART) == got.iterations + 1
-        assert set(sweep_grids) == {N_RESTART, N_RESTART // solver.COARSEN}
+        # two whole-grid sweeps, then each of the 4 blocks, whose last sweep
+        # gives its residuals
+        assert block_sweeps() == runs
+        assert got.iterations == sum(runs) - 4
 
-    def test_a_failing_coarse_solve_leaves_the_row_cold(self, monkeypatch, sweep_grids):
-        # alpha = 0.9, T = 10 predicts 20 more sweeps after its second, but
-        # Picard converges on neither grid
-        spec = load_problem(
-            "alpha=0.9\nT=10\nomega0=0\nf=1 + 0.1*sin(omega)\ng=tau*cos(omega) + 0.05*omega*tau"
-        )
-        grid = Grid(spec.T, N_RESTART)
+    def test_the_residuals_are_the_operators(self):
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, 4096)
+        trace = picard_solve(spec, grid)
+        assert trace.iterations > 20
+        residuals = np.abs(trace.omega - rhs_operator(spec, trace.omega, grid))
+        assert np.max(np.abs(trace.residuals - residuals)) <= 1e-13
+
+    @pytest.mark.parametrize("N", [64, 256, 2048, 4096])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("omega0", [0.0, 1.0])
+    def test_marched_rows_agree_with_whole_grid_sweeps(self, monkeypatch, N, alpha, omega0):
+        text = NONLINEAR_TEXT.replace("alpha = 0.6", f"alpha = {alpha}")
+        spec = load_problem(text.replace("omega0 = 0.5", f"omega0 = {omega0}"))
+        grid = Grid(spec.T, N)
+        # alpha = 0.3 sweeps up to 232 times on the whole grid
+        want = cold(monkeypatch, lambda: picard_solve(spec, grid, max_sweeps=400))
+        got = picard_solve(spec, grid)
+        assert want.converged and got.converged
+        assert np.max(np.abs(got.omega - want.omega)) <= 1e-9
+        assert got.residual_sup <= 1e-10
+
+    def test_a_long_run_that_picard_fails_converges(self, monkeypatch, block_sweeps):
+        # alpha = 0.9, T = 10: whole-grid sweeps stall near a diff of 10
+        spec = load_problem(LONG_RUN_TEXT)
+        grid = Grid(spec.T, 4096)
         want = cold(monkeypatch, lambda: picard_solve(spec, grid))
         assert type(want) is MaxSweepsExceeded and want.trace.iterations == 200
-        del sweep_grids[:]
-        assert_same_outcome(want, outcome(lambda: picard_solve(spec, grid)))
-        # the coarse solve gives up after COARSEN times the predicted sweeps
-        # (160 of the 200 it may take), and the residuals of the last
-        predicted = solver._predicted_sweeps(want.trace.iterate_diffs[:2], solver.DEFAULT_TOL)
-        assert 19 < predicted < 20
-        cap = math.ceil(solver.COARSEN * predicted)
-        assert sweep_grids.count(N_RESTART // solver.COARSEN) == cap + 1
+        block_sweeps()
+        got = picard_solve(spec, grid)
+        assert block_sweeps() == [2, 17, 37, 49, 85]
+        residuals = np.abs(got.omega - rhs_operator(spec, got.omega, grid))
+        assert got.converged and residuals.max() <= 1e-9
 
-    @pytest.mark.parametrize("N", [N_RESTART, 8 * N_RESTART])
-    def test_the_coarse_solve_stops_near_the_gap_between_the_grids(self, sweep_grids, N):
-        # on Nc nodes at COARSE_TOL (512 / Nc)^2: 1e-6 on 512 nodes, and
-        # 1e-6 / 64 on 4096, which restarts from 512 in turn
-        spec = load_problem(NONLINEAR_TEXT)
-        got = picard_solve(spec, Grid(spec.T, N))
-        coarse = Grid(spec.T, N // solver.COARSEN)
-        coarse_tol = solver.COARSE_TOL * (512 / coarse.N) ** 2
-        counts = [sweep_grids.count(n) for n in (N, coarse.N)]
-        del sweep_grids[:]
-        alone = picard_solve(spec, coarse, tol=coarse_tol)
-        assert counts == [got.iterations + 1, sweep_grids.count(coarse.N)]
-        assert alone.iterate_diffs[-1] <= coarse_tol < alone.iterate_diffs[-2]
+    def test_a_non_finite_step_names_its_node(self):
+        # g is NaN past tau = 1.5 once the row marches
+        base = load_problem(NONLINEAR_TEXT)
 
-    def test_a_raising_coarse_solve_leaves_the_row_cold(self, monkeypatch, sweep_grids):
         @takes_arrays
         def g(t, w):
-            if np.shape(w)[-1] == N_RESTART // solver.COARSEN + 1:
-                raise ValueError("on the coarse grid")
-            return t * np.cos(w) + 0.5 * w * t
+            out = base.g(t, w)
+            if np.ndim(w) == 2:
+                out = np.where(t > 1.5, np.nan, out)
+            return out
 
-        spec = ProblemSpec(T=2.0, omega0=0.5, f=load_problem(NONLINEAR_TEXT).f, g=g,
-                           cfg=OperatorConfig(0.6))
-        grid = Grid(spec.T, N_RESTART)
-        want = cold(monkeypatch, lambda: [picard_solve(spec, grid)])
-        del sweep_grids[:]
-        assert_same_outcome(want, outcome(lambda: [picard_solve(spec, grid)]))
-        assert sweep_grids.count(N_RESTART // solver.COARSEN) == 1
+        spec = ProblemSpec(T=2.0, omega0=0.5, f=base.f, g=g, cfg=base.cfg)
+        with pytest.raises(NonFiniteIterate) as exc:
+            picard_solve(spec, Grid(2.0, 4096))
+        assert str(exc.value) == (
+            "sweep 1 of the march block of nodes 3073..4096 gave a non-finite iterate "
+            "at node 3073 (tau = 1.50049) (diff nan)"
+        )
+        trace = exc.value.trace
+        assert np.isfinite(trace.omega).all()
+        assert trace.residuals[:3073].max() <= 1e-10
 
-    def test_three_nested_grids_build_their_weights_once(self, weight_builds, sweep_grids):
-        # 32768 restarts from 4096, which restarts from 512
+    def test_a_raising_block_sweep_raises(self, block_sweeps):
+        base = load_problem(NONLINEAR_TEXT)
+
+        @takes_arrays
+        def g(t, w):
+            if np.shape(w)[-1] == 1024:
+                raise ValueError("on a block")
+            return base.g(t, w)
+
+        spec = ProblemSpec(T=2.0, omega0=0.5, f=base.f, g=g, cfg=base.cfg)
+        with pytest.raises(ValueError, match="on a block"):
+            picard_solve(spec, Grid(spec.T, 4096))
+        # the whole grid twice, the first block, and the first sweep of the second
+        assert block_sweeps() == [2, 9, 1]
+
+    def test_a_march_builds_its_weights_once(self, weight_builds):
         spec = load_problem(NONLINEAR_TEXT)
-        picard_solve(spec, Grid(spec.T, 8 * N_RESTART))
-        assert set(sweep_grids) == {8 * N_RESTART, N_RESTART, N_RESTART // 8}
-        assert weight_builds == [8 * N_RESTART, N_RESTART, N_RESTART // 8]
+        trace = picard_solve(spec, Grid(spec.T, 32768))
+        assert trace.converged and trace.residual_sup <= 1e-10
+        # the grid's RL weights, and the convolution of each block's steps
+        assert weight_builds == [32768, 8192]
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 2047, 2048, 3001, 4096, 4099, 65536])
+    def test_the_blocks_cover_the_grid_alike(self, N):
+        blocks = solver.march_blocks(N)
+        assert blocks[0][0] == 0 and blocks[-1][1] == N + 1
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        # node 0 and the steps after it, then steps after the node before each block
+        steps = [blocks[0][1] - 1] + [hi - lo for lo, hi in blocks[1:]]
+        assert max(steps) - min(steps) <= 1 and min(steps) >= 1
+        count = max(1, min(solver.MARCH_BLOCKS, N // solver.MARCH_BLOCK_STEPS))
+        assert len(blocks) == count
 
 
 class TestExistenceCondition:
