@@ -15,9 +15,9 @@ long grids, their spectra; :func:`discretization` shares it between
 calls, so a call costs one convolution: direct below ``FFT_MIN_LENGTH``
 weights, by FFT (O(N log N)) from there on.  It also splits the RL
 integral at a block of nodes into the part that the nodes before the
-block make and the part of the block's own steps, for the march of
-:mod:`abcfde.solver`.  Each operator takes one
-vector of node samples or a stack of them, and acts along the last axis.
+block make (by a cyclic FFT half as long) and the part of the block's
+own steps, for the march of :mod:`abcfde.solver`.  Each operator takes
+one vector of node samples or a stack of them, and acts along the last axis.
 """
 
 from __future__ import annotations
@@ -121,18 +121,19 @@ FFT_MIN_LENGTH = 512
 
 class _Convolution:
     """Causal convolution with fixed read-only weights and, from
-    FFT_MIN_LENGTH weights on, their real FFT of length
-    nfft >= 2 len(weights) - 1.  Called with x no longer than the
-    weights, it returns the entries lo .. hi - 1 (by default the first
-    len(weights)) of x * weights, along the last axis of a stack of
-    rows; each row gets bitwise what it gets alone."""
+    FFT_MIN_LENGTH weights on, their real FFT of length nfft, by default
+    the least power of two >= 2 len(weights) - 1; a shorter one, at least
+    len(weights), is cyclic, exact at entries len(x) - 1 .. nfft - 1.
+    Called with x no longer than the weights, it returns the entries
+    lo .. hi - 1 (by default the first len(weights)) of x * weights, along
+    the last axis of a stack of rows; each row gets bitwise what it gets alone."""
 
-    def __init__(self, weights: np.ndarray):
+    def __init__(self, weights: np.ndarray, nfft: int | None = None):
         weights.flags.writeable = False
         self.weights = weights
         self.spectrum = None
         if weights.size >= FFT_MIN_LENGTH:
-            self.nfft = 1 << (2 * weights.size - 2).bit_length()
+            self.nfft = nfft or 1 << (2 * weights.size - 2).bit_length()
             self.spectrum = np.fft.rfft(weights, self.nfft)
             self.spectrum.flags.writeable = False
 
@@ -191,29 +192,36 @@ class Discretization:
     def history(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The part of :func:`rl_integral` of x at nodes lo .. hi - 1
         (1 <= lo < hi <= N + 1) that the samples before node lo make: the
-        start value's term and the steps up to node lo - 1, by one
-        convolution.  :meth:`block` adds the steps from node lo - 1 on;
-        x holds node samples along its last axis, and only those before
-        node lo are read."""
-        start, unit, conv = self.rl
-        out = x[..., :1] * start[lo - 1 : hi - 1]
+        start value's term and the steps up to node lo - 1, by one cyclic
+        convolution of the least power-of-two length n >= hi - 1, exact as
+        each output lies after all its inputs (at most 4096 at N = 4096, where
+        :func:`rl_integral` takes 8192).  :meth:`block` adds the steps from
+        node lo - 1 on; x holds node samples along its last axis, and only
+        those before node lo are read."""
+        out = x[..., :1] * self.rl[0][lo - 1 : hi - 1]
         if lo > 1:
-            out += unit * conv(x[..., 1:lo] - x[..., : lo - 1], lo - 1, hi - 1)
+            n = 1 << (hi - 2).bit_length()
+            conv = self._convolution(n, n)
+            out += self.rl[1] * conv(x[..., 1:lo] - x[..., : lo - 1], lo - 1, hi - 1)
         return out
 
     def block(self, x: np.ndarray) -> np.ndarray:
         """The rest of :func:`rl_integral` at the m nodes of a block, from
         x, the samples at the node before the block and at the block's
         nodes: the term of their m steps, by a convolution with the first
-        m weights, built once per m."""
-        m = x.shape[-1] - 1
-        conv = self._blocks.get(m)
+        m weights."""
+        return self.rl[1] * self._convolution(x.shape[-1] - 1)(x[..., 1:] - x[..., :-1])
+
+    def _convolution(self, m: int, nfft: int | None = None) -> _Convolution:
+        """The convolution with the first m weights of :attr:`rl`, built
+        once per (m, nfft)."""
+        conv = self._convolutions.get((m, nfft))
         if conv is None:
-            conv = self._blocks[m] = _Convolution(self.rl[2].weights[:m])
-        return self.rl[1] * conv(x[..., 1:] - x[..., :-1])
+            conv = self._convolutions[m, nfft] = _Convolution(self.rl[2].weights[:m], nfft)
+        return conv
 
     @functools.cached_property
-    def _blocks(self) -> dict:
+    def _convolutions(self) -> dict:
         return {}
 
     @functools.cached_property

@@ -18,8 +18,10 @@ A solve that the first two Picard sweeps show to be slow marches
 instead: the grid is cut into a few blocks, solved in turn, each from the
 integral over the blocks before it (Hairer, Lubich and Schlichte's block
 structure) with a per-node secant step on the instantaneous term
-f (1-alpha)/B g, which is what holds Picard back.  The rest sweep the
-whole grid.
+f (1-alpha)/B g, which is what holds Picard back; each later block starts
+from the line through the last two solved nodes (Diethelm, Ford and
+Freed's predictor).  The rest sweep the whole grid.  A solve stops at the
+first sweep whose residual max |omega - T(omega)| is at most tol.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ class ProblemSpec:
 @dataclass
 class SolutionTrace:
     """A Picard solve: the last iterate, the sweep history (one diff per
-    sweep) and the residuals |omega - rhs_operator(omega)| at the nodes."""
+    sweep: the largest residual of the nodes it swept) and the residuals
+    |omega - rhs_operator(omega)| at the nodes."""
 
     grid: Grid
     omega: np.ndarray
@@ -338,7 +341,7 @@ def stack_rows(grid: Grid) -> int:
 #: A row whose first two diffs predict more than MARCH_MIN_SWEEPS further
 #: sweeps (:func:`_predicted_sweeps`), or whose diffs do not shrink,
 #: marches (:func:`picard_solve` gives the measurements).
-MARCH_MIN_SWEEPS = 13
+MARCH_MIN_SWEEPS = 10
 #: A march splits the grid into at most MARCH_BLOCKS blocks of at least
 #: MARCH_BLOCK_STEPS steps each, and a shorter grid into one.
 MARCH_BLOCKS = 4
@@ -396,10 +399,10 @@ def picard_stack(
 
     Row r gives bitwise the trace of :func:`picard_solve` on its own
     problem, ``perturbed(spec, |s|, sign of s)``: it starts from its own
-    omega0, marches on its own diffs, keeps its own diffs, stops at its
-    own sweep and then stops changing, and its residuals ride on the next
-    sweep of the stack.  The rows that march after their second sweep
-    march as one stack, each block in turn.  f,
+    omega0, marches on its own diffs, keeps its own diffs, and stops at
+    its own sweep, with that sweep's residuals, and then stops changing.
+    The rows that march after their second sweep march as one stack, each
+    block in turn.  f,
     g and the operator are called once per sweep on all rows still in the
     stack, in blocks of :func:`stack_rows` rows.  Raises what that
     per-row loop would raise first: the error of the first row that
@@ -449,23 +452,24 @@ def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
     MaxSweepsExceeded or NonFiniteIterate that ends it, in row order.
     None when a sweep of several rows raises; a sweep of one row raises.
 
-    A sweep takes the image y of the iterate w under the map.  Every row
-    sweeps the whole grid, w going on from y.  A row whose first two diffs
-    predict more than MARCH_MIN_SWEEPS further sweeps
-    (:func:`_predicted_sweeps`), or do not shrink, then marches, block by
-    block of :func:`march_blocks`.  There the integral from the nodes
-    before the block comes in once per block
+    A sweep takes the image y of the iterate w under the map; a row's diff
+    is its largest residual |w - y|.  Every row sweeps the whole grid, w
+    going on from y.  A row whose first two diffs predict more than
+    MARCH_MIN_SWEEPS further sweeps (:func:`_predicted_sweeps`), or do not
+    shrink, then marches, block by block of :func:`march_blocks`: the
+    first from its second image, each later one from the line through the
+    row's last two solved nodes.  There the integral from the nodes before
+    the block comes in once per block
     (:meth:`~abcfde.operators.Discretization.history`), and each node goes
     on from its secant step w - (w - y) / J, with J = 1 - (y - y') /
     (w - w') from its previous iterate w' and image y', or from y where J
-    is undefined or at most SECANT_MIN_SLOPE.  A row's diff is the largest
-    move of a node.  At a diff of at most tol the row stops (in that
-    block), after max_sweeps sweeps or MAX_GROWING_SWEEPS in a row whose
-    diff grew it fails, and one more sweep gives its residuals, and in a
-    block the g that later blocks' history needs.  A sweep that moves a
-    node to a non-finite value ends the row at once.  A march error names
-    the first node that was still to move more than tol, or to a
-    non-finite value, and its trace has NaN residuals after its block."""
+    is undefined or at most SECANT_MIN_SLOPE.  At a diff of at most tol
+    the row stops (in that block) with w, its residuals and, in a block,
+    the g at w that later blocks' history reads; after max_sweeps sweeps
+    or MAX_GROWING_SWEEPS in a row whose diff grew it fails, and at once
+    where y is not finite.  A march error names the first node whose
+    residual exceeds tol, and its tau; its trace has NaN residuals after
+    its block."""
     omega = np.full((len(rows), grid.N + 1), [[row.omega0] for row in rows])
     diffs: list[list[float]] = [[] for _ in rows]
     outcomes: list = [None] * len(rows)
@@ -476,20 +480,20 @@ def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
             break
         if march:
             disc = operators.discretization(grid, spec.alpha)  # the one rl_integral shares
-            start = disc.rl[0]
-            known = np.empty_like(omega)  # g at each row's marched iterate
+            known = np.empty_like(omega)  # g at each row's solved nodes
         slow = []  # the rows that leave the whole grid to march
         for lo, hi in march_blocks(grid.N) if march else [(0, grid.N + 1)]:
             taus = grid.nodes[lo:hi]
-            w = omega[live, lo:hi] if march else omega  # every row sweeps the whole grid
             if march and lo:
                 history = disc.history(known[live], lo, hi)
                 before = known[live, lo - 1 : lo]
+                last = omega[live, lo - 1 : lo]
+                w = last + np.arange(1.0, hi - lo + 1) * (last - omega[live, lo - 2 : lo - 1])
+            else:  # the first block from the second image; or every row on the whole grid
+                w = omega[live, :hi] if march else omega
             sweeping = list(range(len(live)))  # the positions in live still in the block
             block_diffs: list[list[float]] = [[] for _ in live]
             growing = [0] * len(live)  # sweeps in a row whose diff grew
-            due: dict[int, bool] = {}  # position -> converged, for rows whose residuals are next
-            node: dict[int, int] = {}  # position -> the node that a failing row names
             left = set()
             stack = w_prev = y_prev = None
             while True:
@@ -514,7 +518,7 @@ def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
                     step = y = y.reshape(w.shape)
                 else:
                     head, g_weight, c = stack._sweep_constants
-                    # an overflow leaves a non-finite step, which ends the row, and
+                    # an overflow leaves a non-finite image, which ends the row, and
                     # a 0/0 secant an undefined J
                     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                         if lo:
@@ -522,41 +526,35 @@ def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
                             integral = history[sweeping] + disc.block(steps)
                         else:
                             integral = np.zeros(g.shape)
-                            integral[:, 1:] = g[:, :1] * start[: hi - 1] + disc.block(g)
+                            integral[:, 1:] = disc.history(g, 1, hi) + disc.block(g)
                         step = y = f * (head + g_weight * g + c * integral)
                         if w_prev is not None:
                             slope = 1.0 - (y - y_prev) / (w - w_prev)
                             step = np.where(np.isfinite(slope) & (slope > SECANT_MIN_SLOPE),
                                             w - (w - y) / slope, y)
-                moves = np.abs(w - step)
+                res = np.abs(w - y)
                 keep = []
-                for i, (b, diff) in enumerate(zip(sweeping, moves.max(axis=1).tolist())):
+                for i, (b, diff) in enumerate(zip(sweeping, res.max(axis=1).tolist())):
                     r = live[b]
-                    if b not in due:
-                        diffs[r].append(diff)
-                        block_diffs[b].append(diff)
-                        # a finite diff needs a finite step; the converse can fail to overflow
-                        if math.isfinite(diff) or np.isfinite(step[i]).all():
-                            grew = len(block_diffs[b]) > 1 and diff > block_diffs[b][-2]
-                            growing[b] = growing[b] + 1 if grew else 0
-                            stuck = (len(block_diffs[b]) == max_sweeps
-                                     or growing[b] == MAX_GROWING_SWEEPS)
-                            if diff <= tol or stuck:
-                                due[b] = diff <= tol
-                                if march and not due[b]:  # the first node still to move
-                                    node[b] = lo + int(np.argmax(~(moves[i] <= tol)))
-                            elif (not march and len(diffs[r]) == 2
-                                  and _predicted_sweeps(diffs[r], tol) > MARCH_MIN_SWEEPS):
-                                omega[r] = step[i]
-                                slow.append(r)
-                                left.add(b)
-                                continue
+                    diffs[r].append(diff)
+                    block_diffs[b].append(diff)
+                    grew = len(block_diffs[b]) > 1 and diff > block_diffs[b][-2]
+                    growing[b] = growing[b] + 1 if grew else 0
+                    # a finite diff needs a finite image; the converse can fail to overflow
+                    finite = math.isfinite(diff) or np.isfinite(y[i]).all()
+                    if finite and not (diff <= tol or len(block_diffs[b]) == max_sweeps
+                                       or growing[b] == MAX_GROWING_SWEEPS):
+                        if (not march and len(diffs[r]) == 2
+                                and _predicted_sweeps(diffs[r], tol) > MARCH_MIN_SWEEPS):
+                            omega[r] = y[i]
+                            slow.append(r)
+                            left.add(b)
+                        else:
                             keep.append(i)
-                            continue
-                    # row r is done here: y is the image of its last iterate, or
-                    # its step was not finite
-                    omega[r, lo:hi], residuals[r, lo:hi] = w[i], np.abs(w[i] - y[i])
-                    if due.get(b, False):
+                        continue
+                    # row r stops here, at w, whose image is y
+                    omega[r, lo:hi], residuals[r, lo:hi] = w[i], res[i]
+                    if diff <= tol:
                         if march:
                             known[r, lo:hi] = g[i]
                         continue
@@ -567,11 +565,11 @@ def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
                     )
                     at = of = ""
                     if march:
-                        n = node.get(b, lo + int(np.argmax(~np.isfinite(step[i]))))
+                        n = lo + int(np.argmax(~(res[i] <= tol)))
                         at = f" at node {n} (tau = {grid.nodes[n]:.6g})"
                         of = f" of the march block of nodes {lo}..{hi - 1}"
                     done = block_diffs[b]
-                    if b in due:
+                    if finite:
                         last = f"last diff {done[-1]:.3e}"
                         if len(done) > 1:  # the observed ratio; done[-2] > tol kept the row going
                             last += f", last ratio {done[-1] / done[-2]:.3g}"
@@ -590,8 +588,6 @@ def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
                 if len(keep) < len(sweeping):
                     sweeping = [sweeping[i] for i in keep]
                     w, y, step, stack = w[keep], y[keep], step[keep], None
-                    if w_prev is not None:
-                        w_prev, y_prev = w_prev[keep], y_prev[keep]
                 w_prev, y_prev, w = w, y, step
             live = [r for b, r in enumerate(live) if b not in left]
             if not live:
@@ -613,34 +609,29 @@ def picard_solve(
     Every row sweeps the whole grid twice.  A row whose diffs d1, d2 then
     do not shrink, or predict log(tol / d2) / log(d2 / d1) > MARCH_MIN_SWEEPS
     further sweeps, marches (:func:`_solve_block`): block by block of
-    :func:`march_blocks`, with a per-node secant step on the map, and
-    from the block's part of its second iterate.  Every other row goes on
-    with plain Picard sweeps of the whole grid.  Both stop on the same
-    tol, at the same fixed point.  The rule and its numbers come from
-    medians of 5 in-process solves of the nonlinear and long-horizon
-    problems (alpha 0.3-0.9, T 0.5-9) on a 2-core VM.  At N = 4096,
-    where a march is 4 blocks and costs 4-10 ms, 12 of the 14 rows
-    predicting 9-13.8 further sweeps ran faster cold (3.0-7.3 ms against
-    4.4-8.9 ms marched).  The nonlinear problem from omega0 = 0 at
-    alpha 0.65, predicting 14.1, took 17.4 ms (38 sweeps) cold and 9.4 ms
-    marched, and the 12 rows predicting 17.6 or more gained 1.3-73 ms
-    each.  On fewer than 2 MARCH_BLOCK_STEPS steps a march is one block,
-    and 29 of the 30 rows predicting more than 13 ran faster marched
-    (0.7-3.5 ms against 1.1-27 ms cold, N = 256 and 1024).  Long-horizon
-    benchmark rows predict 4-9 further sweeps, and sweep cold.
+    :func:`march_blocks`, with a per-node secant step on the map.  Every
+    other row goes on with plain Picard sweeps of the whole grid.  The
+    cut comes from medians of 5 in-process solves, marched and cold, of 66
+    nonlinear and long-horizon rows (alpha 0.3-0.9, T 0.3-4) predicting
+    4-28, on a 2-core VM.  The 17 predicting over 13.5 ran faster marched
+    at N = 256, 1024 and 4096; at N = 4096 the 22 predicting at most 8.5
+    ran faster cold, and of the 20 predicting 10-13.5, 8 gained 0.6-7.3 ms
+    marched and 12 lost 0.2-1.4 ms.  Over the 66, a cut at 10 took
+    2.8-3.1% less time than one at 13 at N = 4096 and 3.5-7.7% less at
+    N = 256 and 1024 (one block); one at 8 less still, but the long-horizon
+    benchmark rows predict up to 9.1, and must stay cold.
 
-    Stops when the sup-norm iterate difference drops to tol; raises
-    :class:`MaxSweepsExceeded` (carrying the best trace, and stating the
-    last diff and the last ratio diffs[-1] / diffs[-2]) after max_sweeps
-    sweeps, or after MAX_GROWING_SWEEPS sweeps in a row whose diff grew, and
-    its subclass :class:`NonFiniteIterate` at the first sweep whose
-    iterate is not finite.  That trace keeps the iterate before it, and
-    its last diff and its residuals are those of the sweep that failed.
-    A marched row counts those sweeps in its block, and its error names
-    the first node of the block that has not converged, and its tau.
-    ``iterations`` counts a marched row's sweeps on the whole grid and in
-    every block, one diff each, but not the sweep per block that gives
-    its residuals.  The one-row case of :func:`picard_stack`.
+    Stops at the first sweep whose iterate is within tol of its image,
+    and returns that iterate; raises :class:`MaxSweepsExceeded` (carrying
+    the best trace, and stating the last diff and the last ratio
+    diffs[-1] / diffs[-2]) after max_sweeps sweeps, or after
+    MAX_GROWING_SWEEPS sweeps in a row whose diff grew, and its subclass
+    :class:`NonFiniteIterate` at the first sweep whose image is not
+    finite.  That trace keeps the iterate of the sweep that failed and its
+    residuals.  A marched row counts those sweeps in its block, and its
+    error names the first node of the block whose residual exceeds tol,
+    and its tau.  ``iterations`` counts every sweep, on the whole grid and
+    in every block, one diff each.  The one-row case of :func:`picard_stack`.
     """
     return picard_stack(spec, grid, tol=tol, max_sweeps=max_sweeps)[0]
 

@@ -111,9 +111,9 @@ def weight_builds(monkeypatch):
     sizes = []
 
     class Counted(operators._Convolution):
-        def __init__(self, weights):
+        def __init__(self, weights, nfft=None):
             sizes.append(weights.size)
-            super().__init__(weights)
+            super().__init__(weights, nfft)
 
     monkeypatch.setattr(operators, "_Convolution", Counted)
     maxsize = operators.discretization.cache_info().maxsize

@@ -203,7 +203,7 @@ class TestSolve:
 
     def test_blow_up_names_where_it_fails(self, tmp_path, capsys):
         # the solution blows up before tau = 0.57; the march fails in its
-        # second block
+        # second block, and names the block's first node
         path = tmp_path / "blow_up.txt"
         path.write_text("alpha=0.5\nT=1\nomega0=0.5\nf=1\ng=tau*cos(omega) + 5*omega*tau\n")
         out = tmp_path / "trace.csv"
@@ -212,11 +212,11 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(
-            "E_MAXSWEEPS: no convergence at node 1186 (tau = 0.289551) in 31 sweeps of the "
-            "march block of nodes 1025..2048, the diff growing over the last 30"
+            "E_MAXSWEEPS: no convergence at node 1025 (tau = 0.250244) in 31 sweeps of the "
+            "march block of nodes 1025..2048, the diff growing over the last 30 (last diff "
         )
         summary = (tmp_path / "trace.csv.summary.txt").read_text()
-        assert "converged=False" in summary and "iterations=46" in summary
+        assert "converged=False" in summary and "iterations=45" in summary
 
     @pytest.mark.parametrize(
         "argv", [["solve", "--out", "t.csv"], ["extremal", "--out-prefix", "lv"]],
@@ -541,9 +541,9 @@ class TestExtremal:
             assert residuals.max() > 1e-3
 
     def test_levels_are_swept_as_one_stack(self, tmp_path, monkeypatch):
-        # per level, a solve's sweeps, its residual sweep and the CLI's
-        # residual sweep: 4 x (sweeps + 2) calls; as one stack, the
-        # slowest level's sweeps + 2
+        # per level, a solve's sweeps and the CLI's residual sweep:
+        # 4 x (sweeps + 1) calls; as one stack, the slowest level's
+        # sweeps + 1
         path = tmp_path / "p.txt"
         path.write_text(NONLINEAR_TEXT)
         spec = load_problem(NONLINEAR_TEXT)
@@ -561,7 +561,7 @@ class TestExtremal:
         args = ["extremal", str(path), "--n", "64", "--levels", "4",
                 "--out-prefix", str(tmp_path / "ext")]
         assert main(args) == EXIT_OK
-        assert len(calls) <= slowest + 2
+        assert len(calls) <= slowest + 1
         assert calls[-1] == (4, 65)  # the residuals of every level at once
 
     def test_unresolvable_levels_refused_before_solving(self, tmp_path, capsys, monkeypatch):

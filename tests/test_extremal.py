@@ -395,7 +395,7 @@ class TestOneStack:
             return [t.iterations for t in stacked(spec, grid, sign)]
 
     @pytest.mark.parametrize(
-        "sign, sweeps", [(+1, [37, 36, 35, 35]), (-1, [38, 38, 35, 35])]
+        "sign, sweeps", [(+1, [31, 31, 31, 33]), (-1, [32, 34, 33, 33])]
     )
     def test_marched_levels_are_bitwise_the_per_level_solves(self, monkeypatch, sign, sweeps):
         # 4096 nodes march every level in 4 blocks; on the whole grid the
@@ -426,13 +426,14 @@ class TestOneStack:
         want = per_level(spec, grid, +1)
         assert str(want) == "the third level in the first block"
         assert_same_outcome(want, stacked(spec, grid, +1))
-        assert [t.iterations for t in per_level(spec, grid, +1, levels=2)] == [37, 36]
+        assert [t.iterations for t in per_level(spec, grid, +1, levels=2)] == [31, 31]
 
     def test_marched_levels_build_the_grid_once(self, weight_builds):
         spec = load_problem(NONLINEAR_TEXT)
         bracket_maximal(spec, Grid(spec.T, 4096), levels=4)
-        # the RL weights, and the convolution of each block's 1024 steps
-        assert weight_builds == [4096, 1024]
+        # the RL weights, the convolution of each block's 1024 steps, and
+        # the cyclic ones of 2048 and 4096 that bring in the blocks before
+        assert weight_builds == [4096, 1024, 2048, 4096]
 
     def test_one_g_sample_per_sweep_of_a_marched_stack(self, monkeypatch):
         spec = load_problem(NONLINEAR_TEXT)
@@ -447,10 +448,29 @@ class TestOneStack:
 
         monkeypatch.setattr(ProblemSpec, "g_samples", counted)
         bracket_maximal(spec, grid, levels=4)
-        # one block on 64 nodes: each sweep, then the residuals, of the
-        # slowest level
-        assert len(calls) == max(sweeps) + 1
+        # one block on 64 nodes: each sweep of the slowest level
+        assert len(calls) == max(sweeps)
         assert calls[:3] == [(4, grid.N + 1)] * 3
+
+    def test_each_sample_of_a_marched_level_is_one_of_its_sweeps(self, monkeypatch):
+        # 4 levels marched in 4 blocks at N = 4096: every row of every f and g
+        # sample is a counted sweep of its level, and no sweep only reads
+        # residuals
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, 4096)
+        sweeps = [t.iterations for t in per_level(spec, grid, +1)]
+        assert sweeps == [31, 31, 31, 33]
+        rows = {"f_samples": 0, "g_samples": 0}
+        for name in rows:
+            method = getattr(ProblemSpec, name)
+
+            def counted(self, taus, omegas, name=name, method=method):
+                rows[name] += len(omegas) if np.ndim(omegas) == 2 else 1
+                return method(self, taus, omegas)
+
+            monkeypatch.setattr(ProblemSpec, name, counted)
+        bracket_maximal(spec, grid, levels=4)
+        assert rows == {"f_samples": sum(sweeps), "g_samples": sum(sweeps)}
 
     def test_one_rhs_operator_call_per_sweep_of_the_stack(self, monkeypatch):
         # lam T^alpha = 1.5: the levels sweep the whole grid, 7 or 8 times each
@@ -469,6 +489,6 @@ class TestOneStack:
 
         monkeypatch.setattr(solver, "rhs_operator", counted)
         bracket_maximal(spec, grid, levels=4)
-        # each sweep, then the residuals, of the slowest level
-        assert len(calls) == max(sweeps) + 1
+        # each sweep of the slowest level
+        assert len(calls) == max(sweeps)
         assert calls[0] == (4, grid.N + 1)

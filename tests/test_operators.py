@@ -25,7 +25,7 @@ from abcfde import (
     rl_integral,
     verify_comparison,
 )
-from abcfde import operators
+from abcfde import operators, solver
 from abcfde.errors import DimensionMismatch
 from abcfde.operators import FFT_MIN_LENGTH
 
@@ -397,9 +397,10 @@ class TestConvolutionPaths:
     def test_solve_builds_the_stencil_once(self, weight_builds):
         trace = picard_solve(load_problem(NONLINEAR_TEXT), Grid(2.0, 2048))
         assert trace.iterations > 10
-        # the RL moment increments W, and the first 1024 of them, which
-        # convolve the steps of each of the march's two blocks
-        assert weight_builds == [2048, 1024]
+        # the RL moment increments W, the first 1024 of them, which
+        # convolve the steps of each of the march's two blocks, and all 2048
+        # again, cyclic, which bring the first block into the second
+        assert weight_builds == [2048, 1024, 2048]
 
     def test_comparison_builds_the_stencil_once(self, weight_builds):
         spec = load_problem("alpha = 0.5\nT = 1\nomega0 = 1\nf = 1\ng = 0\n")
@@ -448,6 +449,9 @@ class TestDiscretization:
             (300, [(1, 2), (1, 50), (2, 3), (120, 301)]),
             (1100, [(1, 101), (300, 700), (500, 1012), (600, 1101), (1100, 1101)]),
             (4096, [(1025, 2049), (3000, 4097), (2, 600)]),
+            # a march's blocks, and the last node of a cyclic length of
+            # 4096 and the first of 8192, past the grid's 5000 weights
+            (5000, [(1251, 2501), (2501, 3751), (3751, 5001), (2000, 4097), (3000, 4098)]),
         ],
     )
     def test_history_and_block_make_rl_integral(self, N, blocks):
@@ -467,6 +471,23 @@ class TestDiscretization:
         for hi in (2, 200, N + 1):
             got = stack[:, :1] * start[: hi - 1] + disc.block(stack[:, :hi])
             assert np.all(np.abs(got - want[:, 1:hi]) <= 1e-12 * scale)
+
+    def test_history_transforms_are_half_as_long(self, weight_builds, monkeypatch):
+        # each output of history lies after all its inputs, so a cyclic
+        # transform of length hi - 1 or more is exact: the later blocks of a
+        # march at N = 4096 take 2048, 4096 and 4096, and rl_integral 8192
+        grid = Grid(2.0, 4096)
+        x = np.sin(grid.nodes)
+        lengths = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n: lengths.append(n) or rfft(a, n))
+        rl_integral(x, grid, 0.6)
+        disc = operators.discretization(grid, 0.6)
+        for lo, hi in solver.march_blocks(grid.N)[1:]:
+            disc.history(x, lo, hi)
+        # each first use of a length transforms its weights once
+        assert lengths == [8192, 8192, 2048, 2048, 4096, 4096, 4096]
+        assert weight_builds == [4096, 2048, 4096]
 
     def test_a_block_length_builds_its_weights_once(self, weight_builds):
         disc = Discretization(Grid(1.0, 2048), 0.5)
