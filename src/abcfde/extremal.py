@@ -4,8 +4,8 @@ The maximal solution is approached from above by solving the shifted
 problems (g + eps, omega0 + eps) along a geometric schedule
 eps_n = eps0 * ratio^n; the minimal solution mirrors this with -eps.
 All levels are solved as one stack (:func:`~abcfde.solver.picard_stack`),
-each bitwise as :func:`solve_perturbed` solves it alone; the levels that
-march do so as one stack too, block by block.
+march block by march block, each level bitwise as :func:`solve_perturbed`
+solves it alone.
 The deliverable is the last trace together with the final sup-norm gap
 as an error bar; no extrapolation is attempted.
 """

@@ -222,7 +222,8 @@ class Discretization:
 
     @functools.cached_property
     def _convolutions(self) -> dict:
-        return {}
+        # a one-block march convolves with all N weights, as rl_integral does
+        return {(self.grid.N, None): self.rl[2]}
 
     @functools.cached_property
     def kernel_argument(self) -> np.ndarray:

@@ -14,14 +14,14 @@ iterates the equivalent integral equation
 where c_alpha is alpha/(B Gamma(alpha)) under the GAMMA kernel
 convention or alpha/(B (1-alpha)) under PAPER_HYBRID.
 
-A solve that the first two Picard sweeps show to be slow marches
-instead: the grid is cut into a few blocks, solved in turn, each from the
-integral over the blocks before it (Hairer, Lubich and Schlichte's block
-structure) with a per-node secant step on the instantaneous term
-f (1-alpha)/B g, which is what holds Picard back; each later block starts
-from the line through the last two solved nodes (Diethelm, Ford and
-Freed's predictor).  The rest sweep the whole grid.  A solve stops at the
-first sweep whose residual max |omega - T(omega)| is at most tol.
+Every solve marches: the grid is cut into a few blocks (one below 2048
+steps), solved in turn, each from the integral over the blocks before it
+(Hairer, Lubich and Schlichte's block structure) with a per-node secant
+step on the instantaneous term f (1-alpha)/B g, which is what holds
+Picard back; each later block starts from the line through the last two
+solved nodes (Diethelm, Ford and Freed's predictor).  A block stops at
+the first sweep whose residual max |omega - T(omega)| there is at most
+tol.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ from .operators import (
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_SWEEPS = 200
-#: Picard gives up on a row after this many sweeps in a row whose diff grew.
-#: Rows that converge grow at most 3 in a row on the benchmark problems (the
-#: long horizon at alpha = 0.5, T = 9), and a diverging test problem grows
-#: 9 in a row; a blow-up grows on every sweep.
+#: A march block gives up on a row after this many sweeps in a row whose
+#: diff grew.  Rows that converge grow at most once in a row (seed-301
+#: benchmark draws of each family, and the long horizon at alpha = 0.5,
+#: T = 9); a blow-up grows on every sweep.
 MAX_GROWING_SWEEPS = 30
 G0_TOL = 1e-10
 LATTICE_NEED = "need NTAU,NOMEGA >= 2"  # what sample_box asks of n_tau, n_omega
@@ -320,7 +320,7 @@ def rhs_operator(spec: ProblemSpec, omega: np.ndarray, grid: Grid) -> np.ndarray
     f_vals = spec.f_samples(grid.nodes, omega)
     g_vals = spec.g_samples(grid.nodes, omega)
     head, g_weight, c = spec._sweep_constants
-    # an overflow leaves a non-finite iterate, which picard_stack reports
+    # an overflow leaves a non-finite image, for the caller to see
     with np.errstate(over="ignore", invalid="ignore"):
         integral = c * rl_integral(g_vals, grid, spec.alpha)
         return f_vals * (head + g_weight * g_vals + integral)
@@ -338,26 +338,12 @@ def stack_rows(grid: Grid) -> int:
     return max(1, STACK_ELEMENTS // (grid.N + 1))
 
 
-#: A row whose first two diffs predict more than MARCH_MIN_SWEEPS further
-#: sweeps (:func:`_predicted_sweeps`), or whose diffs do not shrink,
-#: marches (:func:`picard_solve` gives the measurements).
-MARCH_MIN_SWEEPS = 10
 #: A march splits the grid into at most MARCH_BLOCKS blocks of at least
 #: MARCH_BLOCK_STEPS steps each, and a shorter grid into one.
 MARCH_BLOCKS = 4
 MARCH_BLOCK_STEPS = 1024
 #: A march takes a node's secant step only where its slope J exceeds this.
 SECANT_MIN_SLOPE = 0.2
-
-
-def _predicted_sweeps(diffs: list[float], tol: float) -> float:
-    """The further sweeps that a row with these first two diffs would need
-    to reach tol at their ratio, or inf when its diffs do not shrink."""
-    ratio = diffs[1] / diffs[0]
-    if not ratio < 1.0:
-        return math.inf
-    # log(tol / d2) / log(d2 / d1), free of the underflow of tol / d2
-    return (math.log(tol) - math.log(diffs[1])) / math.log(ratio)
 
 
 def march_blocks(N: int) -> list[tuple[int, int]]:
@@ -372,9 +358,9 @@ def march_blocks(N: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True, eq=False)
 class _Stack(ProblemSpec):
-    """Rows of :func:`picard_stack` as one spec for :func:`rhs_operator`:
-    omega0 is the column of the rows' starts, g_samples adds the column of
-    their shifts to g, and f00 is the column of the rows' own f00."""
+    """Rows of :func:`picard_stack` as one spec for a march sweep: omega0
+    is the column of the rows' starts, g_samples adds the column of their
+    shifts to g, and f00 is the column of the rows' own f00."""
 
     rows: tuple = ()
     shifts: Optional[np.ndarray] = None
@@ -401,14 +387,16 @@ def picard_stack(
     problem, ``perturbed(spec, |s|, sign of s)``: it starts from its own
     omega0, marches on its own diffs, keeps its own diffs, and stops at
     its own sweep, with that sweep's residuals, and then stops changing.
-    The rows that march after their second sweep march as one stack, each
-    block in turn.  f,
-    g and the operator are called once per sweep on all rows still in the
-    stack, in blocks of :func:`stack_rows` rows.  Raises what that
-    per-row loop would raise first: the error of the first row that
-    fails, naming a sample of that row.  For that, a block whose stacked
-    sweep raises is solved again row by row: at most one more solve of
-    the block, and only when a sweep raises.
+    The rows march as one stack, f, g and the convolutions called once
+    per sweep on all rows still in the march block, in stacks of
+    :func:`stack_rows` rows.  Raises what that per-row loop would raise
+    first: the error of the first row that fails, naming a sample of that
+    row.  For that, a stack whose sweep raises is solved again row by
+    row: at most one more solve of the stack, and only when a sweep
+    raises.  Stacking pays: 6 seed-301 benchmark ``extremal`` draws per
+    family (4 levels), medians of 9 on a 2-core VM, took 2.8 against
+    4.3 ms manufactured, 71.0 against 107.1 ms nonlinear and 9.4 against
+    16.1 ms long-horizon, against a loop over the levels.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
@@ -423,179 +411,148 @@ def picard_stack(
     size = stack_rows(grid)
     for lo in range(0, len(rows), size):
         block = slice(lo, lo + size)
-        for outcome in _solve_rows(spec, rows[block], shifts[block], grid, tol, max_sweeps):
+        outcomes = _march(spec, rows[block], shifts[block], grid, tol, max_sweeps)
+        if outcomes is None:  # row by row, each only once the one before it is taken
+            outcomes = (_march(spec, [row], [shift], grid, tol, max_sweeps)[0]
+                        for row, shift in zip(rows[block], shifts[block]))
+        for outcome in outcomes:
             if isinstance(outcome, Exception):
                 raise outcome
             traces.append(outcome)
     return traces
 
 
-def _solve_rows(spec, rows, shifts, grid, tol, max_sweeps):
-    """Yield the outcome of each row of one block, in row order: its trace,
-    or the error that ends it.  A block whose stacked sweep raises is
-    solved again row by row, each row only once the one before it is
-    taken."""
-    if len(rows) > 1:
-        outcomes = _solve_block(spec, rows, shifts, grid, tol, max_sweeps)
-        if outcomes is not None:
-            yield from outcomes
-            return
-    for row, shift in zip(rows, shifts):
-        try:
-            yield _solve_block(spec, [row], [shift], grid, tol, max_sweeps)[0]
-        except Exception as exc:  # f and g are the caller's: a row may raise anything
-            yield exc
-
-
-def _solve_block(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
-    """The trace of each row of one block of :func:`picard_stack`, or the
+def _march(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
+    """The trace of each row of one stack of :func:`picard_stack`, or the
     MaxSweepsExceeded or NonFiniteIterate that ends it, in row order.
     None when a sweep of several rows raises; a sweep of one row raises.
 
-    A sweep takes the image y of the iterate w under the map; a row's diff
-    is its largest residual |w - y|.  Every row sweeps the whole grid, w
-    going on from y.  A row whose first two diffs predict more than
-    MARCH_MIN_SWEEPS further sweeps (:func:`_predicted_sweeps`), or do not
-    shrink, then marches, block by block of :func:`march_blocks`: the
-    first from its second image, each later one from the line through the
-    row's last two solved nodes.  There the integral from the nodes before
-    the block comes in once per block
-    (:meth:`~abcfde.operators.Discretization.history`), and each node goes
-    on from its secant step w - (w - y) / J, with J = 1 - (y - y') /
-    (w - w') from its previous iterate w' and image y', or from y where J
-    is undefined or at most SECANT_MIN_SLOPE.  At a diff of at most tol
-    the row stops (in that block) with w, its residuals and, in a block,
-    the g at w that later blocks' history reads; after max_sweeps sweeps
-    or MAX_GROWING_SWEEPS in a row whose diff grew it fails, and at once
-    where y is not finite.  A march error names the first node whose
-    residual exceeds tol, and its tau; its trace has NaN residuals after
-    its block."""
+    The rows march block by block of :func:`march_blocks`: the first
+    block from omega0, each later one from the line through the row's
+    last two solved nodes, with the integral from the nodes before it
+    brought in once (:meth:`~abcfde.operators.Discretization.history`).
+    A sweep takes the image y of the iterate w; a row's diff is its
+    largest residual |w - y| in the block.  A row that goes on takes each
+    node's secant step w - (w - y) / J, J = 1 - (y - y') / (w - w') from
+    its previous iterate w' and image y', or y where J is undefined or at
+    most SECANT_MIN_SLOPE.  At a diff of at most tol the row stops (in
+    that block) with w, its residuals and the g at w that later blocks'
+    history reads; after max_sweeps sweeps in the block, or
+    MAX_GROWING_SWEEPS in a row whose diff grew, it fails, and at once
+    where y is not finite, with NaN residuals after the block.  One row
+    is sampled and convolved as a 1-D array, so an EvalError names its
+    sample k."""
+    disc = operators.discretization(grid, spec.alpha)  # the one rl_integral shares
     omega = np.full((len(rows), grid.N + 1), [[row.omega0] for row in rows])
+    known = np.empty_like(omega)  # g at each row's solved nodes
+    residuals = np.empty_like(omega)
     diffs: list[list[float]] = [[] for _ in rows]
     outcomes: list = [None] * len(rows)
-    residuals = np.empty_like(omega)
     live = list(range(len(rows)))
-    for march in (False, True):
-        if not live:
-            break
-        if march:
-            disc = operators.discretization(grid, spec.alpha)  # the one rl_integral shares
-            known = np.empty_like(omega)  # g at each row's solved nodes
-        slow = []  # the rows that leave the whole grid to march
-        for lo, hi in march_blocks(grid.N) if march else [(0, grid.N + 1)]:
-            taus = grid.nodes[lo:hi]
-            if march and lo:
-                history = disc.history(known[live], lo, hi)
-                before = known[live, lo - 1 : lo]
-                last = omega[live, lo - 1 : lo]
-                w = last + np.arange(1.0, hi - lo + 1) * (last - omega[live, lo - 2 : lo - 1])
-            else:  # the first block from the second image; or every row on the whole grid
-                w = omega[live, :hi] if march else omega
-            sweeping = list(range(len(live)))  # the positions in live still in the block
-            block_diffs: list[list[float]] = [[] for _ in live]
-            growing = [0] * len(live)  # sweeps in a row whose diff grew
-            left = set()
-            stack = w_prev = y_prev = None
-            while True:
-                if stack is None:  # the first sweep, or rows left
-                    picked = [live[b] for b in sweeping]
-                    stack = rows[picked[0]] if len(picked) == 1 else _Stack(
-                        spec.T, np.array([[rows[r].omega0] for r in picked]), spec.f, spec.g,
-                        spec.cfg, spec.omega_box, rows=tuple(rows[r] for r in picked),
-                        shifts=np.array([[shifts[r]] for r in picked]),
-                    )
-                try:
-                    if march:
-                        f = stack.f_samples(taus, w)
-                        g = stack.g_samples(taus, w)
-                    else:
-                        y = rhs_operator(stack, w[0] if len(sweeping) == 1 else w, grid)
-                except Exception:  # f and g are the caller's: a row may raise anything
-                    if len(rows) == 1:
-                        raise
-                    return None
-                if not march:
-                    step = y = y.reshape(w.shape)
+    for lo, hi in march_blocks(grid.N):
+        whole = hi - lo == grid.N + 1  # one block: the nodes the tau-only memo of f and g keeps
+        taus = grid.nodes if whole else grid.nodes[lo:hi]
+        sel = live[0] if len(live) == 1 else live
+        history = steps = integral = None  # the integral's parts that a block keeps
+        if lo:
+            history = disc.history(known[sel], lo, hi)
+            steps = known[sel, lo - 1 : hi].copy()  # the g before the block, then the block's
+            last = omega[sel, lo - 1 : lo]
+            w = last + np.arange(1.0, hi - lo + 1) * (last - omega[sel, lo - 2 : lo - 1])
+        else:
+            w = omega[sel, :hi]
+            integral = np.zeros(w.shape)  # node 0's stays 0
+        sweeping = list(live)
+        block_diffs = {r: [] for r in live}
+        growing = dict.fromkeys(live, 0)  # sweeps in a row whose diff grew
+        stack = w_prev = y_prev = None
+        while True:
+            if stack is None:  # the first sweep, or rows left
+                stack = rows[sweeping[0]] if len(sweeping) == 1 else _Stack(
+                    spec.T, np.array([[rows[r].omega0] for r in sweeping]), spec.f, spec.g,
+                    spec.cfg, spec.omega_box, rows=tuple(rows[r] for r in sweeping),
+                    shifts=np.array([[shifts[r]] for r in sweeping]),
+                )
+            try:
+                f = stack.f_samples(taus, w)
+                g = stack.g_samples(taus, w)
+            except Exception:  # f and g are the caller's: a row may raise anything
+                if len(rows) == 1:
+                    raise
+                return None
+            head, g_weight, c = stack._sweep_constants
+            # an overflow leaves a non-finite image, which ends the row, and a
+            # 0/0 secant an undefined J
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                if lo:
+                    steps[..., 1:] = g
+                    y = f * (head + g_weight * g + c * (history + disc.block(steps)))
                 else:
-                    head, g_weight, c = stack._sweep_constants
-                    # an overflow leaves a non-finite image, which ends the row, and
-                    # a 0/0 secant an undefined J
-                    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                        if lo:
-                            steps = np.concatenate([before[sweeping], g], axis=-1)
-                            integral = history[sweeping] + disc.block(steps)
-                        else:
-                            integral = np.zeros(g.shape)
-                            integral[:, 1:] = disc.history(g, 1, hi) + disc.block(g)
-                        step = y = f * (head + g_weight * g + c * integral)
-                        if w_prev is not None:
-                            slope = 1.0 - (y - y_prev) / (w - w_prev)
-                            step = np.where(np.isfinite(slope) & (slope > SECANT_MIN_SLOPE),
-                                            w - (w - y) / slope, y)
+                    integral[..., 1:] = disc.history(g, 1, hi) + disc.block(g)
+                    y = f * (head + g_weight * g + c * integral)
                 res = np.abs(w - y)
                 keep = []
-                for i, (b, diff) in enumerate(zip(sweeping, res.max(axis=1).tolist())):
-                    r = live[b]
+                sups = res.max(axis=-1).tolist() if res.ndim > 1 else [float(res.max())]
+                for i, (r, diff) in enumerate(zip(sweeping, sups)):
+                    done = block_diffs[r]
                     diffs[r].append(diff)
-                    block_diffs[b].append(diff)
-                    grew = len(block_diffs[b]) > 1 and diff > block_diffs[b][-2]
-                    growing[b] = growing[b] + 1 if grew else 0
+                    done.append(diff)
+                    growing[r] = growing[r] + 1 if len(done) > 1 and diff > done[-2] else 0
                     # a finite diff needs a finite image; the converse can fail to overflow
-                    finite = math.isfinite(diff) or np.isfinite(y[i]).all()
-                    if finite and not (diff <= tol or len(block_diffs[b]) == max_sweeps
-                                       or growing[b] == MAX_GROWING_SWEEPS):
-                        if (not march and len(diffs[r]) == 2
-                                and _predicted_sweeps(diffs[r], tol) > MARCH_MIN_SWEEPS):
-                            omega[r] = y[i]
-                            slow.append(r)
-                            left.add(b)
-                        else:
-                            keep.append(i)
+                    finite = math.isfinite(diff) or np.isfinite(_row(y, i)).all()
+                    if finite and not (diff <= tol or len(done) == max_sweeps
+                                       or growing[r] == MAX_GROWING_SWEEPS):
+                        keep.append(i)
                         continue
                     # row r stops here, at w, whose image is y
-                    omega[r, lo:hi], residuals[r, lo:hi] = w[i], res[i]
+                    omega[r, lo:hi], residuals[r, lo:hi] = _row(w, i), _row(res, i)
                     if diff <= tol:
-                        if march:
-                            known[r, lo:hi] = g[i]
+                        known[r, lo:hi] = _row(g, i)
                         continue
-                    left.add(b)
+                    live.remove(r)
                     residuals[r, hi:] = np.nan  # the nodes after the block were not reached
                     trace = SolutionTrace(
                         grid, omega[r].copy(), diffs[r], residuals[r].copy(), False
                     )
-                    at = of = ""
-                    if march:
-                        n = lo + int(np.argmax(~(res[i] <= tol)))
-                        at = f" at node {n} (tau = {grid.nodes[n]:.6g})"
-                        of = f" of the march block of nodes {lo}..{hi - 1}"
-                    done = block_diffs[b]
-                    if finite:
-                        last = f"last diff {done[-1]:.3e}"
-                        if len(done) > 1:  # the observed ratio; done[-2] > tol kept the row going
-                            last += f", last ratio {done[-1] / done[-2]:.3g}"
-                        if growing[b] == MAX_GROWING_SWEEPS:
-                            of += f", the diff growing over the last {MAX_GROWING_SWEEPS}"
-                        outcomes[r] = MaxSweepsExceeded(
-                            f"no convergence{at} in {len(done)} sweeps{of} ({last})", trace=trace
-                        )
-                    else:
-                        outcomes[r] = NonFiniteIterate(
-                            f"sweep {len(done)}{of} gave a non-finite iterate{at} (diff {diff})",
-                            trace=trace,
-                        )
+                    n = lo + int(np.argmax(~(residuals[r, lo:hi] <= tol)))
+                    at = f" at node {n} (tau = {grid.nodes[n]:.6g})"
+                    of = "" if whole else f" of the march block of nodes {lo}..{hi - 1}"
+                    if not finite:
+                        text = f"sweep {len(done)}{of} gave a non-finite iterate{at} (diff {diff})"
+                        outcomes[r] = NonFiniteIterate(text, trace=trace)
+                        continue
+                    last = f"last diff {diff:.3e}"
+                    if len(done) > 1:  # the observed ratio; done[-2] > tol kept the row going
+                        last += f", last ratio {diff / done[-2]:.3g}"
+                    if growing[r] == MAX_GROWING_SWEEPS:
+                        of += f", the diff growing over the last {MAX_GROWING_SWEEPS}"
+                    text = f"no convergence{at} in {len(done)} sweeps{of} ({last})"
+                    outcomes[r] = MaxSweepsExceeded(text, trace=trace)
                 if not keep:
                     break
-                if len(keep) < len(sweeping):
+                if len(keep) < len(sweeping):  # rows left: the rest go on as their own stack
                     sweeping = [sweeping[i] for i in keep]
-                    w, y, step, stack = w[keep], y[keep], step[keep], None
-                w_prev, y_prev, w = w, y, step
-            live = [r for b, r in enumerate(live) if b not in left]
-            if not live:
-                break
-        for r in live:
-            outcomes[r] = SolutionTrace(grid, omega[r], diffs[r], residuals[r])
-        live = slow
+                    sel, stack = keep[0] if len(keep) == 1 else keep, None
+                    w, y, w_prev, y_prev, history, steps, integral = (
+                        a if a is None else a[sel]
+                        for a in (w, y, w_prev, y_prev, history, steps, integral)
+                    )
+                step = y
+                if w_prev is not None:
+                    slope = 1.0 - (y - y_prev) / (w - w_prev)
+                    step = np.where(np.isfinite(slope) & (slope > SECANT_MIN_SLOPE),
+                                    w - (w - y) / slope, y)
+            w_prev, y_prev, w = w, y, step
+        if not live:
+            break
+    for r in live:
+        outcomes[r] = SolutionTrace(grid, omega[r], diffs[r], residuals[r])
     return outcomes
+
+
+def _row(a: np.ndarray, i: int) -> np.ndarray:
+    """Row i of a stack of rows, or a itself when it is one 1-D row."""
+    return a[i] if a.ndim > 1 else a
 
 
 def picard_solve(
@@ -604,34 +561,16 @@ def picard_solve(
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> SolutionTrace:
-    """Iterate the integral-equation operator from omega == omega0.
+    """Iterate the integral-equation operator from omega == omega0, march
+    block by march block (:func:`_march`), and return the iterate.
 
-    Every row sweeps the whole grid twice.  A row whose diffs d1, d2 then
-    do not shrink, or predict log(tol / d2) / log(d2 / d1) > MARCH_MIN_SWEEPS
-    further sweeps, marches (:func:`_solve_block`): block by block of
-    :func:`march_blocks`, with a per-node secant step on the map.  Every
-    other row goes on with plain Picard sweeps of the whole grid.  The
-    cut comes from medians of 5 in-process solves, marched and cold, of 66
-    nonlinear and long-horizon rows (alpha 0.3-0.9, T 0.3-4) predicting
-    4-28, on a 2-core VM.  The 17 predicting over 13.5 ran faster marched
-    at N = 256, 1024 and 4096; at N = 4096 the 22 predicting at most 8.5
-    ran faster cold, and of the 20 predicting 10-13.5, 8 gained 0.6-7.3 ms
-    marched and 12 lost 0.2-1.4 ms.  Over the 66, a cut at 10 took
-    2.8-3.1% less time than one at 13 at N = 4096 and 3.5-7.7% less at
-    N = 256 and 1024 (one block); one at 8 less still, but the long-horizon
-    benchmark rows predict up to 9.1, and must stay cold.
-
-    Stops at the first sweep whose iterate is within tol of its image,
-    and returns that iterate; raises :class:`MaxSweepsExceeded` (carrying
-    the best trace, and stating the last diff and the last ratio
-    diffs[-1] / diffs[-2]) after max_sweeps sweeps, or after
-    MAX_GROWING_SWEEPS sweeps in a row whose diff grew, and its subclass
-    :class:`NonFiniteIterate` at the first sweep whose image is not
-    finite.  That trace keeps the iterate of the sweep that failed and its
-    residuals.  A marched row counts those sweeps in its block, and its
-    error names the first node of the block whose residual exceeds tol,
-    and its tau.  ``iterations`` counts every sweep, on the whole grid and
-    in every block, one diff each.  The one-row case of :func:`picard_stack`.
+    Raises :class:`MaxSweepsExceeded` (carrying the best trace, and
+    stating the last diff and the last ratio diffs[-1] / diffs[-2]) after
+    max_sweeps sweeps in one block or MAX_GROWING_SWEEPS sweeps in a row
+    whose diff grew, and its subclass :class:`NonFiniteIterate` at the
+    first sweep whose image is not finite, naming the first node of the
+    block whose residual exceeds tol, and its tau.  ``iterations`` counts
+    every sweep of every block.  The one-row case of :func:`picard_stack`.
     """
     return picard_stack(spec, grid, tol=tol, max_sweeps=max_sweeps)[0]
 

@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from abcfde import Discretization, Grid, OperatorConfig, ProblemSpec, ml_two, operators
 from abcfde.errors import MaxSweepsExceeded
+from abcfde.solver import SolutionTrace, rhs_operator
 
 # CI sets HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
 # failing one printed with the blob that reproduces it
@@ -69,6 +70,23 @@ def plain_nonlinear_sweep(omega, T, alpha, omega0, b_convention, kernel_conventi
     rl = np.zeros(N + 1)
     rl[1:] = g[:1] * start + (T / N) ** a / math.gamma(a + 2.0) * conv
     return f * (head + (1.0 - a) / B * g + c * rl)
+
+
+def whole_grid_picard(spec, grid: Grid, tol=1e-10, max_sweeps=200) -> SolutionTrace:
+    """The test oracle: plain Picard sweeps w <- rhs_operator(w) of the
+    whole grid from omega0, up to the first w within tol of its image.
+    That w, its residuals and the diffs; not converged after max_sweeps
+    sweeps, or at the first image that is not finite."""
+    w = np.full(grid.N + 1, float(spec.omega0))
+    diffs = []
+    for _ in range(max_sweeps):
+        y = rhs_operator(spec, w, grid)
+        res = np.abs(w - y)
+        diffs.append(float(res.max()))
+        if diffs[-1] <= tol or not np.isfinite(y).all():
+            break
+        w = y
+    return SolutionTrace(grid, w, diffs, res, diffs[-1] <= tol)
 
 
 def manufactured_exact_nodes(grid: Grid) -> np.ndarray:

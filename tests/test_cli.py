@@ -203,7 +203,8 @@ class TestSolve:
 
     def test_blow_up_names_where_it_fails(self, tmp_path, capsys):
         # the solution blows up before tau = 0.57; the march fails in its
-        # second block, and names the block's first node
+        # second block, and names the first node there whose residual
+        # exceeds tol
         path = tmp_path / "blow_up.txt"
         path.write_text("alpha=0.5\nT=1\nomega0=0.5\nf=1\ng=tau*cos(omega) + 5*omega*tau\n")
         out = tmp_path / "trace.csv"
@@ -212,11 +213,11 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(
-            "E_MAXSWEEPS: no convergence at node 1025 (tau = 0.250244) in 31 sweeps of the "
+            "E_MAXSWEEPS: no convergence at node 1152 (tau = 0.28125) in 31 sweeps of the "
             "march block of nodes 1025..2048, the diff growing over the last 30 (last diff "
         )
         summary = (tmp_path / "trace.csv.summary.txt").read_text()
-        assert "converged=False" in summary and "iterations=45" in summary
+        assert "converged=False" in summary and "iterations=44" in summary
 
     @pytest.mark.parametrize(
         "argv", [["solve", "--out", "t.csv"], ["extremal", "--out-prefix", "lv"]],
@@ -234,7 +235,10 @@ class TestSolve:
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
         )
         assert result.returncode == EXIT_MAX_SWEEPS
-        assert result.stderr == "E_MAXSWEEPS: sweep 2 gave a non-finite iterate (diff inf)\n"
+        assert result.stderr == (
+            "E_MAXSWEEPS: sweep 2 gave a non-finite iterate at node 1 (tau = 0.00390625) "
+            "(diff inf)\n"
+        )
 
     @pytest.mark.parametrize(
         "text", [MANUFACTURED_TEXT, NONLINEAR_TEXT], ids=["manufactured", "nonlinear"]

@@ -37,12 +37,12 @@ from abcfde.solver import (
 from conftest import (
     MANUFACTURED_TEXT,
     NONLINEAR_TEXT,
-    assert_same_outcome,
     constant_forcing_spec,
     manufactured_exact_nodes,
-    outcome,
     perturbed_closed_form,
     plain_nonlinear_sweep,
+    trace_bytes,
+    whole_grid_picard,
 )
 
 
@@ -330,17 +330,12 @@ class TestRhsOperator:
         assert calls == ["_checked"]
 
 
-LONG_HORIZON_TEXT = (  # lam T^alpha = 1.5; predicts about 4 more sweeps after its second
+LONG_HORIZON_TEXT = (  # lam T^alpha = 1.5
     "alpha=0.6\nT={T!r}\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
 ).format(T=(1.5 * 0.4 / 0.6) ** (1 / 0.6))
-# lam T^alpha = 2; its eps = 0.1 level predicts 9.0 more sweeps, the most of
-# any long-horizon benchmark level
-LEVEL_TEXT = (
-    "alpha=0.59\nT={T!r}\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
-).format(T=(2 * 0.41 / 0.59) ** (1 / 0.59))
 CORNER_TEXT = "alpha=0.5\nT=9\nomega0=1\nf=1 + 0.1*sin(omega)\ng=0.1*tau*cos(omega)"
 BLOW_UP_TEXT = "alpha=0.5\nT=1\nomega0=0.5\nf=1\ng=tau*cos(omega) + 5*omega*tau"
-# from omega0 = 0 the nonlinear problem predicts 14.1 more sweeps after its second
+# the nonlinear problem from omega0 = 0; whole-grid Picard takes 38 sweeps
 FAST_START_TEXT = NONLINEAR_TEXT.replace("alpha = 0.6", "alpha = 0.65").replace(
     "omega0 = 0.5", "omega0 = 0"
 )
@@ -358,18 +353,11 @@ LONG_RUN_TEXT = (
 FLIP_TEXT = "alpha=0.3\nT=5\nomega0=0\nf=1 + 0.1*sin(omega)\ng=tau*cos(omega) + 0.1*omega*tau"
 
 
-def cold(monkeypatch, solve):
-    """The outcome of solve() with every row on whole-grid sweeps."""
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "MARCH_MIN_SWEEPS", math.inf)
-        return outcome(solve)
-
-
 @pytest.fixture
 def block_sweeps(monkeypatch):
     """Counts the solver's sweeps by their g samples: calling the result
     gives the length of each run of sweeps over the same nodes since the
-    last call, the whole grid's and then each march block's."""
+    last call, one run per march block."""
     calls = []
     g_samples = ProblemSpec.g_samples
 
@@ -417,9 +405,9 @@ class TestPicard:
         assert trace.omega.tobytes() == first.tobytes()
 
     def test_divergence_raises_with_trace(self):
-        # the diffs grow from the second sweep, so the row marches, and its
-        # first block runs out of sweeps: (1 - alpha) dg/domega = 5 leaves
-        # the secant no slope above SECANT_MIN_SLOPE, so it sweeps Picard
+        # the one block of 16 steps runs out of sweeps: (1 - alpha) dg/domega
+        # = 5 leaves the secant no slope above SECANT_MIN_SLOPE, so it sweeps
+        # Picard
         s = ProblemSpec(
             T=1.0,
             omega0=0.0,
@@ -432,77 +420,72 @@ class TestPicard:
         trace = exc.value.trace
         assert trace is not None
         assert not trace.converged
-        assert trace.iterations == 2 + 10
-        assert len(trace.iterate_diffs) == 12
+        assert trace.iterations == 10
+        assert len(trace.iterate_diffs) == 10
         assert np.isfinite(trace.omega).all()
         d = trace.iterate_diffs
         assert str(exc.value) == (
-            "no convergence at node 1 (tau = 0.0625) in 10 sweeps of the march block "
-            f"of nodes 0..16 (last diff {d[-1]:.3e}, last ratio {d[-1] / d[-2]:.3g})"
+            "no convergence at node 1 (tau = 0.0625) in 10 sweeps "
+            f"(last diff {d[-1]:.3e}, last ratio {d[-1] / d[-2]:.3g})"
         )
 
     def test_one_sweep_has_no_ratio(self):
         with pytest.raises(MaxSweepsExceeded) as exc:
             picard_solve(load_problem(NONLINEAR_TEXT), Grid(2.0, 16), max_sweeps=1)
         d = exc.value.trace.iterate_diffs
-        assert str(exc.value) == f"no convergence in 1 sweeps (last diff {d[-1]:.3e})"
+        assert str(exc.value) == (
+            f"no convergence at node 1 (tau = 0.125) in 1 sweeps (last diff {d[-1]:.3e})"
+        )
 
-    def test_growing_diffs_stop_a_whole_grid_row(self, monkeypatch):
-        # the blow-up case, which marches, swept on the whole grid: every
-        # diff grows, up to 1e89 at sweep 200
+    @pytest.mark.parametrize("N, n", [(1024, 1), (2048, 176)])
+    def test_blow_up_in_the_first_block_names_a_node(self, N, n):
+        # one block below 2048 steps, whose error names no block; at
+        # N = 1024 the FFT rounding of the blown-up iterate leaves node 1's
+        # residual above tol
         spec = load_problem(BLOW_UP_TEXT)
-        exc = cold(monkeypatch, lambda: picard_solve(spec, Grid(1.0, 1024)))
-        assert type(exc) is MaxSweepsExceeded
-        diffs = exc.trace.iterate_diffs
-        assert len(diffs) == MAX_GROWING_SWEEPS + 1
-        assert all(b > a for a, b in zip(diffs, diffs[1:]))
-        assert str(exc) == (
-            f"no convergence in {MAX_GROWING_SWEEPS + 1} sweeps, "
-            f"the diff growing over the last {MAX_GROWING_SWEEPS} "
-            f"(last diff {diffs[-1]:.3e}, last ratio {diffs[-1] / diffs[-2]:.3g})"
+        with pytest.raises(MaxSweepsExceeded) as exc:
+            picard_solve(spec, Grid(1.0, N))
+        assert exc.value.trace.iterations == MAX_GROWING_SWEEPS + 1
+        block = "" if N < 2048 else " of the march block of nodes 0..1024"
+        assert str(exc.value).startswith(
+            f"no convergence at node {n} (tau = {n / N:.6g}) in 31 sweeps{block}, "
+            f"the diff growing over the last {MAX_GROWING_SWEEPS} (last diff "
         )
 
     def test_blow_up_names_where_it_fails(self):
         # the solution blows up before tau* = 0.57; the march solves the
         # first block and fails in the second, where (1 - alpha) dg/domega
-        # nears 1 - SECANT_MIN_SLOPE at tau = 0.29, and names its first node,
+        # nears 1 - SECANT_MIN_SLOPE at tau = 0.29, and names the first node
         # whose residual the growing sweeps leave above tol
         spec = load_problem(BLOW_UP_TEXT)
         with pytest.raises(MaxSweepsExceeded) as exc:
             picard_solve(spec, Grid(1.0, 4096))
         assert type(exc.value) is MaxSweepsExceeded
         trace = exc.value.trace
-        # 2 whole-grid sweeps, 12 in the first block and 31 in the second
-        assert trace.iterations == 2 + 12 + MAX_GROWING_SWEEPS + 1
+        # 13 sweeps in the first block and 31 in the second
+        assert trace.iterations == 13 + MAX_GROWING_SWEEPS + 1
         diffs = trace.iterate_diffs[-MAX_GROWING_SWEEPS - 1 :]
         assert all(b > a for a, b in zip(diffs, diffs[1:]))
         assert str(exc.value) == (
-            "no convergence at node 1025 (tau = 0.250244) in 31 sweeps of the march block "
+            "no convergence at node 1152 (tau = 0.28125) in 31 sweeps of the march block "
             f"of nodes 1025..2048, the diff growing over the last {MAX_GROWING_SWEEPS} "
             f"(last diff {diffs[-1]:.3e}, last ratio {diffs[-1] / diffs[-2]:.3g})"
         )
-        # the first block converged; the nodes after the second were not reached
-        assert trace.residuals[:1025].max() <= 1e-10
+        # the first block converged, and so did the second up to node 1152;
+        # the nodes after the second were not reached
+        assert trace.residuals[:1152].max() <= 1e-10
         assert np.isnan(trace.residuals[2049:]).all()
 
-    def test_slow_start_marches(self, monkeypatch):
-        # the long-horizon benchmark corner: alpha = 0.5, lam T^alpha = 3;
-        # its diffs grow 3 sweeps in a row before they contract, so it
-        # marches, in one block on 256 nodes
+    def test_slow_start_marches(self):
+        # the long-horizon benchmark corner: alpha = 0.5, lam T^alpha = 3,
+        # in one block on 256 nodes; whole-grid Picard takes 69 sweeps
         spec = load_problem(CORNER_TEXT)
         grid = Grid(9.0, 256)
         trace = picard_solve(spec, grid)
-        assert trace.converged and trace.iterations == 14
-        # swept on the whole grid, the growing-diff stop leaves it alone
-        cold_trace = cold(monkeypatch, lambda: picard_solve(spec, grid))
-        assert cold_trace.converged and cold_trace.iterations == 69
-        run = longest = 0
-        for a, b in zip(cold_trace.iterate_diffs, cold_trace.iterate_diffs[1:]):
-            run = run + 1 if b > a else 0
-            longest = max(longest, run)
-        assert longest == 3
-        assert MAX_GROWING_SWEEPS >= 3 * longest
-        assert np.max(np.abs(trace.omega - cold_trace.omega)) <= 1e-9
+        assert trace.converged and trace.iterations == 13
+        want = whole_grid_picard(spec, grid)
+        assert want.converged and want.iterations == 69
+        assert np.max(np.abs(trace.omega - want.omega)) <= 1e-9
 
     def test_non_finite_iterate_stops_the_solve(self):
         @takes_arrays
@@ -585,68 +568,77 @@ class TestPicard:
 
 
 class TestMarch:
-    """A row whose first two diffs predict more than MARCH_MIN_SWEEPS
-    further sweeps, or grow, marches block by block after its second
-    sweep; every other row sweeps the whole grid as before."""
+    """Every row marches block by block of march_blocks from its first
+    sweep, to the fixed point of whole-grid Picard where that converges."""
 
     @pytest.mark.parametrize(
-        "make, N, sweeps",
+        "make, N",
         [
-            (lambda: load_problem(MANUFACTURED_TEXT), 4096, 2),  # converges in 2 sweeps
-            (lambda: constant_forcing_spec(omega0=1.5), 4096, 1),
-            (lambda: load_problem(LONG_HORIZON_TEXT), 4096, 7),
-            (lambda: load_problem(LONG_HORIZON_TEXT), 256, 7),
-            (lambda: perturbed(load_problem(LEVEL_TEXT), 0.1, 1), 256, 10),
+            (lambda: load_problem(MANUFACTURED_TEXT), 256),
+            (lambda: load_problem(MANUFACTURED_TEXT), 1024),
+            (lambda: constant_forcing_spec(omega0=1.5), 64),
         ],
-        ids=["manufactured", "constant", "long-horizon", "long-horizon-256", "level"],
+        ids=["manufactured-256", "manufactured-1024", "constant"],
     )
-    def test_fast_rows_sweep_the_whole_grid_as_before(
-        self, monkeypatch, block_sweeps, make, N, sweeps
-    ):
+    def test_one_block_of_a_map_free_of_omega_is_whole_grid_picard(self, make, N):
+        # the image does not depend on omega, so the secant never steps and
+        # one block sums the integral as rhs_operator does: bitwise the oracle
         spec = make()
         grid = Grid(spec.T, N)
-        want = cold(monkeypatch, lambda: [picard_solve(spec, grid)])
-        block_sweeps()
-        got = outcome(lambda: [picard_solve(spec, grid)])
-        assert_same_outcome(want, got)
-        # every sweep on the whole grid, the last one giving the residuals
-        assert got[0].iterations == sweeps
-        assert block_sweeps() == [sweeps]
+        got = picard_solve(spec, grid)
+        assert got.iterations <= 2
+        assert trace_bytes(got) == trace_bytes(whole_grid_picard(spec, grid))
+
+    @pytest.mark.parametrize("N", [256, 4096])
+    def test_one_row_is_sampled_as_a_1d_row(self, monkeypatch, N):
+        # one block takes the grid's nodes themselves, which the tau-only
+        # memo of f and g keeps; more blocks take views of them
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, N)
+        calls = []
+        for name in ("f_samples", "g_samples"):
+            method = getattr(ProblemSpec, name)
+
+            def counted(self, taus, omegas, method=method):
+                calls.append((taus, np.shape(omegas)))
+                return method(self, taus, omegas)
+
+            monkeypatch.setattr(ProblemSpec, name, counted)
+        trace = picard_solve(spec, grid)
+        assert len(calls) == 2 * trace.iterations
+        blocks = solver.march_blocks(N)
+        for taus, shape in calls:
+            assert shape == taus.shape and len(shape) == 1
+            assert (taus is grid.nodes) == (len(blocks) == 1)
+            assert taus.base is None or taus.base is grid.nodes
 
     @pytest.mark.parametrize(
         "text, runs",
         [
-            (NONLINEAR_TEXT, [2, 7, 7, 8, 9]),
-            (SLOW_ALPHA_TEXT, [2, 6, 8, 8, 9]),
-            (FAST_START_TEXT, [2, 5, 8, 8, 9]),
+            (NONLINEAR_TEXT, [7, 7, 8, 9]),
+            (SLOW_ALPHA_TEXT, [7, 8, 8, 9]),
+            (FAST_START_TEXT, [6, 8, 8, 9]),
         ],
         ids=["nonlinear", "alpha-0.3", "fast-start"],
     )
-    def test_slow_rows_march_to_the_same_fixed_point(
-        self, monkeypatch, block_sweeps, text, runs
-    ):
+    def test_slow_rows_march_to_the_same_fixed_point(self, block_sweeps, text, runs):
         spec = load_problem(text)
         grid = Grid(spec.T, 4096)
-        want = cold(monkeypatch, lambda: picard_solve(spec, grid))
+        want = whole_grid_picard(spec, grid)
         assert want.converged  # in 45, 189 and 38 sweeps
-        predicted = solver._predicted_sweeps(want.iterate_diffs[:2], solver.DEFAULT_TOL)
-        assert predicted > solver.MARCH_MIN_SWEEPS
         block_sweeps()
         got = picard_solve(spec, grid)
         assert got.converged and got.residual_sup <= 1e-9
         assert np.max(np.abs(got.omega - want.omega)) <= 1e-9
-        assert got.iterate_diffs[:2] == want.iterate_diffs[:2]
-        # two whole-grid sweeps, then each of the 4 blocks, whose last sweep
-        # gives its residuals
+        # each of the 4 blocks, whose last sweep gives its residuals
         assert block_sweeps() == runs
         assert got.iterations == sum(runs)
 
     @pytest.mark.parametrize("shifts", [None, [0.1, 0.05, -0.025, -0.0125]], ids=["solo", "stack"])
     @pytest.mark.parametrize(
-        "text, marched", [(NONLINEAR_TEXT, True), (LONG_HORIZON_TEXT, False)],
-        ids=["marched", "whole-grid"],
+        "text", [NONLINEAR_TEXT, LONG_HORIZON_TEXT], ids=["nonlinear", "long-horizon"]
     )
-    def test_the_residuals_are_the_operators(self, text, marched, shifts):
+    def test_the_residuals_are_the_operators(self, text, shifts):
         # a row stops on the sweep whose residual is at most tol, and
         # returns that iterate with those residuals
         spec = load_problem(text)
@@ -656,35 +648,37 @@ class TestMarch:
             perturbed(spec, abs(s), int(math.copysign(1.0, s))) for s in shifts
         ]
         for row, trace in zip(rows, traces, strict=True):
-            assert trace.converged and (trace.iterations > 20) == marched
-            assert trace.residual_sup <= solver.DEFAULT_TOL
+            assert trace.converged and trace.residual_sup <= solver.DEFAULT_TOL
             residuals = np.abs(trace.omega - rhs_operator(row, trace.omega, grid))
-            # a march sums the integral block by block, the whole grid as rhs_operator
-            assert np.max(np.abs(trace.residuals - residuals)) <= (1e-13 if marched else 0.0)
+            # a march sums the integral block by block, rhs_operator on the whole grid
+            assert np.max(np.abs(trace.residuals - residuals)) <= 1e-13
 
     @pytest.mark.parametrize("N", [64, 256, 2048, 4096])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
     @pytest.mark.parametrize("omega0", [0.0, 1.0])
-    def test_marched_rows_agree_with_whole_grid_sweeps(self, monkeypatch, N, alpha, omega0):
+    def test_marched_rows_agree_with_whole_grid_sweeps(self, N, alpha, omega0):
         text = NONLINEAR_TEXT.replace("alpha = 0.6", f"alpha = {alpha}")
         spec = load_problem(text.replace("omega0 = 0.5", f"omega0 = {omega0}"))
         grid = Grid(spec.T, N)
         # alpha = 0.3 sweeps up to 232 times on the whole grid
-        want = cold(monkeypatch, lambda: picard_solve(spec, grid, max_sweeps=400))
+        want = whole_grid_picard(spec, grid, max_sweeps=400)
         got = picard_solve(spec, grid)
         assert want.converged and got.converged
         assert np.max(np.abs(got.omega - want.omega)) <= 1e-9
         assert got.residual_sup <= 1e-10
 
-    def test_a_long_run_that_picard_fails_converges(self, monkeypatch, block_sweeps):
+    @pytest.mark.parametrize(
+        "N, runs", [(1024, [98]), (2048, [42, 54]), (4096, [21, 25, 28, 30])]
+    )
+    def test_a_long_run_that_picard_fails_converges(self, block_sweeps, N, runs):
         # alpha = 0.9, T = 10: whole-grid sweeps stall near a diff of 10
         spec = load_problem(LONG_RUN_TEXT)
-        grid = Grid(spec.T, 4096)
-        want = cold(monkeypatch, lambda: picard_solve(spec, grid))
-        assert type(want) is MaxSweepsExceeded and want.trace.iterations == 200
+        grid = Grid(spec.T, N)
+        want = whole_grid_picard(spec, grid)
+        assert not want.converged and want.iterations == 200
         block_sweeps()
         got = picard_solve(spec, grid)
-        assert block_sweeps() == [2, 16, 25, 28, 30]
+        assert block_sweeps() == runs
         residuals = np.abs(got.omega - rhs_operator(spec, got.omega, grid))
         assert got.converged and residuals.max() <= 1e-9
 
@@ -700,15 +694,12 @@ class TestMarch:
         assert trace.omega[-1] == pytest.approx(1.49527, abs=1e-5)
 
     def test_a_non_finite_step_names_its_node(self):
-        # g is NaN past tau = 1.5 once the row marches
+        # g is NaN past tau = 1.5, in the last of the 4 blocks
         base = load_problem(NONLINEAR_TEXT)
 
         @takes_arrays
         def g(t, w):
-            out = base.g(t, w)
-            if np.ndim(w) == 2:
-                out = np.where(t > 1.5, np.nan, out)
-            return out
+            return np.where(t > 1.5, np.nan, base.g(t, w))
 
         spec = ProblemSpec(T=2.0, omega0=0.5, f=base.f, g=g, cfg=base.cfg)
         with pytest.raises(NonFiniteIterate) as exc:
@@ -733,8 +724,8 @@ class TestMarch:
         spec = ProblemSpec(T=2.0, omega0=0.5, f=base.f, g=g, cfg=base.cfg)
         with pytest.raises(ValueError, match="on a block"):
             picard_solve(spec, Grid(spec.T, 4096))
-        # the whole grid twice, the first block, and the first sweep of the second
-        assert block_sweeps() == [2, 7, 1]
+        # the first block, and the first sweep of the second
+        assert block_sweeps() == [7, 1]
 
     def test_a_march_builds_its_weights_once(self, weight_builds):
         spec = load_problem(NONLINEAR_TEXT)
@@ -743,6 +734,15 @@ class TestMarch:
         # the grid's RL weights, the convolution of each block's steps, and
         # the cyclic ones of 16384 and 32768 that bring in the blocks before
         assert weight_builds == [32768, 8192, 16384, 32768]
+
+    def test_one_block_convolves_with_the_grid_weights(self, weight_builds):
+        # one block of all N steps takes rl_integral's convolution, spectrum and all
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, 1024)
+        trace = picard_solve(spec, grid)
+        assert trace.converged
+        rhs_operator(spec, trace.omega, grid)
+        assert weight_builds == [1024]
 
     @pytest.mark.parametrize("N", [1, 2, 3, 64, 2047, 2048, 3001, 4096, 4099, 65536])
     def test_the_blocks_cover_the_grid_alike(self, N):
