@@ -48,7 +48,7 @@ print("strict comparison on the eps-shifted pair")
 print(f"  hypothesis v(0) < w(0): {report.hypothesis_ok}")
 print(f"  inequalities hold:      {report.lower_ineq_ok and report.upper_ineq_ok}")
 print(f"  conclusion v < w:       {report.conclusion_ok}")
-print(f"  grid slack:             {report.slack:.3e}")
+print(f"  nested-grid slack:      {report.slack:.3e}")
 
 print()
 print("existence condition under both kernel conventions")

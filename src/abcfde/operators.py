@@ -18,6 +18,8 @@ integral at a block of nodes into the part that the nodes before the
 block make (by a cyclic FFT half as long) and the part of the block's
 own steps, for the march of :mod:`abcfde.solver`.  Each operator takes
 one vector of node samples or a stack of them, and acts along the last axis.
+The derivative also runs on the sub-grid of every step-th node, whose
+kernel is every step-th value of the grid's own.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class Discretization:
     never needs one (a solve never needs F) never pays for it.  Every
     array is read-only, since all callers on the grid share it.  So is
     the table of Mittag-Leffler values on the kernel argument
-    (:attr:`ml_values`), which the kernel and the calibration of
+    (:attr:`ml_values`), which the kernel and the golden check of
     :mod:`abcfde.verifier` fill and read.
     """
 
@@ -275,6 +277,22 @@ class Discretization:
         """Convolution by the kernel increments dF[m-1] = F(m h) - F((m-1) h)."""
         return _Convolution(np.diff(self.kernel))
 
+    def coarse_abc(self, step: int) -> _Convolution:
+        """:attr:`abc` of the sub-grid of every step-th node, built once per
+        step.  F at its nodes is F(step k h) = kernel[step k], so it takes
+        no Mittag-Leffler value beyond those of :attr:`kernel`."""
+        if step == 1:
+            return self.abc
+        conv = self._coarse_abcs.get(step)
+        if conv is None:
+            F = self.kernel[: step * (self.grid.N // step) + 1 : step]
+            conv = self._coarse_abcs[step] = _Convolution(np.diff(F))
+        return conv
+
+    @functools.cached_property
+    def _coarse_abcs(self) -> dict:
+        return {}
+
 
 #: The shared Discretization of (grid, alpha).  Callers work on one grid
 #: at a time, and a march's blocks take their grid's weights and block
@@ -315,18 +333,26 @@ def ml_kernel_antiderivative(grid: Grid, cfg: OperatorConfig) -> np.ndarray:
     return discretization(grid, cfg.alpha).kernel
 
 
-def abc_derivative(samples, grid: Grid, cfg: OperatorConfig) -> np.ndarray:
+def abc_derivative(samples, grid: Grid, cfg: OperatorConfig, step: int = 1) -> np.ndarray:
     """Atangana-Baleanu-Caputo derivative at the nodes.
 
     B(alpha)/(1-alpha) int_0^tau E_alpha[-lam (tau-s)^alpha] omega'(s) ds
     with omega' replaced by the piecewise constant slopes of the samples
     and the Mittag-Leffler kernel integrated exactly on each subinterval.
     output[0] = 0.
+
+    With step > 1, the derivative on the sub-grid of every step-th node
+    from the samples there: output[k] is at node step k, k = 0 .. N // step,
+    as on ``Grid(step h (N // step), N // step)`` up to rounding.
     """
     arr = _check_samples(samples, grid)
+    if not 1 <= step <= grid.N:
+        raise ValueError(f"step must lie in [1, {grid.N}], got {step}")
     a, B = cfg.alpha, cfg.b
-    slopes = np.diff(arr) / grid.h
+    if step > 1:
+        arr = arr[..., : step * (grid.N // step) + 1 : step]
+    slopes = np.diff(arr) / (step * grid.h)
     out = np.zeros(arr.shape)
     # out[n] = B/(1-a) * sum_{j=0}^{n-1} slopes[j] * dF[n-j-1]
-    out[..., 1:] = B / (1.0 - a) * discretization(grid, a).abc(slopes)
+    out[..., 1:] = B / (1.0 - a) * discretization(grid, a).coarse_abc(step)(slopes)
     return out

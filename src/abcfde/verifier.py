@@ -1,8 +1,10 @@
 """Numerical checks of the differential-inequality and comparison theory.
 
 Everything here is a grid diagnostic, not a proof: inequality verdicts
-carry an explicit discretization slack C*h, with C calibrated from the
-observed accuracy of the operator stack on the same grid.
+carry an explicit discretization slack.  By default it is estimated from
+the checked data itself, by comparing its derivative on the grid with
+the derivatives on the nested sub-grids of every 2nd and every 4th node
+(:func:`nested_grid_slack`); an explicit constant C gives the slack C*h.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ class GoldenResult:
 
 @dataclass
 class ComparisonReport:
+    """Verdicts and margins of :func:`verify_comparison`.  ``slack`` is the
+    discretization slack the margins were held to: the nested-grid
+    estimate of :func:`nested_grid_slack` by default, C*h for an explicit
+    constant C."""
+
     lower_ineq_ok: bool
     upper_ineq_ok: bool
     conclusion_ok: bool
@@ -122,7 +129,8 @@ def estimate_discretization_constant(cfg: OperatorConfig, grid: Grid) -> float:
     tau^(-1/2) near 0.  Data whose slope is steeper, such as
     E_alpha(tau^alpha) with alpha < 1/2, has operator error
     O(h^(2 alpha)), which exceeds C * h: at alpha = 0.3 it is 4.2x C * h
-    at N = 64 and 6.7x at N = 1024.
+    at N = 64 and 6.7x at N = 1024.  The checks of this module take
+    their default slack from :func:`nested_grid_slack` instead.
     """
     res = golden_identity_check(1.5, 1.0, cfg, [grid])
     return res.errors[0] / grid.h
@@ -136,6 +144,47 @@ def fundamental_theorem_check(samples, grid: Grid, cfg: OperatorConfig) -> float
     arr = np.asarray(samples, dtype=float)
     roundtrip = ab_integral(abc_derivative(arr, grid, cfg), grid, cfg)
     return float(np.max(np.abs(roundtrip - (arr - arr[0]))))
+
+
+#: Least N with a default slack: the sub-grid of every 4th node then has
+#: at least 2 steps.
+NESTED_MIN_N = 8
+
+
+def nested_grid_slack(q: np.ndarray, d: np.ndarray, grid: Grid, cfg: OperatorConfig) -> float:
+    """Default discretization slack of the derivatives d =
+    ``abc_derivative(q, grid, cfg)`` of node samples q, one path or a
+    stack of paths along the last axis, from nested sub-grids.
+
+    D_N is d, and D_N/2 and D_N/4 are the derivatives of q on the
+    sub-grids of every 2nd and every 4th node, whose kernel is the grid's
+    own (:meth:`Discretization.coarse_abc`).  For each path,
+    e1 = sup |D_N - D_N/2| and e2 = sup |D_N/2 - D_N/4|, each over the
+    nodes the two grids share, estimate the error of D_N as
+    e1 / (r - 1) with r = e2 / e1, the ratio 2^p of an order-p error.
+    The slack is 2 e1 / (r - 1), a safety factor of 2, with r floored
+    at 2^(1/4) (order 1/4), so a path whose sub-grids disagree without
+    converging still gets at most 2 e1 / (2^(1/4) - 1), about 10.6 e1.
+    It is the largest over the paths, and at least 4 eps sup |D_N|, a
+    roundoff floor that gives exact data (constants, linear paths) a
+    slack near 0 that rounding cannot flip a verdict across.
+
+    Raises :class:`ValidationError` when N < :data:`NESTED_MIN_N`.
+    """
+    if grid.N < NESTED_MIN_N:
+        raise ValidationError(
+            "N", f"the default slack needs N >= {NESTED_MIN_N} for its sub-grids of N/2 and N/4 "
+            f"steps, got {grid.N}"
+        )
+    d2 = abc_derivative(q, grid, cfg, step=2)
+    d4 = abc_derivative(q, grid, cfg, step=4)
+    e1 = np.max(np.abs(d[..., : 2 * d2.shape[-1] - 1 : 2] - d2), axis=-1)
+    e2 = np.max(np.abs(d2[..., : 2 * d4.shape[-1] - 1 : 2] - d4), axis=-1)
+    # e1 = 0 (sub-grids agree) gives r = inf and no slack
+    r = np.divide(e2, e1, out=np.full_like(e1, math.inf), where=e1 > 0.0)
+    estimate = 2.0 * e1 / (np.maximum(r, 2.0**0.25) - 1.0)
+    floor = 4.0 * np.finfo(float).eps * np.max(np.abs(d))
+    return float(max(np.max(estimate), floor))
 
 
 def verify_comparison(
@@ -154,6 +203,10 @@ def verify_comparison(
     every interior node; conclusion is v < w (STRICT) or v <= w
     (NONSTRICT) at all nodes.  NONSTRICT additionally estimates the
     one-sided Lipschitz constant of g and compares it to B/(1-alpha).
+
+    The slack is :func:`nested_grid_slack` of the two paths v/f(., v)
+    and w/f(., w), which needs N >= :data:`NESTED_MIN_N` (else
+    :class:`ValidationError`), or slack_constant * h when given.
     """
     cfg = spec.cfg
     t = grid.nodes
@@ -163,12 +216,14 @@ def verify_comparison(
     fw = spec.f_samples(t, w_vals)
     if np.any(fv == 0.0) or np.any(fw == 0.0):
         raise DegenerateF("f vanishes along a candidate path")
+    q = np.stack((v_vals / fv, w_vals / fw))
+    d = abc_derivative(q, grid, cfg)
     if slack_constant is None:
-        slack_constant = estimate_discretization_constant(cfg, grid)
-    slack = slack_constant * grid.h
+        slack = nested_grid_slack(q, d, grid, cfg)
+    else:
+        slack = slack_constant * grid.h
 
-    d_v = abc_derivative(v_vals / fv, grid, cfg)
-    d_w = abc_derivative(w_vals / fw, grid, cfg)
+    d_v, d_w = d
     g_v = spec.g_samples(t, v_vals)
     g_w = spec.g_samples(t, w_vals)
     lower_margins = g_v - d_v
@@ -234,7 +289,10 @@ def extremum_sign_check(
 
     Locates the largest node n0 > 0 with m(tau_n0) ~= 0 and m <= 0 on
     all earlier nodes, then reports the numerical derivative there with
-    a C*h slack.  No such node raises :class:`HypothesisViolation`.
+    the slack :func:`nested_grid_slack` of m, or slack_constant * h when
+    given.  No such node raises :class:`HypothesisViolation`; then, with
+    no slack_constant, N < :data:`NESTED_MIN_N` raises
+    :class:`ValidationError`.
     """
     arr = np.asarray(m_samples, dtype=float)
     if arr.shape != (grid.N + 1,):
@@ -249,10 +307,12 @@ def extremum_sign_check(
             "no node touches zero from below (m(tau_n) ~= 0 with m <= 0 before)"
         )
     n0 = int(nodes[-1]) + 1
+    d = abc_derivative(arr, grid, cfg)
     if slack_constant is None:
-        slack_constant = estimate_discretization_constant(cfg, grid)
-    slack = slack_constant * grid.h
-    deriv = float(abc_derivative(arr, grid, cfg)[n0])
+        slack = nested_grid_slack(arr, d, grid, cfg)
+    else:
+        slack = slack_constant * grid.h
+    deriv = float(d[n0])
     return ExtremumReport(
         node=n0,
         tau=float(grid.nodes[n0]),

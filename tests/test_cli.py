@@ -732,6 +732,26 @@ class TestCompare:
         code = main(["compare", str(path), "--lower", "1 +", "--upper", "2"])
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("n", ["4", "7"])
+    def test_grid_too_coarse_for_the_slack(self, tmp_path, capsys, n):
+        path = tmp_path / "p.txt"
+        path.write_text(ZERO_FORCING_TEXT)
+        code = main(["compare", str(path), "--lower", "-1 - tau", "--upper", "3 + tau", "--n", n])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"E_INVALID: N: the default slack needs N >= 8 for its sub-grids of N/2 and N/4 "
+            f"steps, got {n}\n"
+        )
+
+    def test_smallest_grid_with_a_slack(self, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        path.write_text(ZERO_FORCING_TEXT)
+        code = main(["compare", str(path), "--lower", "-1 - tau", "--upper", "3 + tau", "--n", "8"])
+        assert code == EXIT_OK
+        assert "conclusion_ok=True" in capsys.readouterr().out
+
 
 class TestMlf:
     def test_one_parameter(self, capsys):

@@ -404,9 +404,12 @@ class TestConvolutionPaths:
 
     def test_comparison_builds_the_stencil_once(self, weight_builds):
         spec = load_problem("alpha = 0.5\nT = 1\nomega0 = 1\nf = 1\ng = 0\n")
-        verify_comparison(spec, lambda t: 0.0, lambda t: 2.0, Grid(1.0, 1024),
-                          mode=Strictness.NONSTRICT)
-        assert weight_builds == [1024]  # the kernel increments diff(F)
+        for _ in range(2):
+            verify_comparison(spec, lambda t: 0.0, lambda t: 2.0, Grid(1.0, 1024),
+                              mode=Strictness.NONSTRICT)
+        # the kernel increments diff(F), then those of the nested sub-grids
+        # of the default slack, every 2nd and every 4th F
+        assert weight_builds == [1024, 512, 256]
 
 
 class TestStacks:
@@ -557,3 +560,50 @@ def test_rl_monotone_in_data(alpha, N):
     lo = np.zeros(N + 1)
     hi = np.ones(N + 1)
     assert np.all(rl_integral(hi, grid, alpha) >= rl_integral(lo, grid, alpha))
+
+
+class TestSubGridDerivative:
+    """abc_derivative with step > 1 is the derivative on the sub-grid of
+    every step-th node, from the grid's own kernel."""
+
+    # 1025 // 2 = 512 weights take the FFT path; odd N drop the last node
+    @pytest.mark.parametrize("N", [64, 301, 1025])
+    @pytest.mark.parametrize("step", [2, 4])
+    @pytest.mark.parametrize("alpha", [0.3, 0.75])
+    def test_equals_the_explicit_sub_grid(self, N, step, alpha):
+        grid = Grid(1.7, N)
+        cfg = OperatorConfig(alpha, BConvention.AB)
+        data = np.stack([np.sin(3.0 * grid.nodes) + grid.nodes**alpha, np.exp(-grid.nodes)])
+        M = N // step
+        coarse = Grid(step * grid.h * M, M)
+        want = abc_derivative(data[:, : step * M + 1 : step], coarse, cfg)
+        got = abc_derivative(data, grid, cfg, step=step)
+        assert got.shape == (2, M + 1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_step_one_is_the_derivative(self):
+        grid = Grid(1.0, 100)
+        cfg = OperatorConfig(0.4)
+        x = np.cos(grid.nodes)
+        want = abc_derivative(x, grid, cfg).tobytes()
+        assert abc_derivative(x, grid, cfg, step=1).tobytes() == want
+
+    def test_sub_grids_reuse_the_kernel(self, monkeypatch):
+        grid = Grid(1.0, 200)
+        cfg = OperatorConfig(0.6)
+        discretization.cache_clear()
+        abc_derivative(grid.nodes**0.5, grid, cfg)
+        calls = []
+        monkeypatch.setattr(operators, "ml_two", lambda *args: calls.append(args))
+        for step in (2, 4, 2):
+            abc_derivative(grid.nodes**0.5, grid, cfg, step=step)
+        assert calls == []
+        disc = discretization(grid, 0.6)
+        assert disc.coarse_abc(2) is disc.coarse_abc(2)
+        assert disc.coarse_abc(1) is disc.abc
+
+    @pytest.mark.parametrize("step", [0, -1, 9])
+    def test_step_out_of_range(self, step):
+        grid = Grid(1.0, 8)
+        with pytest.raises(ValueError, match="step"):
+            abc_derivative(grid.nodes, grid, OperatorConfig(0.5), step=step)

@@ -23,6 +23,7 @@ from abcfde import (
     ml_one,
     ml_prabhakar,
     ml_two,
+    nested_grid_slack,
     operators,
     sample_box,
     verifier,
@@ -104,7 +105,8 @@ def count_engine_calls(monkeypatch) -> list:
 
 
 class TestOneEnginePass:
-    """The calibration and the kernel share one Mittag-Leffler pass per grid."""
+    """The golden check and the kernel share one Mittag-Leffler pass per
+    grid, and a comparison asks for the kernel alone."""
 
     @pytest.mark.parametrize("b", list(BConvention))
     @pytest.mark.parametrize("beta,sigma", [(1.5, 1.0), (2.0, 1.0), (2.5, 0.5), (1.2, 0.0)])
@@ -127,10 +129,12 @@ class TestOneEnginePass:
         rep = verify_comparison(spec, v=lambda t: -1.0 - t, w=lambda t: 1.0 + t, grid=grid)
         assert rep.conclusion_ok
         disc = discretization(grid, 0.65)
-        assert [(name, z is disc.kernel_argument) for name, z in calls] == [("ml_prabhakar", True)]
-        assert set(disc.ml_values) == {(1.5, 1.0), (1.5, 2.0), KERNEL_PAIR}
+        # the kernel's row; the sub-grids of the slack read kernel[::2] and [::4]
+        assert [(name, z is disc.kernel_argument) for name, z in calls] == [("ml_two", True)]
+        assert set(disc.ml_values) == {KERNEL_PAIR}
         calls.clear()
-        assert estimate_discretization_constant(spec.cfg, grid) * grid.h == rep.slack
+        again = verify_comparison(spec, v=lambda t: -1.0 - t, w=lambda t: 1.0 + t, grid=grid)
+        assert again.slack == rep.slack
         assert calls == []
         # the kernel's row is the one ml_two gives
         alone = Discretization(grid, 0.65)
@@ -166,6 +170,113 @@ class TestDiscretizationConstant:
         assert c64 > 0.0 and c128 > 0.0
         # error ~ C h means the ratio of estimates is mesh-insensitive
         assert 0.5 < c128 / c64 < 2.0
+
+
+def ml_data(kind: str, grid: Grid, cfg: OperatorConfig):
+    """Node samples and the closed-form ABC derivative of E_alpha(tau^alpha)
+    ("exp") or of the golden data tau^(1/2) E^1_{alpha,1.5}(-lam tau^alpha)."""
+    a, B, t = cfg.alpha, cfg.b, grid.nodes
+    if kind == "exp":
+        up, down = ml_one(a, t**a), ml_one(a, -cfg.lam * t**a)
+        return up, B * (up - down)
+    z = -cfg.lam * t**a
+    root = t**0.5
+    return root * ml_prabhakar(a, 1.5, 1.0, z), B / (1.0 - a) * root * ml_prabhakar(a, 1.5, 2.0, z)
+
+
+class TestNestedGridSlack:
+    @pytest.mark.parametrize("kind", ["exp", "golden"])
+    @pytest.mark.parametrize("N", [64, 1024])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8, 0.95])
+    def test_covers_the_true_error(self, alpha, N, kind):
+        cfg = OperatorConfig(alpha)
+        grid = Grid(1.0, N)
+        samples, exact = ml_data(kind, grid, cfg)
+        d = abc_derivative(samples, grid, cfg)
+        assert nested_grid_slack(samples, d, grid, cfg) >= np.max(np.abs(d - exact))
+
+    @pytest.mark.parametrize("N", [64, 256, 1024])
+    def test_steep_exact_solution_passes_where_the_calibration_fails(self, N):
+        # v = w = E_0.3(tau^0.3) solves D[omega] = g exactly; its slope at
+        # 0 is steeper than the calibration data's tau^(-1/2)
+        lam = 0.3 / 0.7
+        spec = load_problem(
+            f"alpha = 0.3\nT = 1\nomega0 = 1\nf = 1\n"
+            f"g = mlf1(0.3, tau^0.3) - mlf1(0.3, -{lam!r}*tau^0.3)\n"
+        )
+        grid = Grid(1.0, N)
+        exact = lambda t: ml_one(0.3, t**0.3)
+        C = estimate_discretization_constant(spec.cfg, grid)
+        old = verify_comparison(spec, exact, exact, grid, Strictness.NONSTRICT, slack_constant=C)
+        assert not old.lower_ineq_ok
+        rep = verify_comparison(spec, exact, exact, grid, Strictness.NONSTRICT)
+        assert rep.lower_ineq_ok and rep.upper_ineq_ok and rep.conclusion_ok
+        assert rep.slack > C * grid.h
+
+    def test_the_larger_path_sets_the_slack(self):
+        cfg = OperatorConfig(0.4)
+        grid = Grid(1.0, 128)
+        q = np.stack([ml_data("exp", grid, cfg)[0], ml_data("golden", grid, cfg)[0]])
+        d = abc_derivative(q, grid, cfg)
+        each = [nested_grid_slack(row, dr, grid, cfg) for row, dr in zip(q, d)]
+        assert nested_grid_slack(q, d, grid, cfg) == max(each)
+        assert each[0] != each[1]
+
+    @pytest.mark.parametrize("N", [8, 9, 1024])
+    def test_exact_data_gets_the_roundoff_floor(self, N):
+        cfg = OperatorConfig(0.6, BConvention.AB)
+        grid = Grid(3.0, N)
+        zero = np.full(N + 1, 2.5)
+        assert nested_grid_slack(zero, abc_derivative(zero, grid, cfg), grid, cfg) == 0.0
+        # piecewise linear data are differentiated exactly on every grid
+        line = 1.0 - 2.0 * grid.nodes
+        d = abc_derivative(line, grid, cfg)
+        slack = nested_grid_slack(line, d, grid, cfg)
+        sup = np.max(np.abs(d))
+        assert 4.0 * np.finfo(float).eps * sup <= slack <= 1e-13 * sup
+
+    def test_linear_paths_clear_with_near_zero_slack(self):
+        spec = constant_forcing_spec(omega0=0.0)
+        rep = verify_comparison(spec, v=lambda t: -1.0 - t, w=lambda t: 1.0 + t, grid=Grid(1.0, 64))
+        assert rep.lower_ineq_ok and rep.upper_ineq_ok and rep.conclusion_ok
+        assert 0.0 < rep.slack < 1e-13
+
+    @pytest.mark.parametrize("N", [1, 4, 7])
+    def test_coarse_grids_are_refused(self, N):
+        spec = constant_forcing_spec(omega0=0.0)
+        grid = Grid(1.0, N)
+        v, w = (lambda t: -1.0 - t), (lambda t: 1.0 + t)
+        with pytest.raises(ValidationError, match=r"N: .*N >= 8") as info:
+            verify_comparison(spec, v, w, grid)
+        assert info.value.field == "N"
+        with pytest.raises(ValidationError, match=r"N >= 8"):
+            extremum_sign_check(grid.nodes - 1.0, grid, OperatorConfig(0.5))
+        # an explicit constant still gives C h
+        assert verify_comparison(spec, v, w, grid, slack_constant=2.0).slack == 2.0 * grid.h
+        rep = extremum_sign_check(grid.nodes - 1.0, grid, OperatorConfig(0.5), slack_constant=2.0)
+        assert rep.slack == 2.0 * grid.h
+
+    def test_hypotheses_are_checked_before_the_grid(self):
+        degenerate = ProblemSpec(
+            T=1.0, omega0=1.0, f=lambda t, w: w, g=lambda t, w: 0.0, cfg=OperatorConfig(0.5)
+        )
+        with pytest.raises(DegenerateF):
+            verify_comparison(degenerate, v=lambda t: 0.0, w=lambda t: 1.0, grid=Grid(1.0, 4))
+        with pytest.raises(HypothesisViolation):
+            extremum_sign_check(np.ones(4), Grid(1.0, 3), OperatorConfig(0.5))
+
+    def test_the_calibration_is_not_called(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("calibration called")
+
+        monkeypatch.setattr(verifier, "estimate_discretization_constant", refuse)
+        monkeypatch.setattr(verifier, "golden_identity_check", refuse)
+        grid = Grid(1.0, 64)
+        spec = constant_forcing_spec(omega0=0.0)
+        verify_comparison(spec, v=lambda t: -1.0 - t, w=lambda t: 1.0 + t, grid=grid)
+        verify_comparison(spec, v=lambda t: 0.0, w=lambda t: 1.0, grid=grid,
+                          mode=Strictness.NONSTRICT)
+        extremum_sign_check(grid.nodes - 1.0, grid, OperatorConfig(0.5))
 
 
 class TestFundamentalTheorem:
