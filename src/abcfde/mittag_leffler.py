@@ -33,9 +33,6 @@ paths per argument:
   (within 4.4e-13 relative of extended precision at alpha in 0.3-0.99,
   beta in {1.5, 2} and z in [-20, -1e-3]), and any other rho above
   MAX_CONTOUR_RHO raises :class:`~abcfde.errors.NonConvergence` there.
-  s_k^alpha - z depends on alpha and z only, so a call for several
-  (beta, rho) pairs at one z forms it, and its reciprocal, once per node
-  for all of them.
 
 On the rest of the negative axis (alpha > 1, where s^alpha = z has
 roots the contour does not take) the series is used while its
@@ -48,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -93,80 +91,54 @@ _H = _W / _N
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def ml_prabhakar(alpha: float, beta, rho, z):
+def ml_prabhakar(alpha: float, beta: float, rho: float, z):
     """Three-parameter Mittag-Leffler function E^rho_{alpha,beta}(z).
 
     z is a float or an array; the result is a float, or an array of z's
     shape.  Each value depends on its own z only, so an array gives the
-    values the per-element calls give; a NaN z gives NaN.  DEFAULT_TOL
-    and MAX_TERMS bound the series path.  The parameters must be finite,
-    and Gamma(beta) must not overflow (beta up to about 171.6).
-
-    beta and rho may also be tuples or lists of one length: the result is
-    then a list with the value at z of each pair (beta[i], rho[i]), each
-    bitwise what the call for that pair alone gives.  On the contour the
-    pairs share the per-node terms s_k^alpha - z and their reciprocals,
-    which depend on alpha and z only.  The call raises what the first
-    failing per-pair call would raise.
-    """
-    sequences = isinstance(beta, (tuple, list)), isinstance(rho, (tuple, list))
-    if not any(sequences):
-        return _ml_pairs(alpha, [(beta, rho)], z)[0]
-    if not all(sequences) or len(beta) != len(rho):
-        raise ValueError("beta and rho must be numbers, or sequences of one length")
-    return _ml_pairs(alpha, list(zip(beta, rho)), z)
-
-
-def _ml_pairs(alpha, pairs, z):
-    """E^rho_{alpha,beta}(z) for each (beta, rho) in pairs, as a list.
-
-    Each pair in turn is checked, its contour tables built and its disc
-    and series elements summed, so the call raises what the first failing
-    per-pair call would; then one contour pass takes the contour elements
-    of every pair.
+    values the per-element calls give; a NaN z gives NaN, except at
+    rho = 0, where every z gives 1/Gamma(beta).  DEFAULT_TOL and
+    MAX_TERMS bound the series path.  alpha, beta and rho must be finite
+    real numbers (anything else raises ValueError naming it), and
+    Gamma(beta) must not overflow (beta up to about 171.6).
     """
     zs = np.asarray(z, dtype=float)
+    for name, value in (("alpha", alpha), ("beta", beta), ("rho", rho)):
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not beta > 0:
+        raise ValueError(f"beta must be > 0, got {beta}")
+    if rho < 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
+    for name, value in (("alpha", alpha), ("beta", beta), ("rho", rho)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    try:
+        lead = 1.0 / math.gamma(beta)
+    except OverflowError:
+        raise ValueError(f"Gamma(beta) overflows at beta = {beta}") from None
     flat = zs.ravel()
+    out = np.full(flat.shape, lead)
+    # rho = 0 kills every k >= 1 term through (rho)_k
+    if rho == 0.0:
+        return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
     nan = np.isnan(flat)
-    outs, contours, lifts = [], [], []
-    for beta, rho in pairs:
-        if not alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
-        if not beta > 0:
-            raise ValueError(f"beta must be > 0, got {beta}")
-        if rho < 0:
-            raise ValueError(f"rho must be >= 0, got {rho}")
-        for name, value in (("alpha", alpha), ("beta", beta), ("rho", rho)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        try:
-            lead = 1.0 / math.gamma(beta)
-        except OverflowError:
-            raise ValueError(f"Gamma(beta) overflows at beta = {beta}") from None
-        out = np.full(flat.shape, lead)
-        outs.append(out)
-        # rho = 0 kills every k >= 1 term through (rho)_k
-        if rho == 0.0:
-            continue
-        out[nan] = np.nan
-        # rho = 3 with beta > 1 comes from two rho = 2 rules (see below)
-        lift = rho == 3.0 and beta > 1.0
-        # the disc serves |z| <= 1 where the contour needs over two corrections
-        rule_rho = 2.0 if lift else rho
-        radius = 1.0 if alpha * (rule_rho + 2) - beta < -1.0 else SERIES_RADIUS
-        contour = (flat < -radius) & (alpha <= 1.0)
-        if contour.any() and lift:
-            # 2 alpha E^3_{a,b} = E^2_{a,b-1} + (1 - b + 2 alpha) E^2_{a,b}
-            # (Giusti et al., Fract. Calc. Appl. Anal. 23(1), 2020)
-            low, high = np.empty(flat.shape), np.empty(flat.shape)
-            contours.append((low, contour, 2.0, _contour(alpha, beta - 1.0, 2.0)))
-            contours.append((high, contour, 2.0, _contour(alpha, beta, 2.0)))
-            lifts.append((out, contour, low, high, 1.0 - beta + 2.0 * alpha))
-        elif contour.any():
-            contours.append((out, contour, rho, _contour(alpha, beta, rho)))
-        mask = ~contour & (flat != 0.0) & ~nan
-        if not mask.any():
-            continue
+    out[nan] = np.nan
+    # rho = 3 with beta > 1 comes from two rho = 2 rules (see below)
+    lift = rho == 3.0 and beta > 1.0
+    rule_rho = 2.0 if lift else rho
+    # the disc serves |z| <= 1 where the contour needs over two corrections
+    radius = 1.0 if alpha * (rule_rho + 2) - beta < -1.0 else SERIES_RADIUS
+    contour = (flat < -radius) & (alpha <= 1.0)
+    # the contour's tables are built before the disc and the series run,
+    # and its sums after them, so a call raises what fails first there
+    tables = []
+    if contour.any():
+        tables = [_contour(alpha, b, rule_rho) for b in ((beta - 1.0, beta) if lift else (beta,))]
+    mask = ~contour & (flat != 0.0) & ~nan
+    if mask.any():
         coefficients = _disc_coefficients(alpha, beta, rho, radius)
         if coefficients is not None:
             disc = mask & (np.abs(flat) <= radius)
@@ -175,13 +147,16 @@ def _ml_pairs(alpha, pairs, z):
                 mask &= ~disc
         if mask.any():
             out[mask] = _series(alpha, beta, rho, flat[mask])
-    if contours:
-        _contour_sums(flat, contours)
-    for out, mask, low, high, c in lifts:
-        out[mask] = (low[mask] + c * high[mask]) / (2.0 * alpha)
-    if zs.ndim == 0:
-        return [float(out[0]) for out in outs]
-    return [out.reshape(zs.shape) for out in outs]
+    if tables:
+        values = _contour_sums(flat[contour], rule_rho, tables)
+        if lift:
+            # 2 alpha E^3_{a,b} = E^2_{a,b-1} + (1 - b + 2 alpha) E^2_{a,b}
+            # (Giusti et al., Fract. Calc. Appl. Anal. 23(1), 2020)
+            low, high = values
+            out[contour] = (low + (1.0 - beta + 2.0 * alpha) * high) / (2.0 * alpha)
+        else:
+            out[contour] = values[0]
+    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -372,47 +347,37 @@ def _contour(alpha, beta, rho):
     return s_alpha, weights, corrections
 
 
-def _contour_sums(z, jobs):
-    """The contour rule for each job (out, mask, rho, table): out[mask] =
-    the rule at z[mask] < 0.
+def _contour_sums(z, rho, tables):
+    """The contour rule at each z < 0 for each :func:`_contour` table of
+    one alpha and rho in tables, as a list of arrays.
 
-    s_k^alpha depends on alpha only, so every job's table holds the same
-    nodes.  One loop over them forms s_k^alpha - z and, for an integer
-    rho, its reciprocal and that reciprocal's powers once per node over
-    the union of the masks, and adds each job's weight times its term
-    into the job's own accumulator, in node order as for one job alone;
-    the temporaries stay at the size of z.  An integer rho takes the
-    rho-th power by out-of-place products: about 3x faster per node than
-    numpy's complex power, and, unlike an in-place ``*=``, the same value
-    per element at any array length.  A non-integer rho takes numpy's
-    complex power.
+    The tables hold the same nodes s_k^alpha, so the two rho = 2 rules of
+    the rho = 3 lift share one loop: each node's (s_k^alpha - z)^(-rho) is
+    formed once and added, times each table's weight, in node order.  An
+    integer rho takes it by out-of-place products of the reciprocal: about
+    3x faster per node than numpy's complex power, and, unlike an in-place
+    ``*=``, the same value per element at any array length.
     """
-    masks = [mask for _, mask, _, _ in jobs]
-    union = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
-    zc = z[union].astype(complex)
-    # per job: accumulator, weights, and the integer power or else -rho
-    sums = [
-        (np.zeros(zc.shape, dtype=complex), weights, int(rho) if rho == int(rho) else -rho)
-        for _, _, rho, (_, weights, _) in jobs
-    ]
-    top = max((p for _, _, p in sums if isinstance(p, int)), default=0)
-    powers = [None] * (top + 1)
-    for k, s_a in enumerate(jobs[0][3][0]):
+    zc = z.astype(complex)
+    integer = rho == int(rho)
+    sums = [np.zeros(zc.shape, dtype=complex) for _ in tables]
+    for k, s_a in enumerate(tables[0][0]):
         diff = s_a - zc
-        if top:
-            r = powers[1] = np.reciprocal(diff)
-            for p in range(2, top + 1):
-                powers[p] = powers[p - 1] * r
-        for acc, weights, p in sums:
-            acc += weights[k] * (powers[p] if isinstance(p, int) else diff**p)
-    for (acc, _, _), (out, mask, rho, (_, _, corrections)) in zip(sums, jobs):
-        values = acc.real if mask is union else acc.real[mask[union]]
+        if integer:
+            term = r = np.reciprocal(diff)
+            for _ in range(int(rho) - 1):
+                term = term * r
+        else:
+            term = diff**-rho
+        for acc, (_, weights, _) in zip(sums, tables):
+            acc += weights[k] * term
+    values = [acc.real for acc in sums]
+    for value, (_, _, corrections) in zip(values, tables):
         if corrections:
-            zj = z[mask]
-            lead = (-zj) ** -rho
+            lead = (-z) ** -rho
             for j, c in enumerate(corrections):
-                values += c * lead * zj**-j
-        out[mask] = values
+                value += c * lead * z**-j
+    return values
 
 
 def ml_two(alpha: float, beta: float, z):

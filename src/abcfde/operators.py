@@ -27,8 +27,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import types
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,11 +148,6 @@ class _Convolution:
         return np.reshape(rows, x.shape[:-1] + (hi - lo,))
 
 
-#: (beta, rho) of E_{alpha,2} = E^1_{alpha,2}, the Mittag-Leffler function in
-#: :attr:`Discretization.kernel`
-KERNEL_PAIR = (2.0, 1.0)
-
-
 @dataclass(frozen=True)
 class Discretization:
     """Product-integration weights of both operators on one grid, for one
@@ -162,10 +155,7 @@ class Discretization:
 
     Each member is built on first use and then kept, so a caller that
     never needs one (a solve never needs F) never pays for it.  Every
-    array is read-only, since all callers on the grid share it.  So is
-    the table of Mittag-Leffler values on the kernel argument
-    (:attr:`ml_values`), which the kernel and the golden check of
-    :mod:`abcfde.verifier` fill and read.
+    array is read-only, since all callers on the grid share it.
     """
 
     grid: Grid
@@ -230,45 +220,22 @@ class Discretization:
     @functools.cached_property
     def kernel_argument(self) -> np.ndarray:
         """z_k = -lam (k h)^alpha, k = 0 .. N, lam = alpha / (1 - alpha): the
-        argument of every Mittag-Leffler value kept in :attr:`ml_values`."""
+        argument of the Mittag-Leffler function in :attr:`kernel`, and of
+        those in the golden check of :mod:`abcfde.verifier`."""
         a = self.alpha
         z = -(a / (1.0 - a)) * self.grid.nodes**a
         z.flags.writeable = False
         return z
 
     @functools.cached_property
-    def _ml_rows(self) -> dict:
-        return {}
-
-    @property
-    def ml_values(self) -> Mapping[tuple[float, float], np.ndarray]:
-        """E^rho_{alpha,beta}(kernel_argument) of each (beta, rho) evaluated
-        so far, keyed by (beta, rho): a read-only view of read-only rows.
-        :data:`KERNEL_PAIR` is there once :attr:`kernel` is built, or once
-        a caller has kept it."""
-        return types.MappingProxyType(self._ml_rows)
-
-    def keep_ml_values(self, pairs, rows) -> None:
-        """Add the row of each (beta, rho) in pairs to :attr:`ml_values`;
-        each row must be E^rho_{alpha,beta}(kernel_argument)."""
-        for pair, row in zip(pairs, rows, strict=True):
-            row.flags.writeable = False
-            self._ml_rows[pair] = row
-
-    @functools.cached_property
     def kernel(self) -> np.ndarray:
         """Values F(k h) of the kernel antiderivative, k = 0 .. N.
 
         F(x) = int_0^x E_alpha(-lam u^alpha) du = x E_{alpha,2}(-lam x^alpha)
-        with lam = alpha / (1 - alpha).  E_{alpha,2} is the
-        :data:`KERNEL_PAIR` row of :attr:`ml_values`, evaluated here if no
-        caller has kept it.
+        with lam = alpha / (1 - alpha), so F is the nodes times E_{alpha,2}
+        on :attr:`kernel_argument`.
         """
-        row = self._ml_rows.get(KERNEL_PAIR)
-        if row is None:
-            row = ml_two(self.alpha, 2.0, self.kernel_argument)
-            self.keep_ml_values([KERNEL_PAIR], [row])
-        out = self.grid.nodes * row
+        out = self.grid.nodes * ml_two(self.alpha, 2.0, self.kernel_argument)
         out.flags.writeable = False
         return out
 

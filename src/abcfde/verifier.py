@@ -19,14 +19,7 @@ import numpy as np
 from .errors import DegenerateF, HypothesisViolation, MonotonicityViolation, ValidationError
 from .expression import sample
 from .mittag_leffler import ml_prabhakar
-from .operators import (
-    KERNEL_PAIR,
-    Grid,
-    OperatorConfig,
-    abc_derivative,
-    ab_integral,
-    discretization,
-)
+from .operators import Grid, OperatorConfig, abc_derivative, ab_integral, discretization
 from .solver import BoxSample, ProblemSpec, check_monotone_quotient, max_pair_slope, sample_box
 
 
@@ -83,10 +76,9 @@ def golden_identity_check(
     z = -lam tau^alpha, with alpha = cfg.alpha and lam = cfg.lam: the
     identity holds only at the kernel rate.
 
-    Both functions are rows of the grid's :attr:`Discretization.ml_values`.
-    Rows it lacks come from one engine call, which also takes the
-    kernel's row while the grid has no kernel yet, so a grid checked
-    again makes no engine call.
+    Each grid takes one engine call per function, on the grid's
+    :attr:`Discretization.kernel_argument`, and the kernel's own call
+    while the grid has none.
 
     beta <= 1 is rejected: the sampled function is unbounded (or has an
     unbounded derivative model) at 0 and the piecewise-linear slope
@@ -97,21 +89,12 @@ def golden_identity_check(
     if any(g1.N <= g0.N for g0, g1 in zip(grids, grids[1:])):
         raise ValidationError("grids", "each N must be larger than the one before")
     a, B = cfg.alpha, cfg.b
-    pairs = [(beta, sigma), (beta, sigma + 1.0)]
     errors = []
     for grid in grids:
-        disc = discretization(grid, a)
-        rows = disc.ml_values
-        missing = [pair for pair in pairs if pair not in rows]
-        # the kernel that abc_derivative needs shares the engine's pass
-        if missing and KERNEL_PAIR not in rows and KERNEL_PAIR not in missing:
-            missing.append(KERNEL_PAIR)
-        if missing:
-            betas, rhos = zip(*missing)
-            disc.keep_ml_values(missing, ml_prabhakar(a, betas, rhos, disc.kernel_argument))
+        z = discretization(grid, a).kernel_argument
         power = grid.nodes ** (beta - 1.0)
-        f = power * rows[pairs[0]]
-        exact = B / (1.0 - a) * power * rows[pairs[1]]
+        f = power * ml_prabhakar(a, beta, sigma, z)
+        exact = B / (1.0 - a) * power * ml_prabhakar(a, beta, sigma + 1.0, z)
         num = abc_derivative(f, grid, cfg)
         errors.append(float(np.max(np.abs(num - exact))))
     orders = [

@@ -36,8 +36,6 @@ from abcfde.errors import (
     MonotonicityViolation,
     ValidationError,
 )
-from abcfde.operators import KERNEL_PAIR
-
 from conftest import constant_forcing_spec
 
 
@@ -72,8 +70,8 @@ class TestGoldenIdentity:
 
 def two_call_golden_errors(beta, sigma, cfg, grids):
     """The errors of golden_identity_check with one engine call per
-    function, and the kernel that abc_derivative builds on its own: the
-    oracle of the shared pass."""
+    function on an argument formed here, and the kernel that
+    abc_derivative builds on its own."""
     a, B = cfg.alpha, cfg.b
     errors = []
     for grid in grids:
@@ -105,8 +103,9 @@ def count_engine_calls(monkeypatch) -> list:
 
 
 class TestOneEnginePass:
-    """The golden check and the kernel share one Mittag-Leffler pass per
-    grid, and a comparison asks for the kernel alone."""
+    """The golden check makes one Mittag-Leffler call per function and
+    grid, besides the kernel's, and a comparison asks for the kernel
+    alone."""
 
     @pytest.mark.parametrize("b", list(BConvention))
     @pytest.mark.parametrize("beta,sigma", [(1.5, 1.0), (2.0, 1.0), (2.5, 0.5), (1.2, 0.0)])
@@ -131,7 +130,6 @@ class TestOneEnginePass:
         disc = discretization(grid, 0.65)
         # the kernel's row; the sub-grids of the slack read kernel[::2] and [::4]
         assert [(name, z is disc.kernel_argument) for name, z in calls] == [("ml_two", True)]
-        assert set(disc.ml_values) == {KERNEL_PAIR}
         calls.clear()
         again = verify_comparison(spec, v=lambda t: -1.0 - t, w=lambda t: 1.0 + t, grid=grid)
         assert again.slack == rep.slack
@@ -141,25 +139,27 @@ class TestOneEnginePass:
         assert disc.kernel.tobytes() == alone.kernel.tobytes()
         assert disc.kernel_argument.tobytes() == alone.kernel_argument.tobytes()
 
-    def test_a_grid_with_a_kernel_asks_for_the_calibration_only(self, monkeypatch):
+    def test_golden_calls_per_grid(self, monkeypatch):
         calls = count_engine_calls(monkeypatch)
         cfg = OperatorConfig(0.4)
         grid = Grid(1.3, 77)
         discretization.cache_clear()
-        abc_derivative(grid.nodes, grid, cfg)
-        estimate_discretization_constant(cfg, grid)
-        assert [name for name, _ in calls] == ["ml_two", "ml_prabhakar"]
-        assert set(discretization(grid, 0.4).ml_values) == {KERNEL_PAIR, (1.5, 1.0), (1.5, 2.0)}
+        golden_identity_check(1.5, 1.0, cfg, [grid])
+        disc = discretization(grid, 0.4)
+        # the two functions, then the kernel that abc_derivative builds
+        assert [(name, z is disc.kernel_argument) for name, z in calls] == [
+            ("ml_prabhakar", True), ("ml_prabhakar", True), ("ml_two", True)
+        ]
+        calls.clear()
+        golden_identity_check(1.5, 1.0, cfg, [grid])
+        assert [name for name, _ in calls] == ["ml_prabhakar", "ml_prabhakar"]
 
-    def test_the_table_is_read_only(self):
-        cfg = OperatorConfig(0.5)
-        grid = Grid(1.0, 40)
-        estimate_discretization_constant(cfg, grid)
-        disc = discretization(grid, 0.5)
-        with pytest.raises(TypeError):
-            disc.ml_values[(3.0, 1.0)] = disc.kernel_argument
-        for row in (disc.kernel_argument, *disc.ml_values.values()):
+    def test_the_kernel_is_read_only(self):
+        disc = discretization(Grid(1.0, 40), 0.5)
+        for row in (disc.kernel_argument, disc.kernel):
             assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 1.0
 
 
 class TestDiscretizationConstant:
