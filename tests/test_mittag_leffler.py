@@ -436,6 +436,97 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def assert_same_as_per_element(alpha, beta, rho, zs):
+    """ml_prabhakar on the array zs gives bitwise, NaN included, what the
+    calls on its elements alone give."""
+    got = ml_prabhakar(alpha, beta, rho, zs)
+    assert isinstance(got, np.ndarray) and got.shape == zs.shape
+    want = [ml_prabhakar(alpha, beta, rho, float(z)) for z in zs.ravel()]
+    assert all(type(w) is float for w in want)
+    assert got.ravel().tobytes() == np.array(want).tobytes()
+
+
+class TestOnePair:
+    """One (beta, rho) on an array against the calls on its elements."""
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(0.05, 1.0), st.floats(1.0, 1.6)),
+        beta=st.floats(0.2, 3.5),
+        rho=st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 2.5)),
+        zs=st.lists(
+            st.one_of(st.floats(-40.0, 3.0), st.sampled_from([0.0, -0.0, math.nan])),
+            min_size=1,
+            max_size=30,
+        ).map(np.array),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_element_calls(self, alpha, beta, rho, zs):
+        got = outcome(lambda: ml_prabhakar(alpha, beta, rho, zs))
+        if isinstance(got, tuple):
+            # what the array raises, one of its elements raises alone
+            alone = [outcome(lambda: ml_prabhakar(alpha, beta, rho, float(z))) for z in zs]
+            assert got in alone
+            return
+        assert_same_as_per_element(alpha, beta, rho, zs)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,rho",
+        [
+            # the calibration pair and the kernel
+            (0.65, 1.5, 1.0), (0.65, 1.5, 2.0), (0.65, 2.0, 1.0),
+            # series radius 1 and radius 0.5
+            (0.2, 2.5, 1.0), (0.2, 1.5, 1.0), (0.2, 1.5, 2.0),
+            # alpha = 1, a non-integer rho
+            (1.0, 1.0, 1.0), (1.0, 2.0, 2.0), (1.0, 1.5, 0.5),
+            (0.7, 1.3, 1.5), (0.7, 1.3, 0.5),
+            # rho = 3 from two rho = 2 rules
+            (0.5, 1.5, 3.0),
+            # rho = 0 is the constant 1/Gamma(beta), NaN z included
+            (0.5, 1.5, 0.0),
+            # alpha > 1: series only
+            (1.4, 1.5, 1.0), (1.4, 2.0, 2.0),
+        ],
+    )
+    def test_cases(self, alpha, beta, rho):
+        zs = -np.linspace(-1.0, 30.0, 311)
+        zs[[0, 17, 101]] = [np.nan, 0.0, -0.0]
+        assert_same_as_per_element(alpha, beta, rho, zs)
+        assert_same_as_per_element(alpha, beta, rho, zs.reshape(1, -1, 1))
+        for z in (-3.0, -0.75, 0.0, 0.4, math.nan):
+            assert type(ml_prabhakar(alpha, beta, rho, z)) is float
+            assert_same_as_per_element(alpha, beta, rho, np.array([z]))
+
+    @pytest.mark.parametrize(
+        "alpha,beta,rho,z,message",
+        [
+            # more than 200 corrections, with the contour's point first or last
+            (1e-3, 2.0, 1.0, [-3.0, 0.2],
+             "more than 200 corrections for (alpha=0.001, beta=2.0, rho=1.0)"),
+            (1e-3, 2.0, 1.0, [0.2, -3.0],
+             "more than 200 corrections for (alpha=0.001, beta=2.0, rho=1.0)"),
+            # the contour refuses rho = 3 at beta <= 1
+            (0.5, 1.0, 3.0, [-0.1, -3.0],
+             "accurate only up to rho=2.0 for (alpha=0.5, beta=1.0, rho=3.0)"),
+            # its tables are built before the series, which would overflow
+            (0.5, 1.0, 3.0, [1000.0, -3.0],
+             "accurate only up to rho=2.0 for (alpha=0.5, beta=1.0, rho=3.0)"),
+            # the series runs before the contour's sums
+            (0.5, 1.5, 1.0, [1000.0, -3.0],
+             "series overflow at k=135 for (alpha=0.5, beta=1.5, rho=1.0, z=1000.0)"),
+            (0.5, 1.5, 3.0, [1000.0, -3.0],
+             "series overflow at k=133 for (alpha=0.5, beta=1.5, rho=3.0, z=1000.0)"),
+            # a bad parameter before any z is looked at
+            (0.5, -1.0, 1.0, [-3.0], "beta must be > 0, got -1.0"),
+        ],
+    )
+    def test_raises_what_fails_first(self, alpha, beta, rho, z, message):
+        got = outcome(lambda: ml_prabhakar(alpha, beta, rho, np.array(z)))
+        assert isinstance(got, tuple) and message in got[1]
+        # the first stage to fail fails on one element alone too
+        alone = [outcome(lambda: ml_prabhakar(alpha, beta, rho, x)) for x in z]
+        assert got in alone
+
+
 def assert_series_as_per_term(alpha, jobs):
     """_series on each job (beta, rho, z) gives bitwise what summing it
     term by term gives, or raises what that raises."""
