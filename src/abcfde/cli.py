@@ -386,7 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("solve", _cmd_solve, "solve a problem file by Picard iteration")
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-sweeps", type=int, default=200)
+    p.add_argument(
+        "--max-sweeps", type=int, default=200,
+        help="sweeps per march block (default 200): a solve takes at most the number "
+        "of blocks (1 below N = 2048, 4 from N = 4096 on) times this",
+    )
     p.add_argument("--out", default="solution.csv")
 
     p = command("check", _cmd_check, "evaluate the existence condition")

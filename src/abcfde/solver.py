@@ -16,12 +16,13 @@ convention or alpha/(B (1-alpha)) under PAPER_HYBRID.
 
 Every solve marches: the grid is cut into a few blocks (one below 2048
 steps), solved in turn, each from the integral over the blocks before it
-(Hairer, Lubich and Schlichte's block structure) with a per-node secant
-step on the instantaneous term f (1-alpha)/B g, which is what holds
-Picard back; each later block starts from the line through the last two
-solved nodes (Diethelm, Ford and Freed's predictor).  A block stops at
-the first sweep whose residual max |omega - T(omega)| there is at most
-tol.
+(Hairer, Lubich and Schlichte's block structure) with a per-node step on
+the instantaneous term f (1-alpha)/B g, which is what holds Picard back:
+on a grid of several blocks, a Newton step from a probe of f and g on
+each block's first sweep, and a secant step after it.  Each later block
+starts from the cubic through four solved nodes 16 steps apart (Diethelm,
+Ford and Freed's predictor, to third order).  A block stops at the first
+sweep whose residual max |omega - T(omega)| there is at most tol.
 """
 
 from __future__ import annotations
@@ -392,11 +393,11 @@ def picard_stack(
     :func:`stack_rows` rows.  Raises what that per-row loop would raise
     first: the error of the first row that fails, naming a sample of that
     row.  For that, a stack whose sweep raises is solved again row by
-    row: at most one more solve of the stack, and only when a sweep
-    raises.  Stacking pays: 6 seed-301 benchmark ``extremal`` draws per
-    family (4 levels), medians of 9 on a 2-core VM, took 2.8 against
-    4.3 ms manufactured, 71.0 against 107.1 ms nonlinear and 9.4 against
-    16.1 ms long-horizon, against a loop over the levels.
+    row: at most one more solve of the stack, and only when a sweep or a
+    probe raises.  Stacking pays: 6 seed-301 benchmark ``extremal`` draws
+    per family (4 levels), medians of 9 on a 2-core VM, took 2.9 against
+    4.6 ms manufactured, 47.0 against 67.9 ms nonlinear and 7.2 against
+    11.8 ms long-horizon, against a loop over the levels.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
@@ -425,17 +426,27 @@ def picard_stack(
 def _march(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
     """The trace of each row of one stack of :func:`picard_stack`, or the
     MaxSweepsExceeded or NonFiniteIterate that ends it, in row order.
-    None when a sweep of several rows raises; a sweep of one row raises.
+    None when a sweep or a probe of several rows raises; a sweep of one
+    row raises, and a probe of one row gives no slope.
 
     The rows march block by block of :func:`march_blocks`: the first
-    block from omega0, each later one from the line through the row's
-    last two solved nodes, with the integral from the nodes before it
-    brought in once (:meth:`~abcfde.operators.Discretization.history`).
-    A sweep takes the image y of the iterate w; a row's diff is its
-    largest residual |w - y| in the block.  A row that goes on takes each
-    node's secant step w - (w - y) / J, J = 1 - (y - y') / (w - w') from
-    its previous iterate w' and image y', or y where J is undefined or at
-    most SECANT_MIN_SLOPE.  At a diff of at most tol the row stops (in
+    block from omega0, each later one from the cubic through the row's
+    solved nodes lo - 1, lo - 17, lo - 33 and lo - 49 (spaced so that a
+    node error of tol moves the start by about 1e-5 at most), with the
+    integral from the nodes before it brought in once
+    (:meth:`~abcfde.operators.Discretization.history`).  A sweep takes
+    the image y of the iterate w; a row's diff is its largest residual
+    |w - y| in the block.  A row that goes on takes each node's step
+    w - (w - y) / J, or y where J is undefined or at most
+    SECANT_MIN_SLOPE.  J = 1 - D: on the first sweep of each block of a
+    march of several blocks, D is dy/dw through the node's own f and g,
+    from a probe of both at w + d, d = (w + 2^-26 max(1, |w|)) - w,
+
+        D = [(f(w + d) - f(w)) y / f + f ((1-alpha)/B + c h^alpha / Gamma(alpha+2))
+             (g(w + d) - g(w))] / d;
+
+    on a later sweep, D = (y - y') / (w - w') from the previous iterate
+    w' and image y'.  At a diff of at most tol the row stops (in
     that block) with w, its residuals and the g at w that later blocks'
     history reads; after max_sweeps sweeps in the block, or
     MAX_GROWING_SWEEPS in a row whose diff grew, it fails, and at once
@@ -457,15 +468,19 @@ def _march(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
         if lo:
             history = disc.history(known[sel], lo, hi)
             steps = known[sel, lo - 1 : hi].copy()  # the g before the block, then the block's
-            last = omega[sel, lo - 1 : lo]
-            w = last + np.arange(1.0, hi - lo + 1) * (last - omega[sel, lo - 2 : lo - 1])
+            # the cubic through solved nodes lo - 49, lo - 33, lo - 17 and lo - 1,
+            # in Newton's backward form in units s of 16 steps from node lo - 1
+            p = omega[sel, lo - 49 : lo : 16]
+            d1, d2, d3 = (np.diff(p, k)[..., -1:] for k in (1, 2, 3))
+            s = np.arange(1.0, hi - lo + 1) / 16
+            w = p[..., 3:] + s * (d1 + (s + 1) / 2 * (d2 + (s + 2) / 3 * d3))
         else:
             w = omega[sel, :hi]
             integral = np.zeros(w.shape)  # node 0's stays 0
         sweeping = list(live)
         block_diffs = {r: [] for r in live}
         growing = dict.fromkeys(live, 0)  # sweeps in a row whose diff grew
-        stack = w_prev = y_prev = None
+        stack = w_prev = y_prev = slope = None
         while True:
             if stack is None:  # the first sweep, or rows left
                 stack = rows[sweeping[0]] if len(sweeping) == 1 else _Stack(
@@ -480,6 +495,18 @@ def _march(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
                 if len(rows) == 1:
                     raise
                 return None
+            probe = None
+            # f and g a step d up, for Newton's slope on a block's first sweep; one
+            # block takes none, since there the probe saves about what it costs
+            if w_prev is None and not whole:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    up = w + 2.0**-26 * np.maximum(1.0, np.abs(w))
+                    d = up - w
+                try:
+                    probe = stack.f_samples(taus, up), stack.g_samples(taus, up)
+                except Exception:  # like the sweep's, but one row takes the Picard step
+                    if len(rows) > 1:
+                        return None
             head, g_weight, c = stack._sweep_constants
             # an overflow leaves a non-finite image, which ends the row, and a
             # 0/0 secant an undefined J
@@ -490,6 +517,9 @@ def _march(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
                 else:
                     integral[..., 1:] = disc.history(g, 1, hi) + disc.block(g)
                     y = f * (head + g_weight * g + c * integral)
+                if probe is not None:  # J = 1 - dy/dw of the node's own f and g
+                    instant = g_weight + c * disc.rl[1]
+                    slope = 1.0 - ((probe[0] - f) * y / f + f * instant * (probe[1] - g)) / d
                 res = np.abs(w - y)
                 keep = []
                 sups = res.max(axis=-1).tolist() if res.ndim > 1 else [float(res.max())]
@@ -533,15 +563,15 @@ def _march(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
                 if len(keep) < len(sweeping):  # rows left: the rest go on as their own stack
                     sweeping = [sweeping[i] for i in keep]
                     sel, stack = keep[0] if len(keep) == 1 else keep, None
-                    w, y, w_prev, y_prev, history, steps, integral = (
+                    w, y, w_prev, y_prev, slope, history, steps, integral = (
                         a if a is None else a[sel]
-                        for a in (w, y, w_prev, y_prev, history, steps, integral)
+                        for a in (w, y, w_prev, y_prev, slope, history, steps, integral)
                     )
-                step = y
                 if w_prev is not None:
                     slope = 1.0 - (y - y_prev) / (w - w_prev)
-                    step = np.where(np.isfinite(slope) & (slope > SECANT_MIN_SLOPE),
-                                    w - (w - y) / slope, y)
+                step = y if slope is None else np.where(
+                    np.isfinite(slope) & (slope > SECANT_MIN_SLOPE), w - (w - y) / slope, y
+                )
             w_prev, y_prev, w = w, y, step
         if not live:
             break
@@ -570,7 +600,9 @@ def picard_solve(
     whose diff grew, and its subclass :class:`NonFiniteIterate` at the
     first sweep whose image is not finite, naming the first node of the
     block whose residual exceeds tol, and its tau.  ``iterations`` counts
-    every sweep of every block.  The one-row case of :func:`picard_stack`.
+    every sweep of every block: max_sweeps caps each block, so a solve
+    takes at most ``len(march_blocks(grid.N)) * max_sweeps`` sweeps.  The
+    one-row case of :func:`picard_stack`.
     """
     return picard_stack(spec, grid, tol=tol, max_sweeps=max_sweeps)[0]
 

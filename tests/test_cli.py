@@ -213,7 +213,7 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(
-            "E_MAXSWEEPS: no convergence at node 1152 (tau = 0.28125) in 31 sweeps of the "
+            "E_MAXSWEEPS: no convergence at node 1025 (tau = 0.250244) in 31 sweeps of the "
             "march block of nodes 1025..2048, the diff growing over the last 30 (last diff "
         )
         summary = (tmp_path / "trace.csv.summary.txt").read_text()

@@ -391,7 +391,7 @@ class TestOneStack:
         assert_same_outcome(want, stacked(spec, grid, +1, levels=5))
 
     @pytest.mark.parametrize(
-        "sign, sweeps", [(+1, [31, 30, 30, 31]), (-1, [30, 33, 31, 30])]
+        "sign, sweeps", [(+1, [22, 21, 21, 21]), (-1, [23, 25, 24, 24])]
     )
     def test_marched_levels_are_bitwise_the_per_level_solves(self, sign, sweeps):
         # 4096 nodes march every level in 4 blocks, to the fixed points that
@@ -424,7 +424,42 @@ class TestOneStack:
         want = per_level(spec, grid, +1)
         assert str(want) == "the third level in the first block"
         assert_same_outcome(want, stacked(spec, grid, +1))
-        assert [t.iterations for t in per_level(spec, grid, +1, levels=2)] == [31, 30]
+        assert [t.iterations for t in per_level(spec, grid, +1, levels=2)] == [22, 21]
+
+    def test_a_raising_probe_takes_the_picard_step(self):
+        # g raises on the probe of each block's first sweep, the sample a
+        # step d = 2^-26 max(1, |w|) above the sweep's own: the stacked probe
+        # hands the levels to their solo solves, each of which takes the
+        # Picard step there, and no probe error escapes
+        base = load_problem(NONLINEAR_TEXT)
+        seen = {"last": None, "probes": 0}
+
+        @takes_arrays
+        def g(t, w):
+            last, w = seen["last"], np.array(w, dtype=float)
+            seen["last"] = w
+            if last is not None and np.array_equal(
+                w, last + 2.0**-26 * np.maximum(1.0, np.abs(last))
+            ):
+                seen["probes"] += 1
+                raise ValueError("the probe")
+            return base.g(t, w)
+
+        spec = replace(base, g=g)
+        grid = Grid(spec.T, 4096)
+        blocks = len(solver.march_blocks(grid.N))
+        trace = picard_solve(spec, grid)
+        assert seen["probes"] == blocks
+        assert trace.converged and trace.residual_sup <= 1e-10
+        oracle = whole_grid_picard(base, grid)
+        assert np.max(np.abs(trace.omega - oracle.omega)) <= 1e-9
+        want = per_level(spec, grid, +1)
+        assert seen["probes"] == 5 * blocks
+        assert all(t.converged for t in want)
+        seen["probes"] = 0
+        assert_same_outcome(want, stacked(spec, grid, +1))
+        # the stack's first probe, then each level's own
+        assert seen["probes"] == 1 + 4 * blocks
 
     def test_marched_levels_build_the_grid_once(self, weight_builds):
         spec = load_problem(NONLINEAR_TEXT)
@@ -452,12 +487,12 @@ class TestOneStack:
 
     def test_each_sample_of_a_marched_level_is_one_of_its_sweeps(self, monkeypatch):
         # 4 levels marched in 4 blocks at N = 4096: every row of every f and g
-        # sample is a counted sweep of its level, and no sweep only reads
-        # residuals
+        # sample is a counted sweep of its level or the probe that opens each
+        # of its blocks, and no sweep only reads residuals
         spec = load_problem(NONLINEAR_TEXT)
         grid = Grid(spec.T, 4096)
         sweeps = [t.iterations for t in per_level(spec, grid, +1)]
-        assert sweeps == [31, 30, 30, 31]
+        assert sweeps == [22, 21, 21, 21]
         rows = {"f_samples": 0, "g_samples": 0}
         for name in rows:
             method = getattr(ProblemSpec, name)
@@ -468,4 +503,5 @@ class TestOneStack:
 
             monkeypatch.setattr(ProblemSpec, name, counted)
         bracket_maximal(spec, grid, levels=4)
-        assert rows == {"f_samples": sum(sweeps), "g_samples": sum(sweeps)}
+        samples = sum(sweeps) + 4 * len(solver.march_blocks(grid.N))
+        assert rows == {"f_samples": samples, "g_samples": samples}

@@ -351,13 +351,18 @@ LONG_RUN_TEXT = (
 # alpha = 0.3, T = 5: the march lands on a second root unless each block
 # starts near the solution
 FLIP_TEXT = "alpha=0.3\nT=5\nomega0=0\nf=1 + 0.1*sin(omega)\ng=tau*cos(omega) + 0.1*omega*tau"
+# the k-family: the nonlinear f and g with k omega tau in g, from omega0 = 0
+K_FAMILY_TEXT = (
+    "alpha={alpha}\nT={T}\nomega0=0\nf=1 + 0.1*sin(omega)\ng=tau*cos(omega) + {k}*omega*tau"
+)
 
 
 @pytest.fixture
 def block_sweeps(monkeypatch):
     """Counts the solver's sweeps by their g samples: calling the result
-    gives the length of each run of sweeps over the same nodes since the
-    last call, one run per march block."""
+    gives the length of each run of samples over the same nodes since the
+    last call, one run per march block: a sample per sweep, and in a march
+    of several blocks one more, the probe of the block's first sweep."""
     calls = []
     g_samples = ProblemSpec.g_samples
 
@@ -437,7 +442,7 @@ class TestPicard:
             f"no convergence at node 1 (tau = 0.125) in 1 sweeps (last diff {d[-1]:.3e})"
         )
 
-    @pytest.mark.parametrize("N, n", [(1024, 1), (2048, 176)])
+    @pytest.mark.parametrize("N, n", [(1024, 1), (2048, 150)])
     def test_blow_up_in_the_first_block_names_a_node(self, N, n):
         # one block below 2048 steps, whose error names no block; at
         # N = 1024 the FFT rounding of the blown-up iterate leaves node 1's
@@ -467,13 +472,12 @@ class TestPicard:
         diffs = trace.iterate_diffs[-MAX_GROWING_SWEEPS - 1 :]
         assert all(b > a for a, b in zip(diffs, diffs[1:]))
         assert str(exc.value) == (
-            "no convergence at node 1152 (tau = 0.28125) in 31 sweeps of the march block "
+            "no convergence at node 1025 (tau = 0.250244) in 31 sweeps of the march block "
             f"of nodes 1025..2048, the diff growing over the last {MAX_GROWING_SWEEPS} "
             f"(last diff {diffs[-1]:.3e}, last ratio {diffs[-1] / diffs[-2]:.3g})"
         )
-        # the first block converged, and so did the second up to node 1152;
-        # the nodes after the second were not reached
-        assert trace.residuals[:1152].max() <= 1e-10
+        # the first block converged; the nodes after the second were not reached
+        assert trace.residuals[:1025].max() <= 1e-10
         assert np.isnan(trace.residuals[2049:]).all()
 
     def test_slow_start_marches(self):
@@ -605,8 +609,11 @@ class TestMarch:
 
             monkeypatch.setattr(ProblemSpec, name, counted)
         trace = picard_solve(spec, grid)
-        assert len(calls) == 2 * trace.iterations
         blocks = solver.march_blocks(N)
+        # f and g once per sweep, and once more per block to probe the
+        # slope of a march of several blocks
+        probes = 0 if len(blocks) == 1 else len(blocks)
+        assert len(calls) == 2 * (trace.iterations + probes)
         for taus, shape in calls:
             assert shape == taus.shape and len(shape) == 1
             assert (taus is grid.nodes) == (len(blocks) == 1)
@@ -615,9 +622,9 @@ class TestMarch:
     @pytest.mark.parametrize(
         "text, runs",
         [
-            (NONLINEAR_TEXT, [7, 7, 8, 9]),
-            (SLOW_ALPHA_TEXT, [7, 8, 8, 9]),
-            (FAST_START_TEXT, [6, 8, 8, 9]),
+            (NONLINEAR_TEXT, [6, 5, 6, 6]),
+            (SLOW_ALPHA_TEXT, [7, 6, 5, 5]),
+            (FAST_START_TEXT, [6, 5, 5, 6]),
         ],
         ids=["nonlinear", "alpha-0.3", "fast-start"],
     )
@@ -630,8 +637,9 @@ class TestMarch:
         got = picard_solve(spec, grid)
         assert got.converged and got.residual_sup <= 1e-9
         assert np.max(np.abs(got.omega - want.omega)) <= 1e-9
-        # each of the 4 blocks, whose last sweep gives its residuals
-        assert block_sweeps() == runs
+        # the sweeps of each of the 4 blocks, whose last sweep gives its
+        # residuals, and the block's probe
+        assert block_sweeps() == [n + 1 for n in runs]
         assert got.iterations == sum(runs)
 
     @pytest.mark.parametrize("shifts", [None, [0.1, 0.05, -0.025, -0.0125]], ids=["solo", "stack"])
@@ -668,7 +676,7 @@ class TestMarch:
         assert got.residual_sup <= 1e-10
 
     @pytest.mark.parametrize(
-        "N, runs", [(1024, [98]), (2048, [42, 54]), (4096, [21, 25, 28, 30])]
+        "N, runs", [(1024, [98]), (2048, [43, 50]), (4096, [20, 24, 25, 21])]
     )
     def test_a_long_run_that_picard_fails_converges(self, block_sweeps, N, runs):
         # alpha = 0.9, T = 10: whole-grid sweeps stall near a diff of 10
@@ -678,7 +686,9 @@ class TestMarch:
         assert not want.converged and want.iterations == 200
         block_sweeps()
         got = picard_solve(spec, grid)
-        assert block_sweeps() == runs
+        probe = len(runs) > 1
+        assert block_sweeps() == [n + probe for n in runs]
+        assert got.iterations == sum(runs)
         residuals = np.abs(got.omega - rhs_operator(spec, got.omega, grid))
         assert got.converged and residuals.max() <= 1e-9
 
@@ -724,7 +734,7 @@ class TestMarch:
         spec = ProblemSpec(T=2.0, omega0=0.5, f=base.f, g=g, cfg=base.cfg)
         with pytest.raises(ValueError, match="on a block"):
             picard_solve(spec, Grid(spec.T, 4096))
-        # the first block, and the first sweep of the second
+        # the first block's 6 sweeps and its probe, and the first sweep of the second
         assert block_sweeps() == [7, 1]
 
     def test_a_march_builds_its_weights_once(self, weight_builds):
@@ -754,6 +764,48 @@ class TestMarch:
         assert max(steps) - min(steps) <= 1 and min(steps) >= 1
         count = max(1, min(solver.MARCH_BLOCKS, N // solver.MARCH_BLOCK_STEPS))
         assert len(blocks) == count
+
+    @pytest.mark.parametrize(
+        "N, counts", [(1024, (23, 6, 31)), (2048, (34, 2, 24)), (4096, (42, 1, 17))]
+    )
+    def test_the_k_family_verdicts(self, N, counts):
+        # g = tau cos(omega) + k omega tau from omega0 = 0 over 60 (alpha, T, k):
+        # the rows that converge with no step between adjacent nodes above
+        # 0.5, those that converge with one (onto another root), and those
+        # that fail; the march's verdicts still depend on N
+        verdicts = [0, 0, 0]
+        for alpha, T, k in itertools.product(
+            (0.2, 0.3, 0.5, 0.7, 0.9), (2, 5, 10, 20), (0.05, 0.2, 0.5)
+        ):
+            spec = load_problem(K_FAMILY_TEXT.format(alpha=alpha, T=T, k=k))
+            try:
+                trace = picard_solve(spec, Grid(spec.T, N))
+            except MaxSweepsExceeded:
+                verdicts[2] += 1
+                continue
+            verdicts[int(np.max(np.abs(np.diff(trace.omega))) > 0.5)] += 1
+        assert tuple(verdicts) == counts
+
+    def test_max_sweeps_caps_each_block(self, block_sweeps):
+        # alpha = 0.9, T = 20, k = 0.05 sweeps 43-57 times in each of its 4
+        # blocks, so a solve may take len(march_blocks(N)) * max_sweeps sweeps
+        spec = load_problem(K_FAMILY_TEXT.format(alpha=0.9, T=20, k=0.05))
+        grid = Grid(spec.T, 4096)
+        blocks = solver.march_blocks(grid.N)
+        trace = picard_solve(spec, grid)
+        runs = [n - 1 for n in block_sweeps()]  # less each block's probe
+        assert runs == [43, 50, 49, 57]
+        assert trace.converged and trace.iterations == sum(runs)
+        assert trace.iterations <= len(blocks) * solver.DEFAULT_MAX_SWEEPS
+        # a cap that each block meets: the same solve, in more sweeps than the cap
+        capped = picard_solve(spec, grid, max_sweeps=max(runs))
+        assert trace_bytes(capped) == trace_bytes(trace)
+        assert max(runs) < capped.iterations <= len(blocks) * max(runs)
+        # below the second block's sweeps: it fails there, in the cap's sweeps
+        with pytest.raises(MaxSweepsExceeded) as exc:
+            picard_solve(spec, grid, max_sweeps=45)
+        assert exc.value.trace.iterations == runs[0] + 45
+        assert " in 45 sweeps of the march block of nodes 1025..2048 " in str(exc.value)
 
 
 class TestExistenceCondition:
