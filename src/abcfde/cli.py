@@ -35,6 +35,8 @@ from .extremal import bracket_maximal, bracket_minimal
 from .mittag_leffler import ml_prabhakar
 from .operators import Grid, OperatorConfig
 from .solver import (
+    DEFAULT_MAX_SWEEPS,
+    DEFAULT_TOL,
     LATTICE_NEED,
     ProblemSpec,
     check_monotone_quotient,
@@ -385,11 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("solve", _cmd_solve, "solve a problem file by Picard iteration")
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument(
-        "--max-sweeps", type=int, default=200,
-        help="sweeps per march block (default 200): a solve takes at most the number "
-        "of blocks (1 below N = 2048, 4 from N = 4096 on) times this",
+        "--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS,
+        help="sweeps per block of solver.march_blocks(N) (default %(default)s): a solve "
+        "takes at most the number of blocks times this",
     )
     p.add_argument("--out", default="solution.csv")
 
@@ -403,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--minimal", action="store_true")
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out-prefix", default="extremal")
 
     p = command("compare", _cmd_compare, "verify lower/upper solution inequalities")
@@ -427,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("convergence", _cmd_convergence, "grid-refinement study of a solve")
     p.add_argument("--grids", default="64,128,256")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     return parser
 

@@ -141,8 +141,8 @@ class _Convolution:
         hi = self.weights.size if hi is None else hi
         if self.spectrum is not None:
             return np.fft.irfft(np.fft.rfft(x, self.nfft) * self.spectrum, self.nfft)[..., lo:hi]
-        if x.ndim == 1:
-            return np.convolve(x, self.weights)[lo:hi]
+        if x.size == x.shape[-1]:  # one row, as a 1-D array or not
+            return np.convolve(x.ravel(), self.weights)[lo:hi].reshape(x.shape[:-1] + (-1,))
         # np.convolve is 1-D only, and no stacked form sums in its order
         rows = [np.convolve(row, self.weights)[lo:hi] for row in x.reshape(-1, x.shape[-1])]
         return np.reshape(rows, x.shape[:-1] + (hi - lo,))
@@ -275,12 +275,11 @@ def rl_integral(samples, grid: Grid, alpha: float) -> np.ndarray:
     piecewise linear; exact kernel moments, output[0] = 0.  Along the
     last axis of a stack, each row as it would be alone.
     """
-    start, unit, W = discretization(grid, alpha).rl
+    disc = discretization(grid, alpha)
     arr = _check_samples(samples, grid)
     out = np.zeros(arr.shape)
     # out[n] = arr[0] start[n-1] + h^a / Gamma(a+2) sum_{j<n} (arr[j+1] - arr[j]) W[n-1-j]
-    steps = arr[..., 1:] - arr[..., :-1]  # np.diff(arr), without its Python overhead
-    out[..., 1:] = arr[..., :1] * start + unit * W(steps)
+    out[..., 1:] = disc.history(arr, 1, grid.N + 1) + disc.block(arr)
     return out
 
 

@@ -87,10 +87,10 @@ class ProblemSpec:
 
     @functools.cached_property
     def _sweep_constants(self) -> tuple:
-        """(omega0 / f00, (1 - alpha) / B, :func:`singular_integral_coefficient`):
-        the constants of :func:`rhs_operator`, formed once per spec."""
+        """((1 - alpha) / B, :func:`singular_integral_coefficient`): the
+        weights of g's two terms in :func:`rhs_operator`, formed once per spec."""
         cfg = self.cfg
-        return self.omega0 / self.f00, (1.0 - cfg.alpha) / cfg.b, singular_integral_coefficient(cfg)
+        return (1.0 - cfg.alpha) / cfg.b, singular_integral_coefficient(cfg)
 
     def validate(self) -> None:
         if not 0 < self.T < math.inf:
@@ -320,11 +320,11 @@ def rhs_operator(spec: ProblemSpec, omega: np.ndarray, grid: Grid) -> np.ndarray
     omega = np.asarray(omega, dtype=float)
     f_vals = spec.f_samples(grid.nodes, omega)
     g_vals = spec.g_samples(grid.nodes, omega)
-    head, g_weight, c = spec._sweep_constants
+    g_weight, c = spec._sweep_constants
     # an overflow leaves a non-finite image, for the caller to see
     with np.errstate(over="ignore", invalid="ignore"):
         integral = c * rl_integral(g_vals, grid, spec.alpha)
-        return f_vals * (head + g_weight * g_vals + integral)
+        return f_vals * (spec.omega0 / spec.f00 + g_weight * g_vals + integral)
 
 
 #: Iterate elements that one stack of :func:`picard_stack` holds, one row
@@ -357,23 +357,6 @@ def march_blocks(N: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-@dataclass(frozen=True, eq=False)
-class _Stack(ProblemSpec):
-    """Rows of :func:`picard_stack` as one spec for a march sweep: omega0
-    is the column of the rows' starts, g_samples adds the column of their
-    shifts to g, and f00 is the column of the rows' own f00."""
-
-    rows: tuple = ()
-    shifts: Optional[np.ndarray] = None
-
-    @functools.cached_property
-    def f00(self) -> np.ndarray:
-        return np.array([[row.f00] for row in self.rows])
-
-    def g_samples(self, taus, omegas) -> np.ndarray:
-        return super().g_samples(taus, omegas) + self.shifts
-
-
 def picard_stack(
     spec: ProblemSpec,
     grid: Grid,
@@ -384,38 +367,36 @@ def picard_stack(
     """Picard-iterate the problems (g + s, omega0 + s) of spec, one per
     shift s, as one stack of iterates; with shifts None, spec alone.
 
-    Row r gives bitwise the trace of :func:`picard_solve` on its own
-    problem, ``perturbed(spec, |s|, sign of s)``: it starts from its own
-    omega0, marches on its own diffs, keeps its own diffs, and stops at
-    its own sweep, with that sweep's residuals, and then stops changing.
-    The rows march as one stack, f, g and the convolutions called once
-    per sweep on all rows still in the march block, in stacks of
-    :func:`stack_rows` rows.  Raises what that per-row loop would raise
-    first: the error of the first row that fails, naming a sample of that
-    row.  For that, a stack whose sweep raises is solved again row by
-    row: at most one more solve of the stack, and only when a sweep or a
-    probe raises.  Stacking pays: 6 seed-301 benchmark ``extremal`` draws
-    per family (4 levels), medians of 9 on a 2-core VM, took 2.9 against
-    4.6 ms manufactured, 47.0 against 67.9 ms nonlinear and 7.2 against
-    11.8 ms long-horizon, against a loop over the levels.
+    A stack is spec and the column of its shifts.  Level s gives bitwise
+    the trace of :func:`picard_solve` on ``perturbed(spec, |s|, sign of
+    s)``: it starts from omega0 + s, marches on its own diffs, keeps them,
+    and stops at its own sweep, with that sweep's residuals, and then
+    stops changing.  The levels march as one stack, f, g and the
+    convolutions called once per sweep on all levels still in the march
+    block, in stacks of :func:`stack_rows` levels.  Raises what that
+    per-level loop would raise first: the error of the first level that
+    fails, naming a sample of that level.  For that, a stack whose sweep
+    or probe raises is solved again by that very loop, level by level: at
+    most one more solve of the stack, and only when a sweep or a probe
+    raises.  Stacking pays: 6 seed-301 benchmark ``extremal`` draws per
+    family (4 levels), medians of 9 on a 2-core VM, took 0.6 against 1.0
+    ms manufactured, 11.9 against 19.2 ms nonlinear and 1.2 against 2.2
+    ms long-horizon, against a loop over the levels.
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if not max_sweeps >= 1:
         raise ValueError("max_sweeps must be >= 1")
-    if shifts is None:
-        rows, shifts = [spec], [0.0]  # one row never reads its shift
-    else:
-        shifts = [float(s) for s in shifts]
-        rows = [perturbed(spec, abs(s), int(math.copysign(1.0, s))) for s in shifts]
+    stacks = [None]  # spec alone
+    if shifts is not None:
+        shifts, size = [float(s) for s in shifts], stack_rows(grid)
+        stacks = [shifts[lo : lo + size] for lo in range(0, len(shifts), size)]
     traces: list[SolutionTrace] = []
-    size = stack_rows(grid)
-    for lo in range(0, len(rows), size):
-        block = slice(lo, lo + size)
-        outcomes = _march(spec, rows[block], shifts[block], grid, tol, max_sweeps)
-        if outcomes is None:  # row by row, each only once the one before it is taken
-            outcomes = (_march(spec, [row], [shift], grid, tol, max_sweeps)[0]
-                        for row, shift in zip(rows[block], shifts[block]))
+    for stack in stacks:
+        outcomes = _march(spec, stack, grid, tol, max_sweeps)
+        if outcomes is None:  # level by level, each only once the one before it is taken
+            outcomes = (picard_solve(perturbed(spec, abs(s), int(math.copysign(1.0, s))),
+                                     grid, tol, max_sweeps) for s in stack)
         for outcome in outcomes:
             if isinstance(outcome, Exception):
                 raise outcome
@@ -423,11 +404,16 @@ def picard_stack(
     return traces
 
 
-def _march(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
-    """The trace of each row of one stack of :func:`picard_stack`, or the
-    MaxSweepsExceeded or NonFiniteIterate that ends it, in row order.
-    None when a sweep or a probe of several rows raises; a sweep of one
-    row raises, and a probe of one row gives no slope.
+def _march(spec, shifts, grid, tol, max_sweeps) -> Optional[list]:
+    """The trace of spec alone (shifts None) or of each level of one stack
+    of :func:`picard_stack`, or the MaxSweepsExceeded or NonFiniteIterate
+    that ends it, in level order.  Every array holds one row per level.
+    A stack samples spec's f and g on its 2-D iterate and adds the shifts
+    of its levels to g; level s starts from omega0 + s with the head
+    (omega0 + s) / f(0, omega0 + s), taken after the first sample.  spec
+    alone is sampled as one 1-D row, so that an EvalError names its
+    sample k; its sweep raises, and its probe gives no slope.  A stack
+    gives None when a sweep or a probe raises.
 
     The rows march block by block of :func:`march_blocks`: the first
     block from omega0, each later one from the cubic through the row's
@@ -450,49 +436,55 @@ def _march(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
     that block) with w, its residuals and the g at w that later blocks'
     history reads; after max_sweeps sweeps in the block, or
     MAX_GROWING_SWEEPS in a row whose diff grew, it fails, and at once
-    where y is not finite, with NaN residuals after the block.  One row
-    is sampled and convolved as a 1-D array, so an EvalError names its
-    sample k."""
+    where y is not finite, with NaN residuals after the block."""
     disc = operators.discretization(grid, spec.alpha)  # the one rl_integral shares
-    omega = np.full((len(rows), grid.N + 1), [[row.omega0] for row in rows])
+    alone = shifts is None
+    starts = [spec.omega0] if alone else [spec.omega0 + s for s in shifts]
+    shift = None if alone else np.array([[s] for s in shifts])
+    g_weight, c = spec._sweep_constants
+    head = None  # the column of the rows' omega0 / f(0, omega0)
+
+    def sample(taus, w, rows):  # f and g at the iterate w of the given rows
+        if alone:
+            return spec.f_samples(taus, w[0])[None], spec.g_samples(taus, w[0])[None]
+        return spec.f_samples(taus, w), spec.g_samples(taus, w) + shift[rows]
+
+    omega = np.full((len(starts), grid.N + 1), [[x] for x in starts])
     known = np.empty_like(omega)  # g at each row's solved nodes
     residuals = np.empty_like(omega)
-    diffs: list[list[float]] = [[] for _ in rows]
-    outcomes: list = [None] * len(rows)
-    live = list(range(len(rows)))
+    diffs: list[list[float]] = [[] for _ in starts]
+    outcomes: list = [None] * len(starts)
+    live = list(range(len(starts)))
     for lo, hi in march_blocks(grid.N):
         whole = hi - lo == grid.N + 1  # one block: the nodes the tau-only memo of f and g keeps
         taus = grid.nodes if whole else grid.nodes[lo:hi]
-        sel = live[0] if len(live) == 1 else live
-        history = steps = integral = None  # the integral's parts that a block keeps
+        # the block's rows' heads, and the parts of the integral that it keeps
+        heads = history = steps = integral = None
         if lo:
-            history = disc.history(known[sel], lo, hi)
-            steps = known[sel, lo - 1 : hi].copy()  # the g before the block, then the block's
+            heads = head[live]
+            history = disc.history(known[live], lo, hi)
+            steps = known[live, lo - 1 : hi]  # the g before the block, then the block's
             # the cubic through solved nodes lo - 49, lo - 33, lo - 17 and lo - 1,
             # in Newton's backward form in units s of 16 steps from node lo - 1
-            p = omega[sel, lo - 49 : lo : 16]
-            d1, d2, d3 = (np.diff(p, k)[..., -1:] for k in (1, 2, 3))
+            p = omega[live, lo - 49 : lo : 16]
+            d1, d2, d3 = (np.diff(p, k)[:, -1:] for k in (1, 2, 3))
             s = np.arange(1.0, hi - lo + 1) / 16
-            w = p[..., 3:] + s * (d1 + (s + 1) / 2 * (d2 + (s + 2) / 3 * d3))
+            w = p[:, 3:] + s * (d1 + (s + 1) / 2 * (d2 + (s + 2) / 3 * d3))
         else:
-            w = omega[sel, :hi]
+            w = omega[live, :hi]
             integral = np.zeros(w.shape)  # node 0's stays 0
         sweeping = list(live)
         block_diffs = {r: [] for r in live}
         growing = dict.fromkeys(live, 0)  # sweeps in a row whose diff grew
-        stack = w_prev = y_prev = slope = None
+        w_prev = y_prev = slope = None
         while True:
-            if stack is None:  # the first sweep, or rows left
-                stack = rows[sweeping[0]] if len(sweeping) == 1 else _Stack(
-                    spec.T, np.array([[rows[r].omega0] for r in sweeping]), spec.f, spec.g,
-                    spec.cfg, spec.omega_box, rows=tuple(rows[r] for r in sweeping),
-                    shifts=np.array([[shifts[r]] for r in sweeping]),
-                )
             try:
-                f = stack.f_samples(taus, w)
-                g = stack.g_samples(taus, w)
+                f, g = sample(taus, w, sweeping)
+                if head is None:  # the first sweep, of every row
+                    heads = head = np.array([[x / (spec.f00 if alone else spec.f(0.0, x))]
+                                     for x in starts])
             except Exception:  # f and g are the caller's: a row may raise anything
-                if len(rows) == 1:
+                if alone:
                     raise
                 return None
             probe = None
@@ -503,41 +495,39 @@ def _march(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
                     up = w + 2.0**-26 * np.maximum(1.0, np.abs(w))
                     d = up - w
                 try:
-                    probe = stack.f_samples(taus, up), stack.g_samples(taus, up)
-                except Exception:  # like the sweep's, but one row takes the Picard step
-                    if len(rows) > 1:
+                    probe = sample(taus, up, sweeping)
+                except Exception:  # like the sweep's, but spec alone takes the Picard step
+                    if not alone:
                         return None
-            head, g_weight, c = stack._sweep_constants
             # an overflow leaves a non-finite image, which ends the row, and a
             # 0/0 secant an undefined J
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 if lo:
-                    steps[..., 1:] = g
-                    y = f * (head + g_weight * g + c * (history + disc.block(steps)))
+                    steps[:, 1:] = g
+                    y = f * (heads + g_weight * g + c * (history + disc.block(steps)))
                 else:
-                    integral[..., 1:] = disc.history(g, 1, hi) + disc.block(g)
-                    y = f * (head + g_weight * g + c * integral)
+                    integral[:, 1:] = disc.history(g, 1, hi) + disc.block(g)
+                    y = f * (heads + g_weight * g + c * integral)
                 if probe is not None:  # J = 1 - dy/dw of the node's own f and g
                     instant = g_weight + c * disc.rl[1]
                     slope = 1.0 - ((probe[0] - f) * y / f + f * instant * (probe[1] - g)) / d
                 res = np.abs(w - y)
                 keep = []
-                sups = res.max(axis=-1).tolist() if res.ndim > 1 else [float(res.max())]
-                for i, (r, diff) in enumerate(zip(sweeping, sups)):
+                for i, (r, diff) in enumerate(zip(sweeping, res.max(axis=1).tolist())):
                     done = block_diffs[r]
                     diffs[r].append(diff)
                     done.append(diff)
                     growing[r] = growing[r] + 1 if len(done) > 1 and diff > done[-2] else 0
                     # a finite diff needs a finite image; the converse can fail to overflow
-                    finite = math.isfinite(diff) or np.isfinite(_row(y, i)).all()
+                    finite = math.isfinite(diff) or np.isfinite(y[i]).all()
                     if finite and not (diff <= tol or len(done) == max_sweeps
                                        or growing[r] == MAX_GROWING_SWEEPS):
                         keep.append(i)
                         continue
                     # row r stops here, at w, whose image is y
-                    omega[r, lo:hi], residuals[r, lo:hi] = _row(w, i), _row(res, i)
+                    omega[r, lo:hi], residuals[r, lo:hi] = w[i], res[i]
                     if diff <= tol:
-                        known[r, lo:hi] = _row(g, i)
+                        known[r, lo:hi] = g[i]
                         continue
                     live.remove(r)
                     residuals[r, hi:] = np.nan  # the nodes after the block were not reached
@@ -560,12 +550,11 @@ def _march(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
                     outcomes[r] = MaxSweepsExceeded(text, trace=trace)
                 if not keep:
                     break
-                if len(keep) < len(sweeping):  # rows left: the rest go on as their own stack
+                if len(keep) < len(sweeping):  # rows left: the rest go on
                     sweeping = [sweeping[i] for i in keep]
-                    sel, stack = keep[0] if len(keep) == 1 else keep, None
-                    w, y, w_prev, y_prev, slope, history, steps, integral = (
-                        a if a is None else a[sel]
-                        for a in (w, y, w_prev, y_prev, slope, history, steps, integral)
+                    w, y, w_prev, y_prev, slope, heads, history, steps, integral = (
+                        a if a is None else a[keep]
+                        for a in (w, y, w_prev, y_prev, slope, heads, history, steps, integral)
                     )
                 if w_prev is not None:
                     slope = 1.0 - (y - y_prev) / (w - w_prev)
@@ -578,11 +567,6 @@ def _march(spec, rows, shifts, grid, tol, max_sweeps) -> Optional[list]:
     for r in live:
         outcomes[r] = SolutionTrace(grid, omega[r], diffs[r], residuals[r])
     return outcomes
-
-
-def _row(a: np.ndarray, i: int) -> np.ndarray:
-    """Row i of a stack of rows, or a itself when it is one 1-D row."""
-    return a[i] if a.ndim > 1 else a
 
 
 def picard_solve(
@@ -601,8 +585,8 @@ def picard_solve(
     first sweep whose image is not finite, naming the first node of the
     block whose residual exceeds tol, and its tau.  ``iterations`` counts
     every sweep of every block: max_sweeps caps each block, so a solve
-    takes at most ``len(march_blocks(grid.N)) * max_sweeps`` sweeps.  The
-    one-row case of :func:`picard_stack`.
+    takes at most ``len(march_blocks(grid.N)) * max_sweeps`` sweeps.
+    :func:`picard_stack` with shifts None.
     """
     return picard_stack(spec, grid, tol=tol, max_sweeps=max_sweeps)[0]
 

@@ -28,6 +28,7 @@ from conftest import (
     NONLINEAR_TEXT,
     assert_same_outcome,
     constant_forcing_spec,
+    outcome,
     perturbed_closed_form,
     whole_grid_picard,
 )
@@ -354,6 +355,23 @@ class TestOneStack:
         want = per_level(*args)
         assert str(want) == "in the band: shifted(0.0, 0.525) at sample 0"
         assert_same_outcome(want, stacked(*args))
+
+    @pytest.mark.parametrize("N", [64, 4096])  # one march block, then four
+    @pytest.mark.parametrize("s", [0.1, -0.05])
+    def test_one_level_is_its_solo_solve(self, N, s):
+        # one level marches as a stack of one row
+        spec = load_problem(NONLINEAR_TEXT)
+        grid = Grid(spec.T, N)
+        want = picard_solve(perturbed(spec, abs(s), int(math.copysign(1.0, s))), grid)
+        assert_same_outcome([want], solver.picard_stack(spec, grid, [s]))
+
+    def test_one_level_that_raises_names_a_sample_of_its_own_g(self):
+        # the stacked sweep samples g itself and raises; the level solved
+        # alone samples its shift of g
+        spec, grid = self.band_spec(), Grid(1.0, 16)
+        want = outcome(lambda: picard_solve(perturbed(spec, 0.025, +1), grid))
+        assert str(want) == "in the band: shifted(0.0, 0.525) at sample 0"
+        assert_same_outcome(want, outcome(lambda: solver.picard_stack(spec, grid, [0.025])))
 
     def test_an_earlier_level_fails_first_in_level_order(self):
         # the third level fails at its first sweep, but the first level

@@ -37,8 +37,10 @@ from abcfde.solver import (
 from conftest import (
     MANUFACTURED_TEXT,
     NONLINEAR_TEXT,
+    assert_same_outcome,
     constant_forcing_spec,
     manufactured_exact_nodes,
+    outcome,
     perturbed_closed_form,
     plain_nonlinear_sweep,
     trace_bytes,
@@ -292,17 +294,19 @@ class TestRhsOperator:
         omega = spec.omega0 + 0.3 * np.sin(grid.nodes)
         want = plain_nonlinear_sweep(omega, *problem)
         assert rhs_operator(spec, omega, grid).tobytes() == want.tobytes()
-        # a stack of four rows, as picard_stack builds it for these shifts
+        # the levels of a stack, one per shift, each as its own problem
         shifts = [0.1, 0.05, -0.1, -0.05]
-        rows = [perturbed(spec, abs(s), int(math.copysign(1.0, s))) for s in shifts]
-        stack = solver._Stack(
-            spec.T, np.array([[row.omega0] for row in rows]), spec.f, spec.g, spec.cfg,
-            rows=tuple(rows), shifts=np.array([[s] for s in shifts]),
+        levels = [perturbed(spec, abs(s), int(math.copysign(1.0, s))) for s in shifts]
+        for k, (level, s) in enumerate(zip(levels, shifts)):
+            omega = level.omega0 + 0.3 * np.sin(grid.nodes + k)
+            want = plain_nonlinear_sweep(omega, *problem, shift=s)
+            assert rhs_operator(level, omega, grid).tobytes() == want.tobytes()
+        # the stack of them has the outcome of the per-level loop; the
+        # AB / PAPER_HYBRID levels run out of sweeps
+        assert_same_outcome(
+            outcome(lambda: [picard_solve(level, grid) for level in levels]),
+            outcome(lambda: solver.picard_stack(spec, grid, shifts)),
         )
-        omegas = np.array([row.omega0 + 0.3 * np.sin(grid.nodes + k) for k, row in enumerate(rows)])
-        out = rhs_operator(stack, omegas, grid)
-        for omega, s, got in zip(omegas, shifts, out):
-            assert got.tobytes() == plain_nonlinear_sweep(omega, *problem, shift=s).tobytes()
 
     def test_a_finite_sweep_scans_no_ufunc_result(self, monkeypatch):
         # a structural check, not a timing one: f and g are checked by the
