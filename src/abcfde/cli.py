@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import math
 import re
 import sys
 from pathlib import Path
@@ -202,39 +201,9 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _check_eps_steps(eps0: float, ratio: float, levels: int, tol: float) -> None:
-    """Refuse eps levels closer than tol: levels solved to about tol
-    cannot be ordered below it.  The smallest step, between the last two
-    levels, is eps0 ratio^(levels - 2) (1 - ratio).  The bracket refuses
-    the same schedules; this check words the refusal in terms of the
-    options and names the most levels that --tol allows."""
-    if not math.isfinite(eps0):
-        raise ValidationError("eps0", f"must be finite, got {_fmt(eps0)}")
-    if not (eps0 > 0 and 0 < ratio < 1 and levels >= 2 and tol > 0):
-        return  # the bracket and the solver name these
-
-    def step(n):
-        return eps0 * (1 - ratio) * ratio ** (n - 2)
-
-    if step(levels) >= tol:
-        return
-    usable = 1
-    if step(2) >= tol:
-        usable = 2 + int(math.log(tol / step(2)) / math.log(ratio))
-        usable += step(usable + 1) >= tol
-        usable -= step(usable) < tol
-    raise ValidationError(
-        "levels",
-        f"the step between the last two of {levels} eps levels, {_fmt(step(levels))}, "
-        f"is below --tol {_fmt(tol)}; "
-        + (f"use --levels {usable} or fewer" if usable >= 2 else "raise --eps0 or lower --tol"),
-    )
-
-
 def _cmd_extremal(args) -> int:
     spec, in_digest = _load(args.problem)
     grid = Grid(spec.T, args.n)
-    _check_eps_steps(args.eps0, args.ratio, args.levels, args.tol)
     digest = _manifest_digest(
         "extremal",
         in_digest,

@@ -12,6 +12,7 @@ as an error bar; no extrapolation is attempted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,18 +68,27 @@ def solve_perturbed(
 
 
 def _bracket(spec, eps0, ratio, levels, grid, tol, max_sweeps, sign):
-    if not eps0 > 0:
-        raise ValueError("eps0 must be > 0")
+    if not 0.0 < eps0 < math.inf:
+        raise ValueError(f"eps0 must be finite and > 0, got {eps0}")
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie in (0, 1)")
     if levels < 2:
         raise ValueError("levels must be >= 2")
+
+    def step(n):  # between the last two of n levels
+        return eps0 * (1 - ratio) * ratio ** (n - 2)
+
     # levels solved to about tol cannot be ordered closer than tol
-    step = eps0 * (1 - ratio) * ratio ** (levels - 2)
-    if tol > 0 and step < tol:
+    if tol > 0 and step(levels) < tol:
+        usable = 1  # the most levels whose last step is at least tol
+        if step(2) >= tol:
+            usable = 2 + int(math.log(tol / step(2)) / math.log(ratio))
+            usable += step(usable + 1) >= tol
+            usable -= step(usable) < tol
         raise ValueError(
-            f"the step between the last two of {levels} eps levels, {step:.3g}, "
-            f"is below tol={tol:.3g}"
+            f"the step between the last two of {levels} eps levels, {step(levels):.3g}, "
+            f"is below tol={tol:.3g}; "
+            + (f"use {usable} levels or fewer" if usable >= 2 else "raise eps0 or lower tol")
         )
     eps_levels = [eps0 * ratio**n for n in range(levels)]
     traces = picard_stack(
@@ -115,8 +125,11 @@ def bracket_maximal(
 ) -> BracketResult:
     """Approach the maximal solution from above; traces must decrease.
 
-    Raises ValueError, before any sweep, when the last step of the eps
-    schedule, eps0 (1 - ratio) ratio^(levels - 2), is below tol."""
+    Raises ValueError, before any sweep, when eps0 is not finite and > 0,
+    or when the last step of the eps schedule, eps0 (1 - ratio)
+    ratio^(levels - 2), is below tol; it names the most levels tol allows.
+    A level ends in NonFiniteIterate where its shift overflows g, and in
+    ValidationError where its start zeroes f(0, .)."""
     return _bracket(spec, eps0, ratio, levels, grid, tol, max_sweeps, sign=+1)
 
 
@@ -131,7 +144,7 @@ def bracket_minimal(
 ) -> BracketResult:
     """Approach the minimal solution from below; traces must increase.
 
-    Refuses the eps schedules that :func:`bracket_maximal` refuses."""
+    Refuses the eps schedules, and ends the levels, as :func:`bracket_maximal` does."""
     return _bracket(spec, eps0, ratio, levels, grid, tol, max_sweeps, sign=-1)
 
 

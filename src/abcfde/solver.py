@@ -324,7 +324,16 @@ def rhs_operator(spec: ProblemSpec, omega: np.ndarray, grid: Grid) -> np.ndarray
     # an overflow leaves a non-finite image, for the caller to see
     with np.errstate(over="ignore", invalid="ignore"):
         integral = c * rl_integral(g_vals, grid, spec.alpha)
-        return f_vals * (spec.omega0 / spec.f00 + g_weight * g_vals + integral)
+        return f_vals * (_head(spec.omega0, spec.f00) + g_weight * g_vals + integral)
+
+
+def _head(start: float, f0: float) -> float:
+    """start / f0, f0 = f(0, start): the constant term of the fixed-point
+    operator from omega(0) = start, divided as floats, so that an overflow
+    gives inf with no numpy warning.  Raises ValidationError where f0 is 0."""
+    if f0 == 0:
+        raise ValidationError("f", f"f(0, omega0) = 0 at the start omega0 = {start}")
+    return float(start) / float(f0)
 
 
 #: Iterate elements that one stack of :func:`picard_stack` holds, one row
@@ -447,7 +456,9 @@ def _march(spec, shifts, grid, tol, max_sweeps) -> Optional[list]:
     def sample(taus, w, rows):  # f and g at the iterate w of the given rows
         if alone:
             return spec.f_samples(taus, w[0])[None], spec.g_samples(taus, w[0])[None]
-        return spec.f_samples(taus, w), spec.g_samples(taus, w) + shift[rows]
+        f, g = spec.f_samples(taus, w), spec.g_samples(taus, w)
+        with np.errstate(over="ignore", invalid="ignore"):  # a shift may overflow g
+            return f, g + shift[rows]
 
     omega = np.full((len(starts), grid.N + 1), [[x] for x in starts])
     known = np.empty_like(omega)  # g at each row's solved nodes
@@ -481,8 +492,8 @@ def _march(spec, shifts, grid, tol, max_sweeps) -> Optional[list]:
             try:
                 f, g = sample(taus, w, sweeping)
                 if head is None:  # the first sweep, of every row
-                    heads = head = np.array([[x / (spec.f00 if alone else spec.f(0.0, x))]
-                                     for x in starts])
+                    heads = head = np.array([[_head(x, spec.f00 if alone else spec.f(0.0, x))]
+                                             for x in starts])
             except Exception:  # f and g are the caller's: a row may raise anything
                 if alone:
                     raise
@@ -625,7 +636,7 @@ def existence_conditions(
         c = singular_integral_coefficient(cfg)
         # c T^a / Gamma(a + 1), written with Gamma(a + 1) = a Gamma(a)
         bracket = (1.0 - a) / cfg.b + c / a * spec.T**a / math.gamma(a)
-        inner = abs(spec.omega0 / spec.f00) + bracket * h_norm
+        inner = abs(_head(spec.omega0, spec.f00)) + bracket * h_norm
         lhs = L_f * inner
         satisfied = lhs < 1.0
         finite = satisfied and not math.isnan(M_f)
@@ -692,7 +703,8 @@ def perturbed(spec: ProblemSpec, eps: float, sign: int) -> ProblemSpec:
     g = spec.g
 
     def shifted(tau, omega):
-        return g(tau, omega) + sign * eps
+        with np.errstate(over="ignore", invalid="ignore"):  # as a stack's shift
+            return g(tau, omega) + sign * eps
 
     shifted.takes_arrays = getattr(g, "takes_arrays", False)
     return replace(spec, omega0=spec.omega0 + sign * eps, g=shifted)

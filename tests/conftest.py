@@ -39,6 +39,16 @@ f = 1 + 0.1 * sin(omega)
 g = tau * cos(omega) + 0.5 * omega * tau
 """
 
+# the nonlinear problem at alpha = 0.65 from omega0 = 0: eps = 1e308
+# shifts g past the largest double
+OVERFLOW_SHIFT_TEXT = """\
+alpha = 0.65
+T = 2
+omega0 = 0
+f = 1 + 0.1 * sin(omega)
+g = tau * cos(omega) + 0.5 * omega * tau
+"""
+
 
 def plain_nonlinear_sweep(omega, T, alpha, omega0, b_convention, kernel_convention, shift=None):
     """One application of the fixed-point operator for the NONLINEAR_TEXT

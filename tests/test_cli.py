@@ -24,7 +24,7 @@ from abcfde import (
     picard_solve,
     rhs_operator,
 )
-from abcfde import _format17, cli, solver
+from abcfde import _format17, cli, extremal, solver
 from abcfde.cli import (
     EXIT_INVALID,
     EXIT_MAX_SWEEPS,
@@ -34,7 +34,7 @@ from abcfde.cli import (
     main,
 )
 
-from conftest import MANUFACTURED_TEXT
+from conftest import MANUFACTURED_TEXT, OVERFLOW_SHIFT_TEXT
 
 DIVERGENT_TEXT = """\
 alpha = 0.5
@@ -574,41 +574,17 @@ class TestExtremal:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved")
 
-        monkeypatch.setattr(cli, "bracket_maximal", no_solve)
+        monkeypatch.setattr(extremal, "picard_stack", no_solve)
         path = tmp_path / "p.txt"
         path.write_text(MANUFACTURED_TEXT)
         args = ["extremal", str(path), "--n", "4096", "--levels", "64",
                 "--out-prefix", str(tmp_path / "ext")]
         assert main(args) == EXIT_INVALID
         err = capsys.readouterr().err
-        assert err.startswith("E_INVALID: levels: ")
-        assert "use --levels 30 or fewer" in err
+        assert err.startswith("E_INVALID: the step between the last two of 64 eps levels")
+        assert err.endswith("; use 30 levels or fewer\n")
+        assert err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == [path]
-
-    @pytest.mark.parametrize(
-        "levels, eps0, ratio, tol, usable",
-        [
-            (30, 0.1, 0.5, 1e-10, None),
-            (31, 0.1, 0.5, 1e-10, 30),
-            (100000, 0.1, 0.5, 1e-10, 30),
-            (200, 0.1, 0.9, 1e-10, 176),
-            (4, 1e-11, 0.5, 1e-10, 1),
-        ],
-    )
-    def test_largest_usable_levels(self, levels, eps0, ratio, tol, usable):
-        def step(n):
-            return eps0 * ratio ** (n - 2) * (1 - ratio)
-
-        if usable is None:
-            cli._check_eps_steps(eps0, ratio, levels, tol)
-            return
-        with pytest.raises(cli.ValidationError) as info:
-            cli._check_eps_steps(eps0, ratio, levels, tol)
-        if usable >= 2:
-            assert f"use --levels {usable} or fewer" in str(info.value)
-            assert step(usable) >= tol > step(usable + 1)
-        else:
-            assert "raise --eps0 or lower --tol" in str(info.value)
 
     @pytest.mark.parametrize("eps0", ["inf", "nan"])
     def test_non_finite_eps0(self, tmp_path, capsys, eps0):
@@ -616,7 +592,31 @@ class TestExtremal:
         path.write_text(ZERO_FORCING_TEXT)
         args = ["extremal", str(path), "--eps0", eps0, "--out-prefix", str(tmp_path / "ext")]
         assert main(args) == EXIT_INVALID
-        assert capsys.readouterr().err.startswith("E_INVALID: eps0: must be finite")
+        assert capsys.readouterr().err == f"E_INVALID: eps0 must be finite and > 0, got {eps0}\n"
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_a_shift_that_overflows_g_ends_in_max_sweeps(self, tmp_path, capsys):
+        # g + 1e308 overflows at the first sweep; no RuntimeWarning escapes
+        path = tmp_path / "p.txt"
+        path.write_text(OVERFLOW_SHIFT_TEXT)
+        args = ["extremal", str(path), "--eps0", "1e308", "--n", "16", "--levels", "3",
+                "--out-prefix", str(tmp_path / "ext")]
+        assert main(args) == EXIT_MAX_SWEEPS
+        err = capsys.readouterr().err
+        assert err.startswith("E_MAXSWEEPS: sweep 1 gave a non-finite iterate")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("f", ["omega", "sin(omega)"])
+    def test_a_start_that_zeroes_f_is_invalid(self, tmp_path, capsys, f):
+        # the minimal bracket's first level starts at 0.1 - 0.1 = 0, where f is 0
+        path = tmp_path / "p.txt"
+        path.write_text(f"alpha = 0.5\nT = 1\nomega0 = 0.1\nf = {f}\ng = tau\n")
+        args = ["extremal", str(path), "--minimal", "--n", "16", "--levels", "3",
+                "--out-prefix", str(tmp_path / "ext")]
+        assert main(args) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("E_INVALID: f: f(0, omega0) = 0 at the start omega0 = 0.0")
+        assert err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == [path]
 
     def test_minimal_variant(self, tmp_path):

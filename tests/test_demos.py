@@ -21,8 +21,9 @@ def test_demo_runs(script):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # the RuntimeWarning filter that pyproject.toml applies to the suite
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         cwd=ROOT,
         env=env,
         capture_output=True,

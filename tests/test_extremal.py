@@ -17,7 +17,13 @@ from abcfde import (
     solve_perturbed,
 )
 from abcfde import load_problem, solver
-from abcfde.errors import EnclosureViolation, EvalError, MaxSweepsExceeded, NonFiniteIterate
+from abcfde.errors import (
+    EnclosureViolation,
+    EvalError,
+    MaxSweepsExceeded,
+    NonFiniteIterate,
+    ValidationError,
+)
 from abcfde.expression import BUILTINS, takes_arrays
 from abcfde.extremal import _bracket
 from abcfde.operators import FFT_MIN_LENGTH
@@ -26,6 +32,7 @@ from abcfde.solver import perturbed
 from conftest import (
     MANUFACTURED_TEXT,
     NONLINEAR_TEXT,
+    OVERFLOW_SHIFT_TEXT,
     assert_same_outcome,
     constant_forcing_spec,
     outcome,
@@ -164,6 +171,50 @@ class TestBracketPreconditions:
             bracket(spec, grid, levels=4, tol=0.02)
         with pytest.raises(Solved):
             bracket(spec, grid, levels=30)
+
+    @pytest.mark.parametrize(
+        "levels, eps0, ratio, tol, usable",
+        [
+            (30, 0.1, 0.5, 1e-10, None),
+            (31, 0.1, 0.5, 1e-10, 30),
+            (100000, 0.1, 0.5, 1e-10, 30),
+            (200, 0.1, 0.9, 1e-10, 176),
+            (4, 1e-11, 0.5, 1e-10, 1),
+        ],
+    )
+    def test_largest_usable_levels(self, levels, eps0, ratio, tol, usable, monkeypatch):
+        import abcfde.extremal as ext
+
+        class Solved(Exception):
+            pass
+
+        def no_solve(*args, **kwargs):
+            raise Solved
+
+        def step(n):
+            return eps0 * ratio ** (n - 2) * (1 - ratio)
+
+        monkeypatch.setattr(ext, "picard_stack", no_solve)
+        args = (constant_forcing_spec(), Grid(1.0, 8), eps0, ratio, levels, tol)
+        if usable is None:
+            with pytest.raises(Solved):
+                bracket_maximal(*args)
+            return
+        with pytest.raises(ValueError) as info:
+            bracket_maximal(*args)
+        if usable >= 2:
+            assert str(info.value).endswith(f"; use {usable} levels or fewer")
+            assert step(usable) >= tol > step(usable + 1)
+        else:
+            assert str(info.value).endswith("; raise eps0 or lower tol")
+
+    @pytest.mark.parametrize("bracket", [bracket_maximal, bracket_minimal])
+    @pytest.mark.parametrize("eps0", [math.inf, math.nan])
+    def test_non_finite_eps0(self, bracket, eps0):
+        # inf got past the refusal and failed mid-march, on sin(inf)
+        spec = load_problem(NONLINEAR_TEXT)
+        with pytest.raises(ValueError, match=f"eps0 must be finite and > 0, got {eps0}"):
+            bracket(spec, Grid(spec.T, 16), eps0=eps0)
 
     @pytest.mark.parametrize("bracket", [bracket_maximal, bracket_minimal])
     def test_grid_is_required(self, bracket):
@@ -338,6 +389,31 @@ class TestOneStack:
         got = stacked(*args)
         assert_same_outcome(want, got)
         assert str(got).endswith(" at sample 0")
+
+    def test_a_shift_that_overflows_g_ends_the_level(self, monkeypatch):
+        # g + 1e308 overflows at the first sweep, in the stack and in the
+        # level solved alone, with no RuntimeWarning; the stack ends it
+        # without solving its levels again one by one
+        spec = load_problem(OVERFLOW_SHIFT_TEXT)
+        grid = Grid(2.0, 16)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "picard_solve", None)
+            with pytest.raises(NonFiniteIterate):
+                bracket_maximal(spec, grid, eps0=1e308, levels=3)
+        with pytest.raises(NonFiniteIterate):
+            picard_solve(perturbed(spec, 1e308, +1), grid)
+        args = (spec, grid, +1, 1e308, 0.5, 3)
+        assert_same_outcome(per_level(*args), stacked(*args))
+
+    @pytest.mark.parametrize("f", ["omega", "sin(omega)"])
+    def test_a_start_that_zeroes_f_fails_in_level_order(self, f):
+        # the first level of the minimal bracket starts at 0.1 - 0.1 = 0
+        spec = load_problem(f"alpha = 0.5\nT = 1\nomega0 = 0.1\nf = {f}\ng = tau\n")
+        args = (spec, Grid(1.0, 16), -1, 0.1, 0.5, 3)
+        want = per_level(*args)
+        assert type(want) is ValidationError
+        assert str(want).startswith("f: f(0, omega0) = 0 at the start omega0 = 0.0")
+        assert_same_outcome(want, stacked(*args))
 
     def band_spec(self):
         """g raises on omega in [0.52, 0.53), where only the third level of

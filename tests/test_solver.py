@@ -385,6 +385,33 @@ def block_sweeps(monkeypatch):
 
 
 class TestPicard:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda spec, grid: picard_solve(spec, grid),
+            lambda spec, grid: rhs_operator(spec, np.zeros(grid.N + 1), grid),
+            lambda spec, grid: existence_condition(spec, 1.0, 1.0),
+        ],
+        ids=["picard_solve", "rhs_operator", "existence_condition"],
+    )
+    def test_a_start_that_zeroes_f_is_invalid(self, run):
+        # omega0 / f(0, omega0) is 0 / 0: one typed error, not a ZeroDivisionError
+        spec = ProblemSpec(
+            T=1.0, omega0=0.0, f=lambda t, w: w, g=lambda t, w: t, cfg=OperatorConfig(0.5)
+        )
+        start = r"^f: f\(0, omega0\) = 0 at the start omega0 = 0.0"
+        with pytest.raises(ValidationError, match=start):
+            run(spec, Grid(1.0, 16))
+
+    def test_a_head_that_overflows_ends_in_non_finite_iterate(self):
+        # omega0 / f(0, omega0) = 1e10 / 1e-300 overflows with no RuntimeWarning
+        spec = load_problem(
+            "alpha = 0.5\nT = 1\nomega0 = 1e10\nf = 1e-300 + 0*sin(omega)\ng = tau\n"
+        )
+        with pytest.raises(NonFiniteIterate):
+            picard_solve(spec, Grid(1.0, 16))
+        assert not existence_condition(spec, 1.0, 1.0).satisfied
+
     def test_constant_solution(self):
         trace = picard_solve(constant_forcing_spec(omega0=1.5), Grid(1.0, 32))
         assert trace.converged
