@@ -62,8 +62,8 @@ def solve_perturbed(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> SolutionTrace:
     """Solve the eps-shifted problem; sign=+1 above, sign=-1 below."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     return picard_solve(perturbed(spec, eps, sign), grid, tol=tol, max_sweeps=max_sweeps)
 
 
@@ -72,8 +72,8 @@ def _bracket(spec, eps0, ratio, levels, grid, tol, max_sweeps, sign):
         raise ValueError(f"eps0 must be finite and > 0, got {eps0}")
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie in (0, 1)")
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
+    if not isinstance(levels, (int, np.integer)) or levels < 2:
+        raise ValueError(f"levels must be an integer >= 2, got {levels}")
 
     def step(n):  # between the last two of n levels
         return eps0 * (1 - ratio) * ratio ** (n - 2)
@@ -126,8 +126,9 @@ def bracket_maximal(
     """Approach the maximal solution from above; traces must decrease.
 
     Raises ValueError, before any sweep, when eps0 is not finite and > 0,
-    or when the last step of the eps schedule, eps0 (1 - ratio)
-    ratio^(levels - 2), is below tol; it names the most levels tol allows.
+    when levels is not an integer >= 2, or when the last step of the eps
+    schedule, eps0 (1 - ratio) ratio^(levels - 2), is below tol; it names
+    the most levels tol allows.
     A level ends in NonFiniteIterate where its shift overflows g, and in
     ValidationError where its start zeroes f(0, .)."""
     return _bracket(spec, eps0, ratio, levels, grid, tol, max_sweeps, sign=+1)

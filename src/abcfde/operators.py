@@ -10,10 +10,10 @@ Both operators convolve the slopes with the increments of an
 antiderivative: of tau^(alpha+1) / Gamma(alpha+2) for the RL integral,
 which also adds the start value times tau^alpha / Gamma(alpha+1), and of
 the Mittag-Leffler kernel for the derivative.  One
-:class:`Discretization` per (grid, alpha) owns those increments and, on
-long grids, their spectra; :func:`discretization` shares it between
-calls, so a call costs one convolution: direct below ``FFT_MIN_LENGTH``
-weights, by FFT (O(N log N)) from there on.  It also splits the RL
+:class:`Discretization` per (grid, alpha) owns those increments and the
+spectra of the ones that a caller convolves with, each built on first
+use; :func:`discretization` shares it between calls, so a call costs one
+convolution by FFT (O(N log N)).  It also splits the RL
 integral at a block of nodes into the part that the nodes before the
 block make (by a cyclic FFT half as long) and the part of the block's
 own steps, for the march of :mod:`abcfde.solver`.  Each operator takes
@@ -45,8 +45,8 @@ class Grid:
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ValueError(f"T must be finite and > 0, got {self.T}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+            raise ValueError(f"N must be an integer >= 1, got {self.N}")
 
     @property
     def h(self) -> float:
@@ -114,38 +114,23 @@ def _check_samples(samples, grid: Grid) -> np.ndarray:
     return arr
 
 
-#: Weight count from which a convolution runs by FFT; shorter weight
-#: vectors are convolved directly, where that is faster.
-FFT_MIN_LENGTH = 512
-
-
 class _Convolution:
-    """Causal convolution with fixed read-only weights and, from
-    FFT_MIN_LENGTH weights on, their real FFT of length nfft, by default
-    the least power of two >= 2 len(weights) - 1; a shorter one, at least
-    len(weights), is cyclic, exact at entries len(x) - 1 .. nfft - 1.
-    Called with x no longer than the weights, it returns the entries
-    lo .. hi - 1 (by default the first len(weights)) of x * weights, along
-    the last axis of a stack of rows; each row gets bitwise what it gets alone."""
+    """Causal convolution with fixed weights, by their real FFT of length
+    nfft, by default the least power of two >= 2 len(weights) - 1; a
+    shorter one, at least len(weights), is cyclic, exact at entries
+    len(x) - 1 .. nfft - 1.  Called with x no longer than the weights, it
+    returns the entries lo .. hi - 1 (by default the first len(x)) of
+    x * weights, along the last axis of a stack of rows; numpy's FFT gives
+    each row bitwise what it gets alone."""
 
     def __init__(self, weights: np.ndarray, nfft: int | None = None):
-        weights.flags.writeable = False
-        self.weights = weights
-        self.spectrum = None
-        if weights.size >= FFT_MIN_LENGTH:
-            self.nfft = nfft or 1 << (2 * weights.size - 2).bit_length()
-            self.spectrum = np.fft.rfft(weights, self.nfft)
-            self.spectrum.flags.writeable = False
+        self.nfft = nfft or 1 << (2 * weights.size - 2).bit_length()
+        self.spectrum = np.fft.rfft(weights, self.nfft)
+        self.spectrum.flags.writeable = False
 
     def __call__(self, x: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        hi = self.weights.size if hi is None else hi
-        if self.spectrum is not None:
-            return np.fft.irfft(np.fft.rfft(x, self.nfft) * self.spectrum, self.nfft)[..., lo:hi]
-        if x.size == x.shape[-1]:  # one row, as a 1-D array or not
-            return np.convolve(x.ravel(), self.weights)[lo:hi].reshape(x.shape[:-1] + (-1,))
-        # np.convolve is 1-D only, and no stacked form sums in its order
-        rows = [np.convolve(row, self.weights)[lo:hi] for row in x.reshape(-1, x.shape[-1])]
-        return np.reshape(rows, x.shape[:-1] + (hi - lo,))
+        hi = x.shape[-1] if hi is None else hi
+        return np.fft.irfft(np.fft.rfft(x, self.nfft) * self.spectrum, self.nfft)[..., lo:hi]
 
 
 @dataclass(frozen=True)
@@ -166,12 +151,13 @@ class Discretization:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
     @functools.cached_property
-    def rl(self) -> tuple[np.ndarray, float, _Convolution]:
+    def rl(self) -> tuple[np.ndarray, float, np.ndarray]:
         """The RL integral tau_n^alpha / Gamma(alpha+1) of the constant 1,
         n = 1 .. N, which weights the start value; the unit
-        h^alpha / Gamma(alpha+2) of the steps' term; and the convolution of
-        the steps with the increments W[m] = (m+1)^(alpha+1) - m^(alpha+1),
-        m = 0 .. N-1, of the antiderivative in units of h^(alpha+1) / Gamma(alpha+2)."""
+        h^alpha / Gamma(alpha+2) of the steps' term; and the weights that
+        the steps convolve with, the increments W[m] = (m+1)^(alpha+1) -
+        m^(alpha+1), m = 0 .. N-1, of the antiderivative in units of
+        h^(alpha+1) / Gamma(alpha+2)."""
         a = self.alpha
         start = self.grid.nodes[1:] ** a / math.gamma(a + 1.0)
         start.flags.writeable = False
@@ -179,7 +165,8 @@ class Discretization:
         W = np.ones_like(m)
         # m^(a+1) ((1 + 1/m)^(a+1) - 1), free of the cancellation of the difference
         W[1:] = m[1:] ** (a + 1.0) * np.expm1((a + 1.0) * np.log1p(1.0 / m[1:]))
-        return start, self.grid.h**a / math.gamma(a + 2.0), _Convolution(W)
+        W.flags.writeable = False
+        return start, self.grid.h**a / math.gamma(a + 2.0), W
 
     def history(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The part of :func:`rl_integral` of x at nodes lo .. hi - 1
@@ -206,16 +193,15 @@ class Discretization:
 
     def _convolution(self, m: int, nfft: int | None = None) -> _Convolution:
         """The convolution with the first m weights of :attr:`rl`, built
-        once per (m, nfft)."""
+        on first use once per (m, nfft)."""
         conv = self._convolutions.get((m, nfft))
         if conv is None:
-            conv = self._convolutions[m, nfft] = _Convolution(self.rl[2].weights[:m], nfft)
+            conv = self._convolutions[m, nfft] = _Convolution(self.rl[2][:m], nfft)
         return conv
 
     @functools.cached_property
     def _convolutions(self) -> dict:
-        # a one-block march convolves with all N weights, as rl_integral does
-        return {(self.grid.N, None): self.rl[2]}
+        return {}
 
     @functools.cached_property
     def kernel_argument(self) -> np.ndarray:
@@ -239,17 +225,12 @@ class Discretization:
         out.flags.writeable = False
         return out
 
-    @functools.cached_property
-    def abc(self) -> _Convolution:
-        """Convolution by the kernel increments dF[m-1] = F(m h) - F((m-1) h)."""
-        return _Convolution(np.diff(self.kernel))
-
     def coarse_abc(self, step: int) -> _Convolution:
-        """:attr:`abc` of the sub-grid of every step-th node, built once per
-        step.  F at its nodes is F(step k h) = kernel[step k], so it takes
-        no Mittag-Leffler value beyond those of :attr:`kernel`."""
-        if step == 1:
-            return self.abc
+        """The convolution by the kernel increments F(step m h) -
+        F(step (m-1) h) of the sub-grid of every step-th node (the grid's
+        own at step 1), built on first use once per step.  F at its nodes is
+        kernel[step m], so it takes no Mittag-Leffler value beyond those of
+        :attr:`kernel`."""
         conv = self._coarse_abcs.get(step)
         if conv is None:
             F = self.kernel[: step * (self.grid.N // step) + 1 : step]

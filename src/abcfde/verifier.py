@@ -140,8 +140,9 @@ def nested_grid_slack(q: np.ndarray, d: np.ndarray, grid: Grid, cfg: OperatorCon
     stack of paths along the last axis, from nested sub-grids.
 
     D_N is d, and D_N/2 and D_N/4 are the derivatives of q on the
-    sub-grids of every 2nd and every 4th node, whose kernel is the grid's
-    own (:meth:`Discretization.coarse_abc`).  For each path,
+    sub-grids of every 2nd and every 4th node, whose kernel increments
+    :meth:`Discretization.coarse_abc` takes from the grid's own F, with
+    each sub-grid's convolution built on first use.  For each path,
     e1 = sup |D_N - D_N/2| and e2 = sup |D_N/2 - D_N/4|, each over the
     nodes the two grids share, estimate the error of D_N as
     e1 / (r - 1) with r = e2 / e1, the ratio 2^p of an order-p error.

@@ -55,7 +55,7 @@ def plain_nonlinear_sweep(omega, T, alpha, omega0, b_convention, kernel_conventi
     f and g (with g + shift and omega0 + shift, as a row of a stack), in
     plain numpy on a 1-D omega: a frozen copy of the arithmetic, in its
     order, that rhs_operator must match bitwise.  The RL integral is
-    convolved directly below 512 steps and by FFT from there on."""
+    convolved by FFT."""
     N = omega.size - 1
     a = alpha
     nodes = np.linspace(0.0, T, N + 1)
@@ -72,11 +72,8 @@ def plain_nonlinear_sweep(omega, T, alpha, omega0, b_convention, kernel_conventi
     W = np.ones_like(m)
     W[1:] = m[1:] ** (a + 1.0) * np.expm1((a + 1.0) * np.log1p(1.0 / m[1:]))
     steps = g[1:] - g[:-1]
-    if N < 512:
-        conv = np.convolve(steps, W)[:N]
-    else:
-        nfft = 1 << (2 * N - 2).bit_length()
-        conv = np.fft.irfft(np.fft.rfft(steps, nfft) * np.fft.rfft(W, nfft), nfft)[:N]
+    nfft = 1 << (2 * N - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(steps, nfft) * np.fft.rfft(W, nfft), nfft)[:N]
     rl = np.zeros(N + 1)
     rl[1:] = g[:1] * start + (T / N) ** a / math.gamma(a + 2.0) * conv
     return f * (head + (1.0 - a) / B * g + c * rl)

@@ -257,6 +257,16 @@ class TestSolve:
         rows = [f"{t:.17g},{w:.17g},{r:.17g}" for t, w, r in zip(grid.nodes, omega, residuals)]
         assert out.read_text().splitlines()[2:] == rows
 
+    def test_g_undefined_on_the_march_is_one_error_line(self, tmp_path, capsys):
+        # log's argument is negative at the start value: an EvalError, which
+        # main reports as the library's error class
+        path = tmp_path / "p.txt"
+        path.write_text("alpha = 0.5\nT = 1\nomega0 = 1\nf = 1\ng = tau*log(omega - 1.5)\n")
+        code = main(["solve", str(path), "--out", str(tmp_path / "trace.csv")])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == "E_ERROR: not a real number: log(-0.5)\n"
+
     def test_f_undefined_at_zero(self, tmp_path, capsys):
         path = tmp_path / "p.txt"
         path.write_text(LOG_F_TEXT)
@@ -725,6 +735,19 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "mode=NONSTRICT" in out
         assert "Lg=" in out
+
+    def test_decreasing_quotient_map_is_one_error_line(self, tmp_path, capsys):
+        # f = 1 + 5 omega^2 makes omega / f decrease on the lower function's
+        # range, where the nonstrict comparison needs it increasing
+        path = tmp_path / "p.txt"
+        path.write_text("alpha = 0.5\nT = 1\nomega0 = 0\nf = 1 + 5*omega^2\ng = tau\n")
+        code = main(
+            ["compare", str(path), "--nonstrict", "--lower=-2", "--upper", "2", "--n", "16"]
+        )
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "E_ERROR: quotient map slope -0.1231527093596062 <= 0 at (tau, omega) = (0.0, -0.8)\n"
+        )
 
     def test_bad_expression(self, tmp_path, capsys):
         path = tmp_path / "p.txt"

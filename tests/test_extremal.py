@@ -26,7 +26,6 @@ from abcfde.errors import (
 )
 from abcfde.expression import BUILTINS, takes_arrays
 from abcfde.extremal import _bracket
-from abcfde.operators import FFT_MIN_LENGTH
 from abcfde.solver import perturbed
 
 from conftest import (
@@ -52,6 +51,16 @@ class TestSolvePerturbed:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             solve_perturbed(constant_forcing_spec(), -0.1, +1, Grid(1.0, 8))
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_eps_rejected_before_solving(self, eps, monkeypatch):
+        # unchecked, inf fails mid-march in sin(inf) and nan after a sweep
+        import abcfde.extremal as ext
+
+        monkeypatch.setattr(ext, "picard_solve", None)
+        spec = load_problem(NONLINEAR_TEXT)
+        with pytest.raises(ValueError, match=f"^eps must be finite and >= 0, got {eps}$"):
+            solve_perturbed(spec, eps, +1, Grid(spec.T, 64))
 
     def test_matches_closed_form(self):
         spec = constant_forcing_spec(omega0=1.0)
@@ -144,12 +153,24 @@ class TestBracketPreconditions:
             {"ratio": 0.0},
             {"ratio": 1.0},
             {"levels": 1},
+            {"levels": 4.0},
         ],
     )
     def test_invalid_schedule(self, kwargs):
         args = {"eps0": 0.1, "ratio": 0.5, "levels": 4, **kwargs}
         with pytest.raises(ValueError):
             bracket_maximal(constant_forcing_spec(), grid=Grid(1.0, 8), **args)
+
+    def test_levels_must_be_an_integer(self):
+        # range(levels) would refuse 2.5 only later, untyped
+        spec, grid = constant_forcing_spec(), Grid(1.0, 8)
+        with pytest.raises(ValueError, match=r"^levels must be an integer >= 2, got 2.5$"):
+            bracket_maximal(spec, grid, levels=2.5)
+        # a numpy integer is one
+        got = bracket_maximal(spec, grid, levels=np.int64(4))
+        want = bracket_maximal(spec, grid, levels=4)
+        assert got.eps_levels == want.eps_levels
+        assert [t.omega.tobytes() for t in got.traces] == [t.omega.tobytes() for t in want.traces]
 
     @pytest.mark.parametrize("bracket", [bracket_maximal, bracket_minimal])
     def test_unresolvable_levels_refused_before_solving(self, bracket, monkeypatch):
@@ -278,6 +299,17 @@ class TestEnclosure:
             check_enclosure(sol, mx, mn)
         assert exc.value.node is not None
 
+    def test_escape_below_detected(self):
+        sol, mx, mn = self._setup()
+        slack = sol.grid.h + mn.eps_levels[-1]
+        # node 5 alone falls 0.25 below the minimal bracket's slack band
+        sol.omega = sol.omega.copy()
+        sol.omega[5] = mn.limit[5] - slack - 0.25
+        with pytest.raises(EnclosureViolation) as exc:
+            check_enclosure(sol, mx, mn)
+        assert exc.value.node == 5
+        assert str(exc.value) == f"solution escapes bracket at node 5 by 2.500e-01 (slack {slack:.3e})"
+
     def test_slack_formula(self):
         sol, mx, mn = self._setup()
         rep = check_enclosure(sol, mx, mn, slack_constant=2.0)
@@ -328,8 +360,8 @@ class TestOneStack:
         eps0=st.floats(1e-4, 0.3),
         ratio=st.floats(0.05, 0.9),
         levels=st.integers(2, 5),
-        # both sides of the direct / FFT cut-over of the RL convolution
-        N=st.one_of(st.integers(2, 48), st.integers(FFT_MIN_LENGTH, FFT_MIN_LENGTH + 48)),
+        # short grids, and grids just past 512 steps
+        N=st.one_of(st.integers(2, 48), st.integers(512, 512 + 48)),
         sign=st.sampled_from([+1, -1]),
     )
     @settings(max_examples=30, deadline=None)
@@ -558,9 +590,9 @@ class TestOneStack:
     def test_marched_levels_build_the_grid_once(self, weight_builds):
         spec = load_problem(NONLINEAR_TEXT)
         bracket_maximal(spec, Grid(spec.T, 4096), levels=4)
-        # the RL weights, the convolution of each block's 1024 steps, and
-        # the cyclic ones of 2048 and 4096 that bring in the blocks before
-        assert weight_builds == [4096, 1024, 2048, 4096]
+        # the convolution of each block's 1024 steps, and the cyclic ones
+        # of 2048 and 4096 that bring in the blocks before
+        assert weight_builds == [1024, 2048, 4096]
 
     def test_one_g_sample_per_sweep_of_a_marched_stack(self, monkeypatch):
         spec = load_problem(NONLINEAR_TEXT)

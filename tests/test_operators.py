@@ -27,7 +27,6 @@ from abcfde import (
 )
 from abcfde import operators, solver
 from abcfde.errors import DimensionMismatch
-from abcfde.operators import FFT_MIN_LENGTH
 
 
 @functools.cache
@@ -112,6 +111,13 @@ class TestGrid:
         for T in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 Grid(T, 4)
+
+    def test_non_integer_N(self):
+        # linspace would refuse it only later, untyped, at the nodes
+        for N in (2.5, 4.0, "4"):
+            with pytest.raises(ValueError, match=f"N must be an integer >= 1, got {N}"):
+                Grid(1.0, N)
+        assert Grid(1.0, np.int64(4)).nodes.tobytes() == Grid(1.0, 4).nodes.tobytes()
 
 
 class TestConfig:
@@ -306,18 +312,6 @@ class TestKernelAntiderivative:
             F[1] = 0.0
 
 
-def rl_direct(arr: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    """rl_integral with its weights built inline and one np.convolve."""
-    N = grid.N
-    start = grid.nodes[1:] ** alpha / math.gamma(alpha + 1.0)
-    m = np.arange(1, N, dtype=float)
-    W = np.concatenate(([1.0], m ** (alpha + 1.0) * np.expm1((alpha + 1.0) * np.log1p(1.0 / m))))
-    out = np.zeros(N + 1)
-    conv = np.convolve(np.diff(arr), W)[:N]
-    out[1:] = arr[0] * start + grid.h**alpha / math.gamma(alpha + 2.0) * conv
-    return out
-
-
 def abc_direct(arr: np.ndarray, grid: Grid, cfg: OperatorConfig) -> np.ndarray:
     """abc_derivative as one np.convolve of the slopes with diff(F)."""
     dF = np.diff(ml_kernel_antiderivative(grid, cfg))
@@ -339,13 +333,13 @@ NONLINEAR_TEXT = (
 )
 
 
-# both sides of the direct / FFT cut-over, which falls on the weight
-# count N of both operators
-CUTOVER_GRIDS = [FFT_MIN_LENGTH - 1, FFT_MIN_LENGTH, FFT_MIN_LENGTH + 1, 2048]
+# the shortest grids, and both sides of 512 weights, where the operators
+# convolved directly before every convolution ran by FFT
+CONVOLUTION_GRIDS = [1, 2, 3, 40, 511, 512, 513, 2048]
 
 
 class TestConvolutionPaths:
-    @pytest.mark.parametrize("N", CUTOVER_GRIDS)
+    @pytest.mark.parametrize("N", CONVOLUTION_GRIDS)
     @pytest.mark.parametrize("alpha", [0.15, 0.65, 0.95])
     def test_rl_matches_dense_oracle(self, N, alpha):
         grid = Grid(2.0, N)
@@ -365,7 +359,7 @@ class TestConvolutionPaths:
             ref = rl_exact(arr, grid, alpha)
             assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("N", CUTOVER_GRIDS)
+    @pytest.mark.parametrize("N", CONVOLUTION_GRIDS)
     @pytest.mark.parametrize(
         "cfg", [OperatorConfig(0.3), OperatorConfig(0.8, b_convention=BConvention.AB)]
     )
@@ -375,14 +369,6 @@ class TestConvolutionPaths:
             out = abc_derivative(arr, grid, cfg)
             ref = abc_direct(arr, grid, cfg)
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("N", [1, 2, 3, 40, FFT_MIN_LENGTH - 1])
-    def test_direct_path_is_bitwise_unchanged(self, N):
-        grid = Grid(1.5, N)
-        cfg = OperatorConfig(0.45, b_convention=BConvention.AB)
-        for arr in convolution_data(grid):
-            np.testing.assert_array_equal(rl_integral(arr, grid, 0.45), rl_direct(arr, grid, 0.45))
-            np.testing.assert_array_equal(abc_derivative(arr, grid, cfg), abc_direct(arr, grid, cfg))
 
     def test_repeated_calls_are_byte_identical(self, monkeypatch):
         grid = Grid(2.0, 2048)
@@ -397,10 +383,10 @@ class TestConvolutionPaths:
     def test_solve_builds_the_stencil_once(self, weight_builds):
         trace = picard_solve(load_problem(NONLINEAR_TEXT), Grid(2.0, 2048))
         assert trace.iterations > 10
-        # the RL moment increments W, the first 1024 of them, which
-        # convolve the steps of each of the march's two blocks, and all 2048
-        # again, cyclic, which bring the first block into the second
-        assert weight_builds == [2048, 1024, 2048]
+        # the first 1024 RL moment increments W, which convolve the steps
+        # of each of the march's two blocks, and all 2048, cyclic, which
+        # bring the first block into the second
+        assert weight_builds == [1024, 2048]
 
     def test_comparison_builds_the_stencil_once(self, weight_builds):
         spec = load_problem("alpha = 0.5\nT = 1\nomega0 = 1\nf = 1\ng = 0\n")
@@ -416,7 +402,7 @@ class TestStacks:
     """Each operator acts along the last axis of a stack of node vectors,
     and gives each row bitwise what the row gets alone."""
 
-    @pytest.mark.parametrize("N", [256, 1024])  # direct convolution, then FFT
+    @pytest.mark.parametrize("N", [1, 2, 3, 40, 256, 1024])
     def test_rows_are_bitwise_the_row_calls(self, N):
         grid = Grid(2.0, N)
         cfg = OperatorConfig(0.45, b_convention=BConvention.AB)
@@ -447,8 +433,8 @@ class TestDiscretization:
     @pytest.mark.parametrize(
         "N, blocks",
         [
-            # the grid's convolution direct, then by FFT; blocks of fewer and
-            # of more than FFT_MIN_LENGTH steps, on both sides of node 512
+            # blocks of fewer and of more than 512 steps, on both sides of
+            # node 512
             (300, [(1, 2), (1, 50), (2, 3), (120, 301)]),
             (1100, [(1, 101), (300, 700), (500, 1012), (600, 1101), (1100, 1101)]),
             (4096, [(1025, 2049), (3000, 4097), (2, 600)]),
@@ -498,7 +484,7 @@ class TestDiscretization:
         for lo in (1025, 1, 1025):
             disc.block(x[lo - 1 : lo + 1024])
         disc.block(x[:600])
-        assert weight_builds == [2048, 1024, 599]
+        assert weight_builds == [1024, 599]
 
     def test_solve_leaves_the_kernel_unbuilt(self, weight_builds):
         spec = load_problem(NONLINEAR_TEXT)
@@ -506,7 +492,7 @@ class TestDiscretization:
         picard_solve(spec, grid)
         built = vars(operators.discretization(grid, spec.cfg.alpha))
         assert "rl" in built
-        assert "kernel" not in built and "abc" not in built
+        assert "kernel" not in built and "_coarse_abcs" not in built
 
 
 class TestRoundTrip:
@@ -600,7 +586,7 @@ class TestSubGridDerivative:
         assert calls == []
         disc = discretization(grid, 0.6)
         assert disc.coarse_abc(2) is disc.coarse_abc(2)
-        assert disc.coarse_abc(1) is disc.abc
+        assert disc.coarse_abc(1) is disc.coarse_abc(1)
 
     @pytest.mark.parametrize("step", [0, -1, 9])
     def test_step_out_of_range(self, step):

@@ -772,9 +772,9 @@ class TestMarch:
         spec = load_problem(NONLINEAR_TEXT)
         trace = picard_solve(spec, Grid(spec.T, 32768))
         assert trace.converged and trace.residual_sup <= 1e-10
-        # the grid's RL weights, the convolution of each block's steps, and
-        # the cyclic ones of 16384 and 32768 that bring in the blocks before
-        assert weight_builds == [32768, 8192, 16384, 32768]
+        # the convolution of each block's steps, and the cyclic ones of
+        # 16384 and 32768 that bring in the blocks before
+        assert weight_builds == [8192, 16384, 32768]
 
     def test_one_block_convolves_with_the_grid_weights(self, weight_builds):
         # one block of all N steps takes rl_integral's convolution, spectrum and all
